@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,18 @@ EXIT_CONFIG = 1
 EXIT_CRITERION = 2
 EXIT_BREAKDOWN = 3
 EXIT_INVALID_RUN = 4
+
+#: error class -> (final manifest status, exit code, message prefix)
+_FAILURES = {
+    ConfigError: ("rejected", EXIT_CONFIG, "error"),
+    NumericalBreakdownError: ("breakdown", EXIT_BREAKDOWN, "numerical breakdown"),
+    AccuracyError: ("breakdown", EXIT_BREAKDOWN, "numerical breakdown"),
+    InvalidRunError: ("invalid", EXIT_INVALID_RUN, "invalid run"),
+}
+
+
+def _failure(exc: BaseException) -> tuple[str, int, str] | None:
+    return next((v for cls, v in _FAILURES.items() if isinstance(exc, cls)), None)
 
 
 def _out_dir(args, config: dict | None, default: str) -> Path:
@@ -74,63 +87,56 @@ def _potential_from_args(args) -> PotentialSpec:
     return PotentialSpec.from_dict(d)
 
 
+@contextmanager
+def _manifest(out: Path, config: dict):
+    """Own ``out/manifest.json``: written as "running" on entry, finalized on
+    every exit. The body adds outputs and may set ``status`` (default
+    "complete") and ``flags``; an exception is recorded with the status of its
+    class and propagates."""
+    manifest = RunManifest(config=config, tool_version=__version__)
+    path = out / "manifest.json"
+    manifest.write(path)
+    manifest.add_output(path)
+    try:
+        yield manifest
+    except BaseException as exc:
+        failure = _failure(exc)
+        status = failure[0] if failure else (
+            "interrupted" if isinstance(exc, KeyboardInterrupt) else "error")
+        manifest.finalize(path, status, error=str(exc))
+        raise
+    manifest.finalize(path, "complete" if manifest.status == "running" else manifest.status)
+
+
 def _write_run_outputs(report: RunReport, out: Path, manifest: RunManifest) -> None:
-    series_path = out / "series.csv"
-    report.series.to_csv(series_path)
-    manifest.add_output(series_path)
-    report_path = out / "report.json"
-    write_json(report_path, report.to_dict())
-    manifest.add_output(report_path)
-    field_path = out / "final_field.bin"
-    save_field(report.final, field_path)
-    manifest.add_output(field_path)
-    svg_path = out / "summary.svg"
+    report.series.to_csv(out / "series.csv")
+    write_json(out / "report.json", report.to_dict())
+    save_field(report.final, out / "final_field.bin")
     svg_line_plot(
-        svg_path,
+        out / "summary.svg",
         [(report.series.times, report.series.err_l2, "||u - u1||_L2")],
         title=f"transmission error, v={report.plan.v:g}",
         xlabel="t",
         ylabel="L2 error",
         logy=bool(np.any(report.series.err_l2 > 0)),
     )
-    manifest.add_output(svg_path)
+    for name in ("series.csv", "report.json", "final_field.bin", "summary.svg"):
+        manifest.add_output(out / name)
 
 
 def cmd_simulate(args) -> int:
     raw = _load_config(args.config)
     config = ExperimentConfig.from_dict(raw)
-    if "v" in raw:
-        v = float(raw["v"])
-    elif len(config.velocities) == 1:
-        v = config.velocities[0]
-    else:
+    if len(config.velocities) != 1:
         raise ConfigError("simulate needs a single 'v' (or a one-entry 'velocities' list)")
+    v = config.velocities[0]
     out = _out_dir(args, raw, "runs/simulate")
-    manifest = RunManifest(config=raw, tool_version=__version__)
-    manifest_path = out / "manifest.json"
-    manifest.write(manifest_path)
-    try:
-        report = transmission_run(
-            config,
-            v,
-            x0=float(raw["x0"]) if "x0" in raw else None,
-            dt=float(raw["dt"]) if "dt" in raw else None,
-        )
-    except (NumericalBreakdownError, AccuracyError) as exc:
-        manifest.finalize(manifest_path, "breakdown", error=str(exc))
-        raise
-    except InvalidRunError as exc:
-        manifest.finalize(manifest_path, "invalid", error=str(exc))
-        raise
-    _write_run_outputs(report, out, manifest)
-    manifest.add_output(manifest_path)
-    manifest.finalize(
-        manifest_path,
-        "complete" if report.valid else "invalid",
-        valid=report.valid,
-        sup_error=report.sup_error,
-        invalid_reason=report.invalid_reason,
-    )
+    with _manifest(out, raw) as manifest:
+        report = transmission_run(config, v, x0=config.x0, dt=config.dt)
+        _write_run_outputs(report, out, manifest)
+        manifest.status = "complete" if report.valid else "invalid"
+        manifest.flags.update(valid=report.valid, sup_error=report.sup_error,
+                              invalid_reason=report.invalid_reason)
     if not report.valid:
         print(f"invalid run: {report.invalid_reason}", file=sys.stderr)
         return EXIT_INVALID_RUN
@@ -147,35 +153,28 @@ def cmd_spectral(args) -> int:
     else:
         lams = np.geomspace(args.lambda_min, args.lambda_max, args.lambda_points)
     out = _out_dir(args, None, "runs/spectral")
-    manifest = RunManifest(
-        config={"potential": spec.to_dict(), "lambda_min": args.lambda_min,
-                "lambda_max": args.lambda_max, "lambda_points": args.lambda_points,
-                "linear": args.linear, "half_width": half, "n": args.n},
-        tool_version=__version__,
-    )
-    manifest_path = out / "manifest.json"
-    manifest.write(manifest_path)
-    report = build_spectral_report(spec, grid, lams)
-    admissibility = check_admissibility(spec, grid)
-    csv_path = out / "coefficients.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["lambda", "re_T", "im_T", "re_R", "im_R", "unitarity_defect"])
-        for c in report.coefficients:
-            w.writerow([f"{x:.17g}" for x in
-                        (c.lam, c.T.real, c.T.imag, c.R.real, c.R.imag, c.unitarity_defect)])
-    manifest.add_output(csv_path)
-    json_path = out / "spectral_report.json"
-    payload = report.to_dict()
-    payload["admissibility"] = admissibility.to_dict()
-    write_json(json_path, payload)
-    manifest.add_output(json_path)
-    manifest.add_output(manifest_path)
-    manifest.finalize(manifest_path, "complete", admissible=admissibility.admissible)
+    config = {"potential": spec.to_dict(), "lambda_min": args.lambda_min,
+              "lambda_max": args.lambda_max, "lambda_points": args.lambda_points,
+              "linear": args.linear, "half_width": half, "n": args.n}
+    with _manifest(out, config) as manifest:
+        report = build_spectral_report(spec, grid, lams)
+        csv_path = out / "coefficients.csv"
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["lambda", "re_T", "im_T", "re_R", "im_R", "unitarity_defect"])
+            for c in report.coefficients:
+                w.writerow([f"{x:.17g}" for x in
+                            (c.lam, c.T.real, c.T.imag, c.R.real, c.R.imag, c.unitarity_defect)])
+        manifest.add_output(csv_path)
+        json_path = out / "spectral_report.json"
+        write_json(json_path, report.to_dict())
+        manifest.add_output(json_path)
+        adm = report.admissibility
+        manifest.flags["admissible"] = adm.admissible
     print(
-        f"{spec.kind}: {len(report.bound_state_energies)} bound state(s) "
-        f"{list(report.bound_state_energies)}, resonance={report.resonance.detected}, "
-        f"admissible={admissibility.admissible}, "
+        f"{spec.kind}: {adm.bound_state_count} bound state(s) "
+        f"{list(adm.bound_state_energies)}, resonance={adm.resonance_detected}, "
+        f"admissible={adm.admissible}, "
         f"max unitarity defect {report.max_unitarity_defect:.2e} -> {out}"
     )
     return EXIT_OK
@@ -197,59 +196,49 @@ def cmd_study(args) -> int:
     raw = _load_config(args.config)
     config = ExperimentConfig.from_dict(raw)
     out = _out_dir(args, raw, "runs/study")
-    manifest = RunManifest(config=raw, tool_version=__version__)
-    manifest_path = out / "manifest.json"
-    manifest.write(manifest_path)
-    try:
+    with _manifest(out, raw) as manifest:
         result = scaling_study(config, jobs=args.jobs)
-    except (NumericalBreakdownError, AccuracyError) as exc:
-        manifest.finalize(manifest_path, "breakdown", error=str(exc))
-        raise
-    for run, floor in zip(result.runs, result.floor_runs):
-        run_dir = out / "runs" / f"v{run.plan.v:g}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        sub = RunManifest(config={**raw, "v": run.plan.v}, tool_version=__version__)
-        sub_path = run_dir / "manifest.json"
-        sub.write(sub_path)
-        _write_run_outputs(run, run_dir, sub)
-        floor_path = run_dir / "floor_series.csv"
-        floor.series.to_csv(floor_path)
-        sub.add_output(floor_path)
-        sub.add_output(sub_path)
-        sub.finalize(sub_path, "complete" if run.valid else "invalid", valid=run.valid)
-        manifest.add_output(sub_path)
-    study_path = out / "study.json"
-    write_json(study_path, result.to_dict())
-    manifest.add_output(study_path)
-    csv_path = out / "scaling.csv"
-    with open(csv_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["log_v", "log_err"])
-        for v, e in zip(result.velocities, result.errors):
-            w.writerow([f"{math.log(v):.17g}", f"{math.log(e):.17g}"])
-    manifest.add_output(csv_path)
-    svg_path = out / "scaling.svg"
-    vs = np.asarray(result.velocities)
-    bound = result.errors[0] * (vs / vs[0]) ** result.bound_slope
-    svg_line_plot(
-        svg_path,
-        [
-            (vs, np.asarray(result.errors), "measured sup error"),
-            (vs, bound, f"envelope slope {result.bound_slope:g}"),
-        ],
-        title=f"error scaling, slope {result.slope:.3f} (limit {result.slope_limit:.3f})",
-        xlabel="v",
-        ylabel="sup_t ||u - u1||_L2",
-        logx=True,
-        logy=True,
-    )
-    manifest.add_output(svg_path)
-    manifest.add_output(manifest_path)
-    status = "complete" if result.passed else ("invalid" if not result.runs_valid else "failed")
-    manifest.finalize(
-        manifest_path, status, passed=result.passed, slope=result.slope,
-        slope_limit=result.slope_limit,
-    )
+        for run, floor in zip(result.runs, result.floor_runs):
+            run_dir = out / "runs" / f"v{run.plan.v:g}"
+            run_dir.mkdir(parents=True, exist_ok=True)
+            with _manifest(run_dir, {**raw, "v": run.plan.v}) as sub:
+                _write_run_outputs(run, run_dir, sub)
+                floor_path = run_dir / "floor_series.csv"
+                floor.series.to_csv(floor_path)
+                sub.add_output(floor_path)
+                sub.status = "complete" if run.valid else "invalid"
+                sub.flags["valid"] = run.valid
+            manifest.add_output(run_dir / "manifest.json")
+        study_path = out / "study.json"
+        write_json(study_path, result.to_dict())
+        manifest.add_output(study_path)
+        csv_path = out / "scaling.csv"
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["log_v", "log_err"])
+            for v, e in zip(result.velocities, result.errors):
+                w.writerow([f"{math.log(v):.17g}", f"{math.log(e):.17g}"])
+        manifest.add_output(csv_path)
+        svg_path = out / "scaling.svg"
+        vs = np.asarray(result.velocities)
+        bound = result.errors[0] * (vs / vs[0]) ** result.bound_slope
+        svg_line_plot(
+            svg_path,
+            [
+                (vs, np.asarray(result.errors), "measured sup error"),
+                (vs, bound, f"envelope slope {result.bound_slope:g}"),
+            ],
+            title=f"error scaling, slope {result.slope:.3f} (limit {result.slope_limit:.3f})",
+            xlabel="v",
+            ylabel="sup_t ||u - u1||_L2",
+            logx=True,
+            logy=True,
+        )
+        manifest.add_output(svg_path)
+        manifest.status = ("complete" if result.passed
+                           else "invalid" if not result.runs_valid else "failed")
+        manifest.flags.update(passed=result.passed, slope=result.slope,
+                              slope_limit=result.slope_limit)
     print(
         f"slope {result.slope:.4f} (limit {result.slope_limit:.4f}), "
         f"decreasing={result.strictly_decreasing}, floors ok={result.floor_gate_ok}, "
@@ -340,15 +329,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericalBreakdownError, AccuracyError) as exc:
-        print(f"numerical breakdown: {exc}", file=sys.stderr)
-        return EXIT_BREAKDOWN
-    except InvalidRunError as exc:
-        print(f"invalid run: {exc}", file=sys.stderr)
-        return EXIT_INVALID_RUN
+    except tuple(_FAILURES) as exc:
+        _, code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -28,9 +28,11 @@ import numpy as np
 
 from .errors import ConfigError
 from .grid import Field, Grid, l2_norm, make_grid
-from .potentials import AdmissibilityReport, PotentialSpec, check_admissibility, sample_potential
+from .potentials import (
+    DEFAULT_EDGE_TOL, AdmissibilityReport, PotentialSpec, check_admissibility, edge_magnitude,
+    json_number, sample_potential,
+)
 from .propagation import (
-    EvolveResult,
     ObserverSeries,
     SolitonParams,
     StepperConfig,
@@ -44,6 +46,14 @@ from .propagation import (
 FLOOR_FACTOR = 10.0
 #: slack added to the theoretical slope bound -(2 delta - 1)
 SLOPE_SLACK = 0.1
+#: admissibility is judged on [c - 40, c + 40] x 2048 around the center c,
+#: doubled in width and points together (same spacing) until |V| at both
+#: edges is below DEFAULT_EDGE_TOL, up to this many points; past it the
+#: verdict is inconclusive
+ADMISSIBILITY_MAX_N = 1 << 16
+
+_NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "kmax_factor", "dt_safety",
+                "edge_mass_tol", "x0", "dt")
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,8 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of the transmission experiment (defaults follow the run rules)."""
+    """Inputs of the transmission experiment (defaults follow the run rules).
+    ``x0`` and ``dt`` are optional explicit values for a single run."""
 
     potential: PotentialSpec
     delta: float
@@ -97,9 +108,11 @@ class ExperimentConfig:
     obs_points: int = 800
     edge_mass_tol: float = 1e-8
     override_admissibility: bool = False
+    x0: float | None = None
+    dt: float | None = None
 
     def __post_init__(self):
-        s = self.potential.decay_parameter
+        s = max(self.potential.decay_parameter, 0.0)  # s <= 0 leaves the window empty
         upper = s / (1.0 + s) if math.isfinite(s) else 1.0
         if not 0.5 < self.delta < upper:
             raise ConfigError(
@@ -112,6 +125,8 @@ class ExperimentConfig:
             raise ConfigError("all velocities must exceed 1")
         if self.mu <= 0 or self.margin <= 0 or self.dt_safety < 1.0:
             raise ConfigError("mu and margin must be positive, dt_safety >= 1")
+        if self.kmax_factor <= 0 or self.edge_mass_tol <= 0:
+            raise ConfigError("kmax_factor and edge_mass_tol must be positive")
         if self.obs_points < 16:
             raise ConfigError("obs_points must be at least 16")
         object.__setattr__(self, "velocities", tuple(float(v) for v in self.velocities))
@@ -119,44 +134,30 @@ class ExperimentConfig:
     def default_x0(self, v: float) -> float:
         return -self.x0_factor * v ** (1.0 - self.delta)
 
-    def to_dict(self) -> dict:
-        return {
-            "potential": self.potential.to_dict(),
-            "delta": self.delta,
-            "velocities": list(self.velocities),
-            "x0_factor": self.x0_factor,
-            "mu": self.mu,
-            "margin": self.margin,
-            "kmax_factor": self.kmax_factor,
-            "dt_safety": self.dt_safety,
-            "obs_points": self.obs_points,
-            "edge_mass_tol": self.edge_mass_tol,
-            "override_admissibility": self.override_admissibility,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Read a JSON config; every value of the wrong type is a ConfigError."""
         if not isinstance(d, dict):
             raise ConfigError("experiment config must be a JSON object")
-        known = {
-            "potential", "delta", "velocities", "x0_factor", "mu", "margin",
-            "kmax_factor", "dt_safety", "obs_points", "edge_mass_tol",
-            "override_admissibility",
-        }
-        unknown = set(d) - known - {"out_dir", "v", "x0", "dt"}
+        known = {"potential", "velocities", "v", "obs_points", "override_admissibility",
+                 "out_dir", *_NUMBER_KEYS}
+        unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "potential" not in d or "delta" not in d:
             raise ConfigError("config needs at least 'potential' and 'delta'")
-        kwargs = {k: d[k] for k in known & set(d) if k not in ("potential", "velocities")}
-        velocities = d.get("velocities", [d["v"]] if "v" in d else None)
-        if velocities is None:
-            raise ConfigError("config needs 'velocities' (or a single 'v')")
-        return cls(
-            potential=PotentialSpec.from_dict(d["potential"]),
-            velocities=tuple(float(v) for v in velocities),
-            **kwargs,
-        )
+        if ("v" in d) == ("velocities" in d):
+            raise ConfigError("config needs either 'velocities' or a single 'v'")
+        velocities = [d["v"]] if "v" in d else d["velocities"]
+        if not isinstance(velocities, list):
+            raise ConfigError(f"'velocities' must be a list, got {velocities!r}")
+        for key, kind in (("obs_points", int), ("override_admissibility", bool), ("out_dir", str)):
+            if key in d and type(d[key]) is not kind:  # bool is not an int here
+                raise ConfigError(f"{key!r} must be of JSON type {kind.__name__}, got {d[key]!r}")
+        kwargs = {k: json_number(d[k], k) for k in _NUMBER_KEYS if k in d}
+        kwargs.update({k: d[k] for k in ("obs_points", "override_admissibility") if k in d})
+        return cls(potential=PotentialSpec.from_dict(d["potential"]),
+                   velocities=tuple(json_number(v, "velocities") for v in velocities), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -262,12 +263,39 @@ def _phase_peaks(series: ObserverSeries, phases: PhaseTimes):
     return peak(0.0, phases.t1), peak(phases.t1, phases.t2), peak(phases.t2, phases.t_end)
 
 
-def _execute_plan(
+def _admissibility_grid(spec: PotentialSpec) -> Grid:
+    """The domain admissibility is judged on (see ADMISSIBILITY_MAX_N)."""
+    half, n = 40.0, 2048
+    grid = make_grid(spec.center - half, spec.center + half, n)
+    while edge_magnitude(spec, grid) >= DEFAULT_EDGE_TOL and n < ADMISSIBILITY_MAX_N:
+        half, n = 2.0 * half, 2 * n
+        grid = make_grid(spec.center - half, spec.center + half, n)
+    return grid
+
+
+def _admissibility_gate(config: ExperimentConfig) -> AdmissibilityReport | None:
+    """Judge the potential on the domain its decay needs; raise ConfigError
+    unless it is admissible or config.override_admissibility is set."""
+    if config.override_admissibility:
+        return None
+    report = check_admissibility(config.potential, _admissibility_grid(config.potential))
+    if not report.admissible:
+        verdict = "not admissible" if report.conclusive else "inconclusive"
+        raise ConfigError(f"potential {config.potential.to_dict()} is {verdict} "
+                          f"({report.to_dict()}); set override_admissibility to force")
+    return report
+
+
+def _run_plan(
     plan: RunPlan,
     config: ExperimentConfig,
     potential_spec: PotentialSpec | None,
+    admissibility: AdmissibilityReport | None = None,
     snapshot_every: int | None = None,
-) -> tuple[EvolveResult, SolitonParams]:
+) -> RunReport:
+    """Evolve the boosted soliton on ``plan`` under ``potential_spec`` (None
+    is V = 0, the matched-resolution floor) and assemble the report. No
+    admissibility gate: callers judge the potential first."""
     params = SolitonParams(v=plan.v, x0=plan.x0, mu=config.mu)
     grid = plan.grid
     sup_v = potential_spec.sup_norm if potential_spec is not None else 0.0
@@ -282,7 +310,16 @@ def _execute_plan(
         snapshot_every=snapshot_every,
     )
     result = evolve(u0, pot, (0.0, plan.t_end), stepper, reference=params)
-    return result, params
+    p1, p2, p3 = _phase_peaks(result.series, plan.phases)
+    return RunReport(
+        plan=plan, potential=potential_spec or PotentialSpec("zero"), delta=config.delta,
+        mu=config.mu, series=result.series, final=result.final,
+        sup_error=float(result.series.err_l2.max()),
+        peak_phase1=p1, peak_phase2=p2, peak_phase3=p3,
+        valid=result.valid, invalid_reason=result.invalid_reason, admissibility=admissibility,
+        admissibility_overridden=potential_spec is None or config.override_admissibility,
+        snapshot_times=result.snapshot_times, snapshots=result.snapshots,
+    )
 
 
 def transmission_run(
@@ -291,11 +328,9 @@ def transmission_run(
     x0: float | None = None,
     dt: float | None = None,
     snapshot_every: int | None = None,
-    free_floor: bool = False,
 ) -> RunReport:
     """Evolve the boosted soliton under V and record ||u - u1|| over the
-    horizon. ``free_floor=True`` replaces V by zero on the *same* plan (the
-    matched-resolution discretization floor of the scaling study).
+    horizon.
 
     An explicit ``dt`` must still satisfy the phase-resolution cap. The
     potential must be admissible unless config.override_admissibility is
@@ -304,43 +339,7 @@ def transmission_run(
     plan = plan_run(config, v, x0)
     if dt is not None:
         plan = replace(plan, dt=float(dt))
-    admissibility = None
-    if free_floor:
-        potential_spec = None
-        overridden = True
-    else:
-        potential_spec = config.potential
-        overridden = config.override_admissibility
-        if not overridden:
-            half = 40.0
-            adm_grid = make_grid(config.potential.center - half, config.potential.center + half, 2048)
-            admissibility = check_admissibility(config.potential, adm_grid)
-            if not admissibility.admissible:
-                raise ConfigError(
-                    f"potential {config.potential.to_dict()} is not admissible "
-                    f"({admissibility.to_dict()}); set override_admissibility to force"
-                )
-    result, _ = _execute_plan(plan, config, potential_spec, snapshot_every)
-    p1, p2, p3 = _phase_peaks(result.series, plan.phases)
-    report = RunReport(
-        plan=plan,
-        potential=potential_spec if potential_spec is not None else PotentialSpec("zero"),
-        delta=config.delta,
-        mu=config.mu,
-        series=result.series,
-        final=result.final,
-        sup_error=float(result.series.err_l2.max()),
-        peak_phase1=p1,
-        peak_phase2=p2,
-        peak_phase3=p3,
-        valid=result.valid,
-        invalid_reason=result.invalid_reason,
-        admissibility=admissibility,
-        admissibility_overridden=overridden,
-        snapshot_times=result.snapshot_times,
-        snapshots=result.snapshots,
-    )
-    return report
+    return _run_plan(plan, config, config.potential, _admissibility_gate(config), snapshot_every)
 
 
 @dataclass(frozen=True)
@@ -393,25 +392,29 @@ def loglog_slope(vs, es) -> float:
 
 
 def _study_pair(args):
-    config, v = args
-    main = transmission_run(config, v)
-    floor = transmission_run(config, v, free_floor=True)
+    config, v, admissibility = args
+    plan = plan_run(config, v)
+    main = _run_plan(plan, config, config.potential, admissibility)
+    floor = _run_plan(plan, config, None)
     return v, main, floor
 
 
 def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     """Run every velocity (plus its matched V=0 floor) and fit the exponent.
 
-    Needs >= 4 velocities spanning at least a factor 8. Runs are independent
-    and can execute in parallel; results are keyed by v so the aggregation is
-    order-independent.
+    Needs >= 4 velocities spanning at least a factor 8. Admissibility is
+    judged once, before any run. Runs are independent and can execute in
+    parallel; results are keyed by v so the aggregation is order-independent.
     """
     vs = sorted(config.velocities)
     if len(vs) < 4:
         raise ConfigError(f"scaling study needs >= 4 velocities, got {len(vs)}")
     if vs[-1] < 8.0 * vs[0] - 1e-9:
         raise ConfigError("velocities must span at least a factor of 8")
-    tasks = [(config, v) for v in vs]
+    if config.x0 is not None or config.dt is not None:
+        raise ConfigError("'x0' and 'dt' apply to a single run, not to a study")
+    admissibility = _admissibility_gate(config)
+    tasks = [(config, v, admissibility) for v in vs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = {v: (main, floor) for v, main, floor in pool.map(_study_pair, tasks)}

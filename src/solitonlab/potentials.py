@@ -20,6 +20,7 @@ A true point (delta) potential is outside the catalog; narrow Gaussians
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,13 @@ def _sech(z: np.ndarray) -> np.ndarray:
     # overflow-safe sech
     a = np.exp(-np.abs(z))
     return 2.0 * a / (1.0 + a * a)
+
+
+def json_number(value, name: str) -> float:
+    """A config value as a float; it must be a finite JSON number (not a bool)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name!r} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -135,10 +143,9 @@ class PotentialSpec:
         unknown = set(d) - allowed
         if unknown:
             raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
-        try:
-            return cls(**{k: (v if k == "kind" else float(v)) for k, v in d.items()})
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad potential config: {exc}") from exc
+        if not isinstance(d["kind"], str):
+            raise ConfigError(f"potential kind must be a string, got {d['kind']!r}")
+        return cls(**{k: (v if k == "kind" else json_number(v, k)) for k, v in d.items()})
 
 
 @dataclass(frozen=True)
@@ -185,19 +192,43 @@ def decay_fit(spec: PotentialSpec, grid: Grid, slope_cap: float = DEFAULT_SLOPE_
     return math.inf if estimate > slope_cap else estimate
 
 
+def edge_magnitude(spec: PotentialSpec, grid: Grid) -> float:
+    """max |V| over the first and the last grid node."""
+    return float(np.max(np.abs(spec(np.array([grid.x_min, grid.x[-1]])))))
+
+
+@dataclass(frozen=True)
+class ResonanceProbe:
+    detected: bool
+    w0_abs: float
+    w0_abs_doubled: float
+    stable: bool
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Verdict of the three admissibility conditions plus the measured inputs."""
+    """Verdict of the three admissibility conditions plus the measured inputs.
+    ``resonance`` is None when the edge check stopped the report early."""
 
     spec: PotentialSpec
     decay_parameter_estimate: float
-    bound_state_count: int
     bound_state_energies: tuple[float, ...]
-    resonance_detected: bool
-    wronskian_at_zero: float
+    resonance: ResonanceProbe | None
     admissible: bool
     conclusive: bool
     notes: tuple[str, ...] = ()
+
+    @property
+    def bound_state_count(self) -> int:
+        return len(self.bound_state_energies)
+
+    @property
+    def resonance_detected(self) -> bool:
+        return self.resonance is not None and self.resonance.detected
+
+    @property
+    def wronskian_at_zero(self) -> float:
+        return self.resonance.w0_abs if self.resonance is not None else math.nan
 
     def to_dict(self) -> dict:
         est = self.decay_parameter_estimate
@@ -237,10 +268,10 @@ def check_admissibility(
         decay_est = math.nan
         notes.append("potential vanishes on the decay-fit window")
 
-    edge_v = max(abs(spec(np.array([grid.x_min]))[0]), abs(spec(np.array([grid.x[-1]]))[0]))
+    edge_v = edge_magnitude(spec, grid)
     if edge_v >= edge_tol:
         return AdmissibilityReport(
-            spec, decay_est, 0, (), False, math.nan, False, False,
+            spec, decay_est, (), None, False, False,
             tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {edge_tol:g}"]),
         )
 
@@ -261,10 +292,8 @@ def check_admissibility(
     return AdmissibilityReport(
         spec,
         decay_est,
-        len(states),
         energies,
-        probe.detected,
-        probe.w0_abs,
+        probe,
         bool(admissible),
         bool(probe.stable),
         tuple(notes),

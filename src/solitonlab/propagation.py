@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidRunError, NumericalBreakdownError
 from .grid import Field, Grid, edge_mass_fraction, l2_norm
-from .potentials import SampledPotential
+from .potentials import SampledPotential, _sech
 from .scattering import BoundState
 
 #: pointwise phase cap per substep (radians)
@@ -51,11 +51,6 @@ class SolitonParams:
 
     def center(self, t: float) -> float:
         return self.x0 + self.v * t
-
-
-def _sech(z: np.ndarray) -> np.ndarray:
-    a = np.exp(-np.abs(z))
-    return 2.0 * a / (1.0 + a * a)
 
 
 def soliton(

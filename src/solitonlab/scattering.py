@@ -22,7 +22,7 @@ that (local wave number) * (substep) stays below SUBSTEP_PHASE radians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -33,8 +33,11 @@ from .potentials import (
     DEFAULT_EDGE_TOL,
     DEFAULT_NEGATIVE_EPS,
     DEFAULT_RESONANCE_EPS,
+    AdmissibilityReport,
     PotentialSpec,
+    ResonanceProbe,
     SampledPotential,
+    check_admissibility,
     sample_potential,
 )
 
@@ -87,14 +90,6 @@ class BoundState:
 
     energy: float
     field: Field
-
-
-@dataclass(frozen=True)
-class ResonanceProbe:
-    detected: bool
-    w0_abs: float
-    w0_abs_doubled: float
-    stable: bool
 
 
 def _substeps(grid: Grid, lam_max: float, sup_v: float) -> int:
@@ -444,13 +439,11 @@ def ode_residual(sol: JostSolution, potential: SampledPotential) -> ResidualRepo
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Bound states, resonance verdict and the T/R table for one potential."""
+    """T/R table and admissibility report (bound states, resonance) for one potential."""
 
-    potential: PotentialSpec
     lams: tuple[float, ...]
     coefficients: tuple[ScatteringCoefficients, ...]
-    bound_state_energies: tuple[float, ...]
-    resonance: ResonanceProbe
+    admissibility: AdmissibilityReport
     truncation_estimate: float
 
     @property
@@ -469,18 +462,14 @@ class SpectralReport:
 
     def to_dict(self) -> dict:
         return {
-            "potential": self.potential.to_dict(),
-            "bound_state_energies": list(self.bound_state_energies),
-            "resonance": {
-                "detected": self.resonance.detected,
-                "w0_abs": self.resonance.w0_abs,
-                "w0_abs_doubled": self.resonance.w0_abs_doubled,
-                "stable": self.resonance.stable,
-            },
+            "potential": self.admissibility.spec.to_dict(),
+            "bound_state_energies": list(self.admissibility.bound_state_energies),
+            "resonance": asdict(self.admissibility.resonance),
             "max_unitarity_defect": self.max_unitarity_defect,
             "max_t_agreement": self.max_t_agreement,
             "sup_reflection_times_lam": self.sup_reflection_times_lam,
             "truncation_estimate": self.truncation_estimate,
+            "admissibility": self.admissibility.to_dict(),
             "table": [
                 {
                     "lambda": c.lam,
@@ -503,17 +492,15 @@ def build_spectral_report(
     resonance_eps: float = DEFAULT_RESONANCE_EPS,
 ) -> SpectralReport:
     pot = sample_potential(spec, grid)
+    # the table checks both edges first, so the report below is never cut short
     coeffs = scattering_table(pot, lams, edge_tol=edge_tol)
-    states = bound_states(pot)
-    probe = detect_resonance(spec, grid, resonance_eps=resonance_eps, edge_tol=edge_tol)
+    admissibility = check_admissibility(spec, grid, resonance_eps=resonance_eps, edge_tol=edge_tol)
     half = min(abs(grid.x_min - spec.center), abs(grid.x[-1] - spec.center))
     lam_min = min(c.lam for c in coeffs)
     truncation = spec.tail_integral(half) / max(lam_min, 1.0)
     return SpectralReport(
-        potential=spec,
         lams=tuple(float(c.lam) for c in coeffs),
         coefficients=tuple(coeffs),
-        bound_state_energies=tuple(s.energy for s in states),
-        resonance=probe,
+        admissibility=admissibility,
         truncation_estimate=float(truncation),
     )

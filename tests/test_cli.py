@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from solitonlab import scattering
 from solitonlab.cli import main
 from solitonlab.reporting import config_hash
 
@@ -49,7 +50,25 @@ class TestSimulate:
 
     def test_inadmissible_without_override_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", potential={"kind": "sech2_scaled", "beta": 1.0})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+        assert "not admissible" in manifest["flags"]["error"]
+        assert manifest["finished_utc"] is not None
+
+    def test_override_must_be_a_bool(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", potential={"kind": "sech2_scaled", "beta": 1.0},
+                           override_admissibility="no")
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "override_admissibility" in capsys.readouterr().err
+
+    def test_explicit_x0_and_dt(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", x0=-6, dt=0.001)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["x0"], report["dt"]) == (-6.0, 0.001)
 
     def test_unworkable_geometry_exits_4(self, tmp_path):
         # margin too small for the soliton tail: the run geometry is invalid
@@ -120,6 +139,24 @@ class TestSpectral:
         assert payload["resonance"]["detected"] is True
         assert payload["bound_state_energies"] == []
 
+    def test_one_probe_per_call(self, tmp_path, monkeypatch):
+        calls = {"bound_states": 0, "detect_resonance": 0}
+        for name in calls:
+            real = getattr(scattering, name)
+
+            def counted(*a, _real=real, _name=name, **k):
+                calls[_name] += 1
+                return _real(*a, **k)
+
+            monkeypatch.setattr(scattering, name, counted)
+        out = tmp_path / "spec1"
+        assert main(["spectral", "--kind", "sech2_scaled", "--beta", "0.5",
+                     "--lambda-points", "4", "--out", str(out)]) == 0
+        assert calls == {"bound_states": 1, "detect_resonance": 1}
+        payload = json.loads((out / "spectral_report.json").read_text())
+        assert payload["admissibility"]["bound_state_energies"] == payload["bound_state_energies"]
+        assert payload["admissibility"]["wronskian_at_zero_abs"] == payload["resonance"]["w0_abs"]
+
     def test_algebraic_admissible(self, tmp_path):
         out = tmp_path / "speca"
         code = main(
@@ -166,7 +203,11 @@ class TestStudy:
         cfg = self._study_config(
             tmp_path / "c.json", potential={"kind": "sech2_scaled", "beta": 1.0}, delta=0.7
         )
-        assert main(["study", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert main(["study", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+        assert not (out / "runs").exists()
 
     @pytest.mark.slow
     def test_small_study_passes(self, tmp_path):

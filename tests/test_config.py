@@ -1,0 +1,149 @@
+"""JSON config reading: every object yields a valid config or a ConfigError."""
+
+import json
+import math
+
+import pytest
+
+from solitonlab.errors import ConfigError
+from solitonlab.experiments import ExperimentConfig
+from solitonlab.potentials import PotentialSpec
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+BASE = {"potential": {"kind": "algebraic", "q": 0.5, "s": 3.0}, "delta": 0.6, "v": 8.0}
+
+
+def with_(**overrides):
+    return {**BASE, **overrides}
+
+
+class TestExperimentConfigTypes:
+    @pytest.mark.parametrize("raw", [
+        with_(override_admissibility="no"),
+        with_(override_admissibility=0),
+        with_(delta="x"),
+        with_(delta=True),
+        with_(x0="abc"),
+        with_(dt="0.01"),
+        with_(v=[8.0]),
+        with_(delta=math.nan),
+        with_(v=10**400),  # a JSON integer beyond the float range
+        with_(obs_points=800.0),
+        with_(out_dir=5),
+        {**{k: v for k, v in BASE.items() if k != "v"}, "velocities": "ab"},
+        {**{k: v for k, v in BASE.items() if k != "v"}, "velocities": [8.0, "16"]},
+        with_(velocities=[8.0]),  # both 'v' and 'velocities'
+        with_(kmax_factor=-1.0),
+        with_(potential={"kind": "algebraic", "q": 0.5, "s": -1.0}),
+    ])
+    def test_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(raw)
+
+    def test_single_run_values_read_once(self):
+        cfg = ExperimentConfig.from_dict(with_(x0=-5, dt=0.001, override_admissibility=True))
+        assert cfg.velocities == (8.0,)
+        assert (cfg.x0, cfg.dt) == (-5.0, 0.001)
+        assert cfg.override_admissibility is True
+        assert ExperimentConfig.from_dict(BASE).x0 is None
+
+
+class TestPotentialSpecTypes:
+    @pytest.mark.parametrize("raw", [
+        {"kind": "gaussian", "q": "2.0"},
+        {"kind": "gaussian", "sigma": True},
+        {"kind": "gaussian", "center": None},
+        {"kind": ["gaussian"]},
+        {"kind": "algebraic", "s": math.inf},
+    ])
+    def test_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            PotentialSpec.from_dict(raw)
+
+    def test_integers_are_numbers(self):
+        assert PotentialSpec.from_dict({"kind": "algebraic", "q": 1, "s": 3}).s == 3.0
+
+
+# --- property: any JSON object gives a config or a ConfigError -----------------
+
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_kinds = st.sampled_from(["zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller"])
+
+
+def _mutated(base, keys):
+    """``base`` with up to two keys dropped and up to two keys (known ones or
+    not) set to arbitrary JSON values."""
+    return st.tuples(
+        base,
+        st.sets(st.sampled_from(keys), max_size=2),
+        st.dictionaries(st.sampled_from(keys) | st.text(max_size=3), _json, max_size=2),
+    ).map(lambda t: {**{k: v for k, v in t[0].items() if k not in t[1]}, **t[2]})
+
+
+_potentials = _mutated(
+    st.fixed_dictionaries({"kind": _kinds}, optional={
+        "q": st.floats(-3, 3), "s": st.floats(1.5, 6), "sigma": st.floats(0.1, 3),
+        "beta": st.floats(0, 0.9), "ell": st.floats(0.1, 3), "center": st.integers(-5, 5)}),
+    ("kind", "q", "s", "sigma", "beta", "ell", "center"),
+)
+_speeds = st.floats(1.5, 64) | st.integers(2, 64)
+_valid_configs = st.fixed_dictionaries(
+    {"potential": _potentials, "delta": st.floats(0.51, 0.6),
+     "v": _speeds},
+    optional={
+        "x0_factor": st.floats(1, 4), "mu": st.floats(0.5, 2), "margin": st.floats(10, 50),
+        "kmax_factor": st.floats(1, 8), "dt_safety": st.floats(1, 4),
+        "edge_mass_tol": st.floats(1e-10, 1e-6), "x0": st.floats(-50, -1),
+        "dt": st.floats(1e-4, 1e-2), "obs_points": st.integers(16, 2000),
+        "override_admissibility": st.booleans(), "out_dir": st.text(max_size=4),
+    },
+)
+_NUMERIC_KEYS = ("delta", "v", "x0_factor", "mu", "margin", "kmax_factor", "dt_safety",
+                 "edge_mass_tol", "x0", "dt")
+_configs = _mutated(_valid_configs, (
+    "potential", "delta", "velocities", "v", "x0_factor", "mu", "margin", "kmax_factor",
+    "dt_safety", "obs_points", "edge_mass_tol", "override_admissibility", "out_dir", "x0", "dt",
+)) | st.fixed_dictionaries(
+    {"potential": _potentials, "delta": st.floats(0.51, 0.6),
+     "velocities": st.lists(_speeds, min_size=1, max_size=5) | _json})
+
+
+def _outcome(reader, raw):
+    try:
+        return reader(raw)
+    except ConfigError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_configs | _json)
+def test_any_json_experiment_config(raw):
+    # what json.load could have returned: strict JSON has no nan or infinity,
+    # but Python's reader accepts them, so they stay in the input space
+    cfg = _outcome(ExperimentConfig.from_dict, raw)
+    if cfg is not None:
+        assert 0.5 < cfg.delta < 1.0
+        assert cfg.velocities and all(math.isfinite(v) and v > 1 for v in cfg.velocities)
+        assert isinstance(cfg.override_admissibility, bool)
+        assert type(cfg.obs_points) is int
+        # nothing was coerced: every numeric value read was a JSON number
+        assert all(type(raw[k]) in (int, float) for k in _NUMERIC_KEYS if k in raw)
+        for name in ("x0_factor", "mu", "margin", "kmax_factor", "dt_safety", "edge_mass_tol"):
+            assert math.isfinite(getattr(cfg, name))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_potentials | _json)
+def test_any_json_potential(raw):
+    spec = _outcome(PotentialSpec.from_dict, raw)
+    if spec is not None:
+        assert all(type(v) in (int, float) for k, v in raw.items() if k != "kind")
+        echo = spec.to_dict()
+        assert PotentialSpec.from_dict(json.loads(json.dumps(echo))).to_dict() == echo

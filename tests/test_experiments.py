@@ -1,10 +1,12 @@
 """Phase timing, forcing diagnostics, tail bound and the scaling machinery."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from solitonlab import experiments
 from solitonlab.errors import ConfigError
 from solitonlab.grid import make_grid
 from solitonlab.potentials import PotentialSpec, sample_potential
@@ -261,6 +263,89 @@ class TestTransmissionRun:
         assert rep.sup_error == pytest.approx(
             max(p for p in (rep.peak_phase1, rep.peak_phase2, rep.peak_phase3 or 0.0))
         )
+
+
+class TestAdmissibilityDomain:
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("algebraic", q=0.5, s=3.0),
+        PotentialSpec("gaussian", q=2.0, sigma=1.0),
+        PotentialSpec("sech2_scaled", beta=0.5),
+    ])
+    def test_fast_decay_keeps_base_domain(self, spec):
+        grid = experiments._admissibility_grid(spec)
+        assert (grid.x_min, grid.x_max, grid.n) == (-40.0, 40.0, 2048)
+
+    def test_slow_decay_doubles_at_fixed_spacing(self):
+        # |V(40)| = 4.9e-4 exceeds the edge tolerance, |V(80)| = 8.7e-5 does not
+        grid = experiments._admissibility_grid(PotentialSpec("algebraic", q=5.0, s=2.5, center=3.0))
+        assert (grid.x_min, grid.x_max, grid.n) == (-77.0, 83.0, 4096)
+
+    def test_slow_decay_passes_gate(self):
+        cfg = ExperimentConfig(
+            potential=PotentialSpec("algebraic", q=5.0, s=2.5),
+            delta=0.6,
+            velocities=(8.0,),
+            x0_factor=1.0,
+        )
+        rep = transmission_run(cfg, 8.0)
+        assert rep.admissibility.admissible and rep.admissibility.conclusive
+        assert not rep.admissibility_overridden
+        assert rep.valid
+
+    def test_inconclusive_past_the_cap(self):
+        # |V| still exceeds the edge tolerance at the widest domain
+        cfg = ExperimentConfig(
+            potential=PotentialSpec("algebraic", q=2.0, s=1.2),
+            delta=0.52,
+            velocities=(8.0,),
+        )
+        with pytest.raises(ConfigError, match="inconclusive") as info:
+            transmission_run(cfg, 8.0)
+        assert "not admissible" not in str(info.value)
+
+    def test_resonant_message_says_not_admissible(self):
+        cfg = ExperimentConfig(
+            potential=PotentialSpec("sech2_scaled", beta=1.0), delta=0.6, velocities=(8.0,)
+        )
+        with pytest.raises(ConfigError, match="not admissible"):
+            transmission_run(cfg, 8.0)
+
+
+class TestStudyGate:
+    def _config(self, **kw):
+        return ExperimentConfig(delta=0.6, velocities=(8.0, 16.0, 32.0, 64.0), **kw)
+
+    def test_one_check_per_study(self, monkeypatch):
+        calls = []
+        real = experiments.check_admissibility
+        monkeypatch.setattr(experiments, "check_admissibility",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        runs = []
+
+        def fake_run(plan, config, spec, admissibility=None):
+            runs.append((plan.v, spec, admissibility))
+            return SimpleNamespace(plan=plan, valid=True, sup_error=plan.v ** -0.5 if spec else 1e-9)
+
+        monkeypatch.setattr(experiments, "_run_plan", fake_run)
+        result = scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)))
+        assert len(calls) == 1
+        assert len(runs) == 8
+        mains = [r for r in runs if r[1] is not None]
+        assert len(mains) == 4 and all(r[2] is not None and r[2].admissible for r in mains)
+        assert result.passed
+
+    def test_gate_runs_before_the_pool(self, monkeypatch):
+        def no_pool(*a, **k):
+            raise AssertionError("pool started for an inadmissible potential")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ConfigError, match="not admissible"):
+            scaling_study(self._config(potential=PotentialSpec("sech2_scaled", beta=1.0)), jobs=2)
+
+    def test_single_run_keys_rejected(self):
+        cfg = self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0), x0=-10.0)
+        with pytest.raises(ConfigError, match="single run"):
+            scaling_study(cfg)
 
 
 class TestScalingStudyValidation:
