@@ -31,7 +31,7 @@ from . import __version__
 from .errors import AccuracyError, ConfigError, InvalidRunError, NumericalBreakdownError
 from .experiments import ExperimentConfig, RunReport, scaling_study, transmission_run
 from .grid import make_grid, save_field
-from .potentials import PotentialSpec, check_admissibility
+from .potentials import KINDS, PARAMS, PotentialSpec, check_admissibility
 from .reporting import RunManifest, svg_line_plot, write_json
 from .scattering import build_spectral_report
 from . import checks
@@ -79,12 +79,8 @@ def _load_config(path: str) -> dict:
 
 
 def _potential_from_args(args) -> PotentialSpec:
-    d = {"kind": args.kind}
-    for key in ("q", "s", "sigma", "beta", "ell", "center"):
-        val = getattr(args, key, None)
-        if val is not None:
-            d[key] = val
-    return PotentialSpec.from_dict(d)
+    d = {key: getattr(args, key) for key in PARAMS if getattr(args, key) is not None}
+    return PotentialSpec.from_dict({"kind": args.kind, **d})
 
 
 @contextmanager
@@ -271,8 +267,7 @@ def cmd_check(args) -> int:
 
 
 def _add_potential_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", required=True,
-                   choices=["zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--q", type=float, help="amplitude (algebraic, gaussian)")
     p.add_argument("--s", type=float, help="algebraic decay exponent (> 2 for admissible use)")
     p.add_argument("--sigma", type=float, help="gaussian width")

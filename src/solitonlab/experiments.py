@@ -73,7 +73,8 @@ class PhaseTimes:
 def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
     """T1 = |x0|/v - v^-delta, T2 = |x0|/v + v^-delta, T3 = T2 + (1-delta) log v,
     horizon t_end = (1-delta) log v. Rejects T1 < 0 (start inside the
-    interaction window)."""
+    interaction window) and t_end <= |x0|/v (horizon over before the
+    crossing)."""
     if not v > 1:
         raise ConfigError(f"velocity must exceed 1, got {v}")
     if not x0 < 0:
@@ -89,6 +90,11 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
             "interaction window; move x0 further out"
         )
     t_end = (1.0 - delta) * math.log(v)
+    if t_end <= t_cross:
+        raise ConfigError(
+            f"horizon t_end = (1-delta) log v = {t_end:.3g} ends before the crossing time "
+            f"|x0|/v = {t_cross:.3g}; move x0 closer (smaller x0_factor) or raise v"
+        )
     return PhaseTimes(t1=t1, t2=t_cross + half, t3=t_cross + half + t_end, t_end=t_end)
 
 
@@ -392,19 +398,19 @@ def loglog_slope(vs, es) -> float:
 
 
 def _study_pair(args):
-    config, v, admissibility = args
-    plan = plan_run(config, v)
+    plan, config, admissibility = args
     main = _run_plan(plan, config, config.potential, admissibility)
     floor = _run_plan(plan, config, None)
-    return v, main, floor
+    return plan.v, main, floor
 
 
 def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     """Run every velocity (plus its matched V=0 floor) and fit the exponent.
 
     Needs >= 4 velocities spanning at least a factor 8. Admissibility is
-    judged once, before any run. Runs are independent and can execute in
-    parallel; results are keyed by v so the aggregation is order-independent.
+    judged once and every run is planned, before any run starts. Runs are
+    independent and can execute in parallel; results are keyed by v so the
+    aggregation is order-independent.
     """
     vs = sorted(config.velocities)
     if len(vs) < 4:
@@ -414,7 +420,7 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     if config.x0 is not None or config.dt is not None:
         raise ConfigError("'x0' and 'dt' apply to a single run, not to a study")
     admissibility = _admissibility_gate(config)
-    tasks = [(config, v, admissibility) for v in vs]
+    tasks = [(plan_run(config, v), config, admissibility) for v in vs]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = {v: (main, floor) for v, main, floor in pool.map(_study_pair, tasks)}

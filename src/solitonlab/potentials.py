@@ -38,7 +38,9 @@ DEFAULT_EDGE_TOL = 1e-4
 #: log-log slopes steeper than this are reported as the super-algebraic sentinel
 DEFAULT_SLOPE_CAP = 15.0
 
-_KINDS = ("zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller")
+#: catalog kinds, and the numeric parameters of a PotentialSpec
+KINDS = ("zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller")
+PARAMS = ("q", "s", "sigma", "beta", "ell", "center")
 
 
 def _sech(z: np.ndarray) -> np.ndarray:
@@ -67,9 +69,9 @@ class PotentialSpec:
     center: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown potential kind {self.kind!r}; choose from {_KINDS}")
-        for name in ("q", "s", "sigma", "beta", "ell", "center"):
+        if self.kind not in KINDS:
+            raise ConfigError(f"unknown potential kind {self.kind!r}; choose from {KINDS}")
+        for name in PARAMS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"potential parameter {name} must be finite")
         if self.kind == "gaussian" and self.sigma <= 0:
@@ -139,8 +141,7 @@ class PotentialSpec:
     def from_dict(cls, d: dict) -> "PotentialSpec":
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError("potential config must be an object with a 'kind' key")
-        allowed = {"kind", "q", "s", "sigma", "beta", "ell", "center"}
-        unknown = set(d) - allowed
+        unknown = set(d) - {"kind", *PARAMS}
         if unknown:
             raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
         if not isinstance(d["kind"], str):

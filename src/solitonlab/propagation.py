@@ -10,7 +10,7 @@ Both substeps are exact flows of their own Hamiltonians (|u| is invariant
 under the pointwise phase), so discrete mass is conserved to roundoff and
 the scheme is second order in dt. Consecutive steps between observer
 samples fuse their adjacent half-kinetic factors, halving the transform
-count.
+count; ``step`` and ``evolve`` share this one kernel.
 
 Resolution rules for a boosted soliton with carrier velocity v and width
 parameter mu:
@@ -162,22 +162,36 @@ class EvolveResult:
     snapshots: tuple[Field, ...] = field(default=(), repr=False)
 
 
-def _kinetic_phase(grid: Grid, dt: float) -> np.ndarray:
-    return np.exp(-0.25j * dt * grid.k**2)
+class _StrangFlow:
+    """k Strang steps of size dt, fused as  K_half (P K_full)^{k-1} P K_half.
+    A non-finite sample spreads to every sample through the transform, so
+    u[0] after each step's closing kinetic factor shows whether it broke down."""
+
+    def __init__(self, grid: Grid, potential: SampledPotential | None, dt: float):
+        if potential is not None and potential.grid != grid:
+            raise ConfigError("field and potential live on different grids")
+        self.dt = dt
+        self.vpot = potential.values if potential is not None else None
+        self.kin_half = np.exp(-0.25j * dt * grid.k**2)
+        self.kin_full = self.kin_half * self.kin_half
+
+    def __call__(self, u: np.ndarray, k: int, first_step: int = 0) -> np.ndarray:
+        """Samples after k steps from ``u`` (left unchanged); steps are
+        numbered from ``first_step`` in a breakdown error."""
+        dt, vpot = self.dt, self.vpot
+        u = np.fft.ifft(np.fft.fft(u) * self.kin_half)
+        for j in range(k):
+            absu2 = u.real * u.real + u.imag * u.imag
+            u *= np.exp(-1j * dt * (vpot - absu2)) if vpot is not None else np.exp(1j * dt * absu2)
+            u = np.fft.ifft(np.fft.fft(u) * (self.kin_full if j < k - 1 else self.kin_half))
+            if not np.isfinite(u[0]):
+                raise NumericalBreakdownError("non-finite field", step=first_step + j)
+        return u
 
 
 def step(u: Field, potential: SampledPotential | None, dt: float) -> Field:
     """One Strang step. Mass-preserving to roundoff; local error O(dt^3)."""
-    if potential is not None and potential.grid != u.grid:
-        raise ConfigError("field and potential live on different grids")
-    v = potential.values if potential is not None else 0.0
-    kin = _kinetic_phase(u.grid, dt)
-    w = np.fft.ifft(np.fft.fft(u.values) * kin)
-    w *= np.exp(-1j * dt * (v - np.abs(w) ** 2))
-    w = np.fft.ifft(np.fft.fft(w) * kin)
-    if not np.all(np.isfinite(w.view(np.float64))):
-        raise NumericalBreakdownError("non-finite field after step")
-    return Field(u.grid, w)
+    return Field(u.grid, _StrangFlow(u.grid, potential, dt)(u.values, 1))
 
 
 def energy(u: Field, potential: SampledPotential | None = None) -> float:
@@ -212,17 +226,13 @@ def evolve(
     if not t1 > t0:
         raise ConfigError("t_span must satisfy t1 > t0")
     grid = u0.grid
-    if potential is not None and potential.grid != grid:
-        raise ConfigError("field and potential live on different grids")
     if bound_state is not None and bound_state.field.grid != grid:
         raise ConfigError("bound state lives on a different grid")
     span = t1 - t0
     k_obs = max(1, int(math.floor(config.obs_cadence / config.dt + 1e-12)))
     n_seg = max(1, int(math.ceil(span / (k_obs * config.dt) - 1e-12)))
     dt = span / (n_seg * k_obs)
-    vpot = potential.values if potential is not None else None
-    kin_half = _kinetic_phase(grid, dt)
-    kin_full = kin_half * kin_half
+    flow = _StrangFlow(grid, potential, dt)
     phi = bound_state.field.values if bound_state is not None else None
 
     times = np.empty(n_seg + 1)
@@ -238,8 +248,6 @@ def evolve(
 
     def observe(i_obs: int, t: float, u: np.ndarray) -> None:
         nonlocal valid, reason
-        if not np.all(np.isfinite(u.view(np.float64))):
-            raise NumericalBreakdownError("non-finite field", step=i_obs * k_obs)
         fld = Field(grid, u)
         times[i_obs] = t
         mass[i_obs] = grid.dx * float(np.sum(np.abs(u) ** 2))
@@ -260,19 +268,10 @@ def evolve(
             snap_times.append(t)
             snaps.append(fld)
 
-    u = u0.values.copy()
+    u = u0.values
     observe(0, t0, u)
     for seg in range(n_seg):
-        # fused segment: K_half (P K_full)^{k-1} P K_half
-        u = np.fft.ifft(np.fft.fft(u) * kin_half)
-        for j in range(k_obs):
-            absu2 = u.real * u.real + u.imag * u.imag
-            u *= np.exp(-1j * dt * (vpot - absu2)) if vpot is not None else np.exp(1j * dt * absu2)
-            if not (np.isfinite(u[0].real) and np.isfinite(u[0].imag)):
-                raise NumericalBreakdownError("non-finite field", step=seg * k_obs + j)
-            if j < k_obs - 1:
-                u = np.fft.ifft(np.fft.fft(u) * kin_full)
-        u = np.fft.ifft(np.fft.fft(u) * kin_half)
+        u = flow(u, k_obs, seg * k_obs)
         observe(seg + 1, t0 + (seg + 1) * k_obs * dt, u)
 
     series = ObserverSeries(times, err, mass, en, a_abs, edge)

@@ -206,6 +206,14 @@ def _interior(n: int) -> slice:
     return slice(n // 8, n - n // 8)
 
 
+def _interior_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[complex, float]:
+    """Median and RMS spread of  f_+ f_-' - f_- f_+'  over the interior."""
+    sl = _interior(fp.size)
+    w = fp[sl] * fm_prime[sl] - fm[sl] * fp_prime[sl]
+    value = complex(np.median(w.real), np.median(w.imag))
+    return value, float(np.sqrt(np.mean(np.abs(w - value) ** 2)))
+
+
 def wronskian(
     f_plus: JostSolution,
     f_minus: JostSolution,
@@ -221,10 +229,8 @@ def wronskian(
         raise ConfigError("Jost solutions live on different grids")
     if f_plus.lam != f_minus.lam:
         raise ConfigError("Jost solutions have different frequencies")
+    value, std = _interior_wronskian(f_plus.f, f_plus.fprime, f_minus.f, f_minus.fprime)
     sl = _interior(f_plus.grid.n)
-    w = f_plus.f[sl] * f_minus.fprime[sl] - f_minus.f[sl] * f_plus.fprime[sl]
-    value = complex(np.median(w.real), np.median(w.imag))
-    std = float(np.sqrt(np.mean(np.abs(w - value) ** 2)))
     scale = float(
         np.median(
             np.abs(f_plus.f[sl]) * np.abs(f_minus.fprime[sl])
@@ -273,13 +279,10 @@ def _coeffs_from_batch(
     fm_f: np.ndarray,
     fm_g: np.ndarray,
 ) -> list[ScatteringCoefficients]:
-    sl = _interior(grid.n)
     out = []
     x_left = grid.x[0]
     for i, lam in enumerate(lams):
-        w = fp_f[i, sl] * fm_g[i, sl] - fm_f[i, sl] * fp_g[i, sl]
-        w_med = complex(np.median(w.real), np.median(w.imag))
-        w_std = float(np.sqrt(np.mean(np.abs(w - w_med) ** 2)))
+        w_med, w_std = _interior_wronskian(fp_f[i], fp_g[i], fm_f[i], fm_g[i])
         if abs(w_med) < 1e-12:
             raise AccuracyError(f"degenerate Wronskian at lam={lam}")
         t_w = -2j * lam / w_med

@@ -6,7 +6,8 @@ import math
 import pytest
 
 from solitonlab import scattering
-from solitonlab.cli import main
+from solitonlab.cli import _potential_from_args, build_parser, main
+from solitonlab.potentials import KINDS, PotentialSpec
 from solitonlab.reporting import config_hash
 
 
@@ -168,6 +169,12 @@ class TestSpectral:
         assert payload["admissibility"]["admissible"] is True
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_flag_accepts_every_catalog_kind(kind):
+    args = build_parser().parse_args(["potential-report", "--kind", kind, "--q", "0.5"])
+    assert _potential_from_args(args) == PotentialSpec(kind, q=0.5)
+
+
 class TestPotentialReport:
     def test_writes_json(self, tmp_path, capsys):
         out = tmp_path / "pot"
@@ -207,6 +214,17 @@ class TestStudy:
         assert main(["study", "--config", str(cfg), "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "rejected"
+        assert not (out / "runs").exists()
+
+    def test_horizon_before_crossing_exits_1(self, tmp_path):
+        # at the default x0_factor = 2, v = 4 would be measured before it
+        # meets the potential; the study is rejected before any run
+        cfg = self._study_config(tmp_path / "c.json", delta=0.6, velocities=[4.0, 8.0, 16.0, 32.0])
+        out = tmp_path / "o"
+        assert main(["study", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+        assert "before the crossing" in manifest["flags"]["error"]
         assert not (out / "runs").exists()
 
     @pytest.mark.slow

@@ -41,6 +41,11 @@ class TestPhaseTimes:
         with pytest.raises(ConfigError):
             phase_times(4.0, -0.1, 0.6)
 
+    def test_horizon_before_crossing_rejected(self):
+        # x0_factor = 2 at v = 4: t_end = 0.4 ln 4 = 0.55 < |x0|/v = 0.87
+        with pytest.raises(ConfigError, match=r"0\.555.*0\.871"):
+            phase_times(4.0, -2.0 * 4.0**0.4, 0.6)
+
     @pytest.mark.parametrize("v", [8.0, 16.0, 32.0, 64.0])
     def test_interaction_width_identity(self, v):
         pt = phase_times(v, -2.0 * v**0.4, 0.6)
@@ -341,6 +346,16 @@ class TestStudyGate:
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
         with pytest.raises(ConfigError, match="not admissible"):
             scaling_study(self._config(potential=PotentialSpec("sech2_scaled", beta=1.0)), jobs=2)
+
+    def test_every_run_planned_before_the_pool(self, monkeypatch):
+        def no_pool(*a, **k):
+            raise AssertionError("pool started for a velocity that cannot be planned")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        cfg = ExperimentConfig(potential=PotentialSpec("algebraic", q=0.5, s=3.0), delta=0.6,
+                               velocities=(4.0, 8.0, 16.0, 32.0))
+        with pytest.raises(ConfigError, match="before the crossing"):
+            scaling_study(cfg, jobs=2)
 
     def test_single_run_keys_rejected(self):
         cfg = self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0), x0=-10.0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from solitonlab.errors import ConfigError, InvalidRunError
+from solitonlab.errors import ConfigError, InvalidRunError, NumericalBreakdownError
 from solitonlab.grid import Field, l2_norm, make_grid
 from solitonlab.potentials import PotentialSpec, sample_potential
 from solitonlab.propagation import (
@@ -85,6 +85,11 @@ class TestStep:
             errs.append(l2_norm(Field(g, u1.values - ref.values)))
         for i in range(2):
             assert 6.0 <= errs[i] / errs[i + 1] <= 10.0
+
+    def test_breakdown_raises(self):
+        g = make_grid(-20.0, 20.0, 256)
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdownError, match="step 0"):
+            step(Field(g, 1e160 / np.cosh(g.x)), None, 0.01)
 
     def test_time_reversal(self):
         g = make_grid(-20.0, 20.0, 512)
@@ -190,6 +195,16 @@ class TestEvolve:
         for cadence in (dt, n_steps * dt):
             res = evolve(u, pot, (0.0, n_steps * dt), StepperConfig(dt=dt, obs_cadence=cadence))
             assert np.max(np.abs(res.final.values - manual.values)) <= 1e-13
+
+    @pytest.mark.parametrize("cadence", [0.01, 0.05])
+    def test_breakdown_names_its_step(self, cadence):
+        # |u|^2 overflows in the first nonlinear substep, whatever the
+        # number of steps fused between observations
+        g = make_grid(-20.0, 20.0, 256)
+        u0 = Field(g, 1e160 / np.cosh(g.x))
+        with np.errstate(all="ignore"), pytest.raises(NumericalBreakdownError) as info:
+            evolve(u0, None, (0.0, 0.1), StepperConfig(dt=0.01, obs_cadence=cadence))
+        assert info.value.step == 0
 
     def test_observer_times_uniform(self):
         g = make_grid(-20.0, 20.0, 256)
