@@ -128,7 +128,7 @@ def cmd_simulate(args) -> int:
     v = config.velocities[0]
     out = _out_dir(args, raw, "runs/simulate")
     with _manifest(out, raw) as manifest:
-        report = transmission_run(config, v, x0=config.x0, dt=config.dt)
+        report = transmission_run(config, v)
         _write_run_outputs(report, out, manifest)
         manifest.status = "complete" if report.valid else "invalid"
         manifest.flags.update(valid=report.valid, sup_error=report.sup_error,
@@ -144,6 +144,11 @@ def cmd_spectral(args) -> int:
     spec = _potential_from_args(args)
     half = args.half_width
     grid = make_grid(spec.center - half, spec.center + half, args.n)
+    if args.lambda_points < 1:
+        raise ConfigError(f"--lambda-points must be at least 1, got {args.lambda_points}")
+    if not args.linear and not (args.lambda_min > 0 and args.lambda_max > 0):
+        raise ConfigError("log lambda spacing needs --lambda-min and --lambda-max > 0 "
+                          "(or use --linear)")
     if args.linear:
         lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_points)
     else:

@@ -1,12 +1,12 @@
 """Three-phase transmission experiment and the velocity-scaling study.
 
-A boosted soliton starts at x0 = -x0_factor * v^(1-delta) (at or left of
-the required launch threshold -v^(1-delta)), crosses the potential around
-t* = |x0|/v, and is tracked against the exact free soliton over the horizon
-t_end = (1-delta) log v. The phases are
+A boosted soliton starts at x0 = c - x0_factor * v^(1-delta), left of the
+potential's center c by at least the required launch distance v^(1-delta),
+crosses the potential around t* = |x0 - c|/v, and is tracked against the
+exact free soliton over the horizon t_end = (1-delta) log v. The phases are
 
-    phase 1 (pre-interaction)  [0, T1],  T1 = |x0|/v - v^-delta
-    phase 2 (interaction)      [T1, T2], T2 = |x0|/v + v^-delta
+    phase 1 (pre-interaction)  [0, T1],  T1 = |x0 - c|/v - v^-delta
+    phase 2 (interaction)      [T1, T2], T2 = |x0 - c|/v + v^-delta
     phase 3 (post-interaction) [T2, t_end]   (empty when t_end <= T2,
                                               which happens at small v)
 
@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import Field, Grid, l2_norm, make_grid
 from .potentials import (
-    DEFAULT_EDGE_TOL, AdmissibilityReport, PotentialSpec, check_admissibility, edge_magnitude,
+    EDGE_TOL, AdmissibilityReport, PotentialSpec, check_admissibility, edge_magnitude,
     json_number, sample_potential,
 )
 from .propagation import (
@@ -48,7 +48,7 @@ FLOOR_FACTOR = 10.0
 SLOPE_SLACK = 0.1
 #: admissibility is judged on [c - 40, c + 40] x 2048 around the center c,
 #: doubled in width and points together (same spacing) until |V| at both
-#: edges is below DEFAULT_EDGE_TOL, up to this many points; past it the
+#: edges is below EDGE_TOL, up to this many points; past it the
 #: verdict is inconclusive
 ADMISSIBILITY_MAX_N = 1 << 16
 
@@ -58,7 +58,8 @@ _NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "kmax_factor", "dt_safety"
 
 @dataclass(frozen=True)
 class PhaseTimes:
-    """Interaction timing for one (v, x0, delta) triple."""
+    """Interaction timing for one (v, x0, delta) triple, x0 measured from
+    the potential's center."""
 
     t1: float
     t2: float
@@ -72,9 +73,9 @@ class PhaseTimes:
 
 def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
     """T1 = |x0|/v - v^-delta, T2 = |x0|/v + v^-delta, T3 = T2 + (1-delta) log v,
-    horizon t_end = (1-delta) log v. Rejects T1 < 0 (start inside the
-    interaction window) and t_end <= |x0|/v (horizon over before the
-    crossing)."""
+    horizon t_end = (1-delta) log v, for a launch at x0 relative to the
+    potential's center. Rejects T1 < 0 (start inside the interaction window)
+    and t_end <= |x0|/v (horizon over before the crossing)."""
     if not v > 1:
         raise ConfigError(f"velocity must exceed 1, got {v}")
     if not x0 < 0:
@@ -86,14 +87,14 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
     t1 = t_cross - half
     if t1 < 0:
         raise ConfigError(
-            f"T1 = |x0|/v - v^-delta = {t1:.3g} < 0: soliton starts inside the "
+            f"T1 = |x0 - c|/v - v^-delta = {t1:.3g} < 0: soliton starts inside the "
             "interaction window; move x0 further out"
         )
     t_end = (1.0 - delta) * math.log(v)
     if t_end <= t_cross:
         raise ConfigError(
             f"horizon t_end = (1-delta) log v = {t_end:.3g} ends before the crossing time "
-            f"|x0|/v = {t_cross:.3g}; move x0 closer (smaller x0_factor) or raise v"
+            f"|x0 - c|/v = {t_cross:.3g}; move x0 closer (smaller x0_factor) or raise v"
         )
     return PhaseTimes(t1=t1, t2=t_cross + half, t3=t_cross + half + t_end, t_end=t_end)
 
@@ -101,7 +102,8 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of the transmission experiment (defaults follow the run rules).
-    ``x0`` and ``dt`` are optional explicit values for a single run."""
+    ``x0`` and ``dt`` are optional explicit values for a single run, read
+    by :func:`plan_run`."""
 
     potential: PotentialSpec
     delta: float
@@ -126,7 +128,7 @@ class ExperimentConfig:
                 f"for decay parameter s={s:g}"
             )
         if self.x0_factor < 1.0:
-            raise ConfigError("x0_factor must be >= 1 so that x0 <= -v^(1-delta)")
+            raise ConfigError("x0_factor must be >= 1 so that x0 - center <= -v^(1-delta)")
         if not self.velocities or any(not v > 1 for v in self.velocities):
             raise ConfigError("all velocities must exceed 1")
         if self.mu <= 0 or self.margin <= 0 or self.dt_safety < 1.0:
@@ -138,7 +140,7 @@ class ExperimentConfig:
         object.__setattr__(self, "velocities", tuple(float(v) for v in self.velocities))
 
     def default_x0(self, v: float) -> float:
-        return -self.x0_factor * v ** (1.0 - self.delta)
+        return self.potential.center - self.x0_factor * v ** (1.0 - self.delta)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -182,21 +184,26 @@ class RunPlan:
         return self.phases.t_end
 
 
-def plan_run(config: ExperimentConfig, v: float, x0: float | None = None) -> RunPlan:
-    """Size domain, grid and time step for one velocity.
+def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
+    """Size domain, grid and time step for one velocity, with config.x0 and
+    config.dt when they are set.
 
     The domain covers the soliton path plus the leftward excursion of the
     reflected component (speed ~ -v from the potential after the crossing),
-    with ``margin`` clearance so nothing reaches the edge windows.
+    with ``margin`` clearance so nothing reaches the edge windows. An
+    explicit dt must still satisfy the phase-resolution cap when the run
+    starts.
     """
-    if x0 is None:
-        x0 = config.default_x0(v)
-    threshold = -(v ** (1.0 - config.delta))
-    if x0 > threshold + 1e-12:
-        raise ConfigError(f"x0={x0:g} violates x0 <= -v^(1-delta) = {threshold:g}")
-    phases = phase_times(v, x0, config.delta)
+    x0 = config.x0 if config.x0 is not None else config.default_x0(v)
     center = config.potential.center
-    t_cross = (center - x0) / v
+    launch = x0 - center
+    threshold = -(v ** (1.0 - config.delta))
+    if launch > threshold + 1e-12:
+        raise ConfigError(
+            f"x0={x0:g} violates x0 - center <= -v^(1-delta) = {threshold:g} (center {center:g})"
+        )
+    phases = phase_times(v, launch, config.delta)
+    t_cross = abs(launch) / v  # the crossing time of phase_times
     left_reach = center - v * max(0.0, phases.t_end - t_cross)
     x_min = min(x0, left_reach) - config.margin
     x_max = x0 + v * phases.t_end + config.margin
@@ -205,7 +212,10 @@ def plan_run(config: ExperimentConfig, v: float, x0: float | None = None) -> Run
     if n > 1 << 22:
         raise ConfigError(f"required grid size n={n} is unreasonably large")
     grid = make_grid(x_min, x_max, n)
-    dt = suggested_dt(v, config.potential.sup_norm, config.mu, config.dt_safety)
+    if config.dt is not None:
+        dt = config.dt
+    else:
+        dt = suggested_dt(v, config.potential.sup_norm, config.mu, config.dt_safety)
     cadence = min(phases.t_end / config.obs_points, v**-config.delta / 10.0)
     return RunPlan(v=float(v), x0=float(x0), grid=grid, dt=dt, cadence=cadence, phases=phases)
 
@@ -273,7 +283,7 @@ def _admissibility_grid(spec: PotentialSpec) -> Grid:
     """The domain admissibility is judged on (see ADMISSIBILITY_MAX_N)."""
     half, n = 40.0, 2048
     grid = make_grid(spec.center - half, spec.center + half, n)
-    while edge_magnitude(spec, grid) >= DEFAULT_EDGE_TOL and n < ADMISSIBILITY_MAX_N:
+    while edge_magnitude(spec, grid) >= EDGE_TOL and n < ADMISSIBILITY_MAX_N:
         half, n = 2.0 * half, 2 * n
         grid = make_grid(spec.center - half, spec.center + half, n)
     return grid
@@ -329,22 +339,15 @@ def _run_plan(
 
 
 def transmission_run(
-    config: ExperimentConfig,
-    v: float,
-    x0: float | None = None,
-    dt: float | None = None,
-    snapshot_every: int | None = None,
+    config: ExperimentConfig, v: float, snapshot_every: int | None = None
 ) -> RunReport:
     """Evolve the boosted soliton under V and record ||u - u1|| over the
-    horizon.
+    horizon, on the plan of :func:`plan_run`.
 
-    An explicit ``dt`` must still satisfy the phase-resolution cap. The
-    potential must be admissible unless config.override_admissibility is
+    The potential must be admissible unless config.override_admissibility is
     set; the override is recorded in the report.
     """
-    plan = plan_run(config, v, x0)
-    if dt is not None:
-        plan = replace(plan, dt=float(dt))
+    plan = plan_run(config, v)
     return _run_plan(plan, config, config.potential, _admissibility_gate(config), snapshot_every)
 
 
@@ -419,10 +422,12 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
         raise ConfigError("velocities must span at least a factor of 8")
     if config.x0 is not None or config.dt is not None:
         raise ConfigError("'x0' and 'dt' apply to a single run, not to a study")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     admissibility = _admissibility_gate(config)
     tasks = [(plan_run(config, v), config, admissibility) for v in vs]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = {v: (main, floor) for v, main, floor in pool.map(_study_pair, tasks)}
     else:
         results = {v: (main, floor) for v, main, floor in map(_study_pair, tasks)}

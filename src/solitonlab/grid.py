@@ -28,6 +28,8 @@ import numpy as np
 from .errors import ConfigError, NumericalBreakdownError
 
 _SUPPORTED_LP = (1, 2, 4, 6, np.inf)
+#: fraction of the grid at each domain end that counts as the edge window
+EDGE_WINDOW = 0.05
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -131,10 +133,10 @@ def from_fourier(fhat: Field) -> Field:
     return Field(fhat.grid, np.fft.ifft(fhat.values) * np.sqrt(fhat.grid.n))
 
 
-def edge_mass_fraction(f: Field, edge_fraction: float = 0.05) -> float:
-    """Mass inside the two windows covering ``edge_fraction`` of each domain end,
+def edge_mass_fraction(f: Field) -> float:
+    """Mass inside the two windows covering ``EDGE_WINDOW`` of each domain end,
     as a fraction of the total mass. Returns 0 for the zero field."""
-    w = max(1, int(round(edge_fraction * f.grid.n)))
+    w = max(1, int(round(EDGE_WINDOW * f.grid.n)))
     dens = np.abs(f.values) ** 2
     total = dens.sum()
     if total == 0.0:

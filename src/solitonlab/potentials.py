@@ -28,15 +28,10 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Grid
 
-#: |W(0)| below this counts as a zero-energy resonance (codimension-one
-#: condition; exact zeros are unattainable numerically).
-DEFAULT_RESONANCE_EPS = 1e-4
-#: eigenvalues below -DEFAULT_NEGATIVE_EPS count as bound states
-DEFAULT_NEGATIVE_EPS = 1e-6
 #: |V| must fall below this at the grid edges for scattering asymptotics
-DEFAULT_EDGE_TOL = 1e-4
+EDGE_TOL = 1e-4
 #: log-log slopes steeper than this are reported as the super-algebraic sentinel
-DEFAULT_SLOPE_CAP = 15.0
+SLOPE_CAP = 15.0
 
 #: catalog kinds, and the numeric parameters of a PotentialSpec
 KINDS = ("zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller")
@@ -169,12 +164,12 @@ def sample_potential(spec: PotentialSpec, grid: Grid) -> SampledPotential:
     return SampledPotential(spec, grid, spec(grid.x))
 
 
-def decay_fit(spec: PotentialSpec, grid: Grid, slope_cap: float = DEFAULT_SLOPE_CAP) -> float:
+def decay_fit(spec: PotentialSpec, grid: Grid) -> float:
     """Least-squares slope of log|V| against log<x> on the window
     L/8 <= |x - c| <= 3L/8.
 
     Returns the decay-parameter estimate (minus the slope). Estimates steeper
-    than ``slope_cap`` are reported as ``math.inf`` (super-algebraic decay);
+    than ``SLOPE_CAP`` are reported as ``math.inf`` (super-algebraic decay);
     this is what every exponentially decaying catalog kind produces.
     """
     y = grid.x - spec.center
@@ -190,7 +185,7 @@ def decay_fit(spec: PotentialSpec, grid: Grid, slope_cap: float = DEFAULT_SLOPE_
     logx = 0.5 * np.log1p(y[keep] ** 2)  # log <x>
     slope = np.polyfit(logx, logv, 1)[0]
     estimate = -float(slope)
-    return math.inf if estimate > slope_cap else estimate
+    return math.inf if estimate > SLOPE_CAP else estimate
 
 
 def edge_magnitude(spec: PotentialSpec, grid: Grid) -> float:
@@ -247,13 +242,7 @@ class AdmissibilityReport:
         }
 
 
-def check_admissibility(
-    spec: PotentialSpec,
-    grid: Grid,
-    resonance_eps: float = DEFAULT_RESONANCE_EPS,
-    negative_eps: float = DEFAULT_NEGATIVE_EPS,
-    edge_tol: float = DEFAULT_EDGE_TOL,
-) -> AdmissibilityReport:
+def check_admissibility(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
     """Assemble the admissibility report for H = -1/2 d^2/dx^2 + V.
 
     Bound states come from the tridiagonal eigensolver and the resonance
@@ -270,16 +259,16 @@ def check_admissibility(
         notes.append("potential vanishes on the decay-fit window")
 
     edge_v = edge_magnitude(spec, grid)
-    if edge_v >= edge_tol:
+    if edge_v >= EDGE_TOL:
         return AdmissibilityReport(
             spec, decay_est, (), None, False, False,
-            tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {edge_tol:g}"]),
+            tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}"]),
         )
 
-    states = scattering.bound_states(sample_potential(spec, grid), negative_eps=negative_eps)
+    states = scattering.bound_states(sample_potential(spec, grid))
     energies = tuple(s.energy for s in states)
 
-    probe = scattering.detect_resonance(spec, grid, resonance_eps=resonance_eps, edge_tol=edge_tol)
+    probe = scattering.detect_resonance(spec, grid)
     if not probe.stable:
         notes.append("inconclusive: resonance verdict flipped under domain doubling")
 

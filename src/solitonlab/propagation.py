@@ -33,6 +33,8 @@ from .scattering import BoundState
 
 #: pointwise phase cap per substep (radians)
 PHASE_CAP = 0.1
+#: largest soliton envelope allowed at a domain edge when support is checked
+SOLITON_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,20 +59,19 @@ def soliton(
     params: SolitonParams,
     t: float,
     grid: Grid,
-    tail_tol: float = 1e-12,
     check_support: bool = True,
 ) -> Field:
     """Exact soliton samples at time t. With ``check_support`` the envelope
-    must be below ``tail_tol`` at both domain edges."""
+    must be below ``SOLITON_TAIL_TOL`` at both domain edges."""
     p = params
     if check_support:
         worst = max(
             _sech(np.array([p.mu * (grid.x_min - p.center(t))]))[0],
             _sech(np.array([p.mu * (grid.x[-1] - p.center(t))]))[0],
         )
-        if p.mu * worst > tail_tol:
+        if p.mu * worst > SOLITON_TAIL_TOL:
             raise InvalidRunError(
-                f"soliton tail {p.mu * worst:.3g} exceeds {tail_tol:g} at the domain edge "
+                f"soliton tail {p.mu * worst:.3g} exceeds {SOLITON_TAIL_TOL:g} at the domain edge "
                 f"(center {p.center(t):.3g} at t={t:g})"
             )
     phase = p.v * grid.x + 0.5 * p.mu**2 * t - 0.5 * p.v**2 * t
@@ -109,7 +110,6 @@ class StepperConfig:
     dt: float
     obs_cadence: float
     edge_mass_tol: float = 1e-8
-    edge_fraction: float = 0.05
     snapshot_every: int | None = None  # snapshots every k-th observation
 
     def __post_init__(self):
@@ -257,7 +257,7 @@ def evolve(
             err[i_obs] = l2_norm(Field(grid, u - ref.values))
         if phi is not None:
             a_abs[i_obs] = abs(grid.dx * np.sum(u * np.conj(phi)))
-        edge[i_obs] = edge_mass_fraction(fld, config.edge_fraction)
+        edge[i_obs] = edge_mass_fraction(fld)
         if valid and edge[i_obs] > config.edge_mass_tol:
             valid = False
             reason = (

@@ -30,19 +30,25 @@ import scipy.linalg
 from .errors import AccuracyError, ConfigError
 from .grid import Field, Grid, inner_product, l2_norm, make_grid
 from .potentials import (
-    DEFAULT_EDGE_TOL,
-    DEFAULT_NEGATIVE_EPS,
-    DEFAULT_RESONANCE_EPS,
+    EDGE_TOL,
     AdmissibilityReport,
     PotentialSpec,
     ResonanceProbe,
     SampledPotential,
     check_admissibility,
+    edge_magnitude,
     sample_potential,
 )
 
 #: target phase advance per integrator substep (radians)
 SUBSTEP_PHASE = 0.02
+#: |W(0)| below this counts as a zero-energy resonance (codimension-one
+#: condition; exact zeros are unattainable numerically)
+RESONANCE_EPS = 1e-4
+#: eigenvalues below -NEGATIVE_EPS count as bound states
+NEGATIVE_EPS = 1e-6
+#: largest relative interior spread of a Wronskian (see wronskian)
+WRONSKIAN_REL_TOL = 1e-4
 
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -97,11 +103,11 @@ def _substeps(grid: Grid, lam_max: float, sup_v: float) -> int:
     return max(1, math.ceil(grid.dx * rate / SUBSTEP_PHASE))
 
 
-def _check_edge(spec: PotentialSpec, x_edge: float, edge_tol: float) -> None:
-    v_edge = abs(float(spec(np.array([x_edge]))[0]))
-    if v_edge >= edge_tol:
+def _require_small_edges(potential: SampledPotential) -> None:
+    v_edge = edge_magnitude(potential.spec, potential.grid)
+    if v_edge >= EDGE_TOL:
         raise ConfigError(
-            f"|V({x_edge:g})| = {v_edge:.3g} exceeds edge tolerance {edge_tol:g}; "
+            f"|V| = {v_edge:.3g} at the domain edge exceeds edge tolerance {EDGE_TOL:g}; "
             "plane-wave asymptotics invalid, enlarge the domain"
         )
 
@@ -178,12 +184,7 @@ def _propagate_batch(
     return f, fp
 
 
-def jost(
-    potential: SampledPotential,
-    lam: float,
-    sign: int,
-    edge_tol: float = DEFAULT_EDGE_TOL,
-) -> JostSolution:
+def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
     """Solution asymptotic to e^{i*sign*lam*x} at the sign-side edge.
 
     lam = 0 is allowed (plane-wave data degenerates to (1, 0)) and is what
@@ -193,9 +194,8 @@ def jost(
         raise ConfigError("sign must be +1 or -1")
     if not math.isfinite(lam):
         raise ConfigError("lam must be finite")
+    _require_small_edges(potential)
     grid = potential.grid
-    edge_x = grid.x[-1] if sign > 0 else grid.x[0]
-    _check_edge(potential.spec, edge_x, edge_tol)
     f, fp = _propagate_batch(potential.spec, grid, np.array([lam]), sign)
     if not (np.all(np.isfinite(f.view(np.float64))) and np.all(np.isfinite(fp.view(np.float64)))):
         raise AccuracyError(f"non-finite values while integrating lam={lam}")
@@ -214,16 +214,12 @@ def _interior_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[complex, float]:
     return value, float(np.sqrt(np.mean(np.abs(w - value) ** 2)))
 
 
-def wronskian(
-    f_plus: JostSolution,
-    f_minus: JostSolution,
-    rel_tol: float = 1e-4,
-) -> WronskianResult:
+def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
     """Spatial median of  f_+ f_-' - f_- f_+'  over the interior.
 
     The pointwise values agree up to integration error; a spatial standard
-    deviation beyond ``rel_tol`` (relative to the value, with a floor on the
-    natural scale of the product) raises AccuracyError.
+    deviation beyond ``WRONSKIAN_REL_TOL`` (relative to the value, with a
+    floor on the natural scale of the product) raises AccuracyError.
     """
     if f_plus.grid != f_minus.grid:
         raise ConfigError("Jost solutions live on different grids")
@@ -237,7 +233,7 @@ def wronskian(
             + np.abs(f_minus.f[sl]) * np.abs(f_plus.fprime[sl])
         )
     )
-    if std > rel_tol * (abs(value) + 1e-3 * scale):
+    if std > WRONSKIAN_REL_TOL * (abs(value) + 1e-3 * scale):
         raise AccuracyError(
             f"Wronskian varies across the domain (std {std:.3g} vs |W| {abs(value):.3g}); "
             "integration accuracy insufficient"
@@ -245,20 +241,15 @@ def wronskian(
     return WronskianResult(value, std, scale)
 
 
-def detect_resonance(
-    spec: PotentialSpec,
-    grid: Grid,
-    resonance_eps: float = DEFAULT_RESONANCE_EPS,
-    edge_tol: float = DEFAULT_EDGE_TOL,
-) -> ResonanceProbe:
-    """Zero-energy resonance test: |W(0)| < resonance_eps, cross-checked on a
+def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
+    """Zero-energy resonance test: |W(0)| < RESONANCE_EPS, cross-checked on a
     domain twice as large (same spacing). Disagreement marks the probe
     unstable (inconclusive)."""
 
     def w0_abs(g: Grid) -> float:
         pot = sample_potential(spec, g)
-        fp = jost(pot, 0.0, +1, edge_tol=edge_tol)
-        fm = jost(pot, 0.0, -1, edge_tol=edge_tol)
+        fp = jost(pot, 0.0, +1)
+        fm = jost(pot, 0.0, -1)
         return abs(wronskian(fp, fm).value)
 
     w0 = w0_abs(grid)
@@ -266,8 +257,8 @@ def detect_resonance(
         grid.x_min - grid.length / 2.0, grid.x_max + grid.length / 2.0, 2 * grid.n
     )
     w0d = w0_abs(doubled)
-    detected = w0 < resonance_eps
-    stable = detected == (w0d < resonance_eps)
+    detected = w0 < RESONANCE_EPS
+    stable = detected == (w0d < RESONANCE_EPS)
     return ResonanceProbe(bool(detected), w0, w0d, bool(stable))
 
 
@@ -307,39 +298,32 @@ def _coeffs_from_batch(
     return out
 
 
-def scattering_table(
-    potential: SampledPotential,
-    lams,
-    edge_tol: float = DEFAULT_EDGE_TOL,
-) -> list[ScatteringCoefficients]:
+def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoefficients]:
     """Transmission/reflection coefficients for a batch of lam > 0.
 
     T comes from the Wronskian (-2 i lam / W); R and the cross-check T come
     from plane-wave matching of f_+ at the far edge.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+    if lams.size == 0:
+        raise ConfigError("scattering table needs at least one lam")
     if np.any(lams <= 0.0) or not np.all(np.isfinite(lams)):
         raise ConfigError("scattering coefficients need lam > 0")
+    _require_small_edges(potential)
     grid = potential.grid
-    _check_edge(potential.spec, grid.x[0], edge_tol)
-    _check_edge(potential.spec, grid.x[-1], edge_tol)
     fp_f, fp_g = _propagate_batch(potential.spec, grid, lams, +1)
     fm_f, fm_g = _propagate_batch(potential.spec, grid, lams, -1)
     return _coeffs_from_batch(grid, lams, fp_f, fp_g, fm_f, fm_g)
 
 
-def scattering_coefficients(
-    potential: SampledPotential, lam: float, edge_tol: float = DEFAULT_EDGE_TOL
-) -> ScatteringCoefficients:
-    return scattering_table(potential, [lam], edge_tol=edge_tol)[0]
+def scattering_coefficients(potential: SampledPotential, lam: float) -> ScatteringCoefficients:
+    return scattering_table(potential, [lam])[0]
 
 
 def bound_states(
-    potential: SampledPotential,
-    negative_eps: float = DEFAULT_NEGATIVE_EPS,
-    refine_tol: float | None = None,
+    potential: SampledPotential, refine_tol: float | None = None
 ) -> list[BoundState]:
-    """All eigenvalues of H below -negative_eps with normalized eigenvectors.
+    """All eigenvalues of H below -NEGATIVE_EPS with normalized eigenvectors.
 
     Second-order central differences with Dirichlet walls at the domain edges
     (exponentially localized eigenfunctions make the wall placement
@@ -348,11 +332,11 @@ def bound_states(
     AccuracyError.
     """
     grid = potential.grid
-    energies, vectors = _tridiag_eig(potential.values, grid.dx, negative_eps)
+    energies, vectors = _tridiag_eig(potential.values, grid.dx)
     if refine_tol is not None:
         fine_grid = make_grid(grid.x_min, grid.x_max, 2 * grid.n)
         fine = sample_potential(potential.spec, fine_grid)
-        fine_energies, _ = _tridiag_eig(fine.values, fine_grid.dx, negative_eps)
+        fine_energies, _ = _tridiag_eig(fine.values, fine_grid.dx)
         if len(fine_energies) != len(energies):
             raise AccuracyError("bound-state count changed under grid doubling")
         if energies.size and np.max(np.abs(fine_energies - energies)) > refine_tol:
@@ -369,11 +353,11 @@ def bound_states(
     return states
 
 
-def _tridiag_eig(v: np.ndarray, dx: float, negative_eps: float):
+def _tridiag_eig(v: np.ndarray, dx: float):
     diag = 1.0 / dx**2 + v
     off = np.full(v.size - 1, -0.5 / dx**2)
     lower = float(np.min(v)) - 1.0
-    upper = -abs(negative_eps)
+    upper = -NEGATIVE_EPS
     if lower >= upper:
         return np.empty(0), np.empty((v.size, 0))
     energies, vectors = scipy.linalg.eigh_tridiagonal(
@@ -487,17 +471,11 @@ class SpectralReport:
         }
 
 
-def build_spectral_report(
-    spec: PotentialSpec,
-    grid: Grid,
-    lams,
-    edge_tol: float = DEFAULT_EDGE_TOL,
-    resonance_eps: float = DEFAULT_RESONANCE_EPS,
-) -> SpectralReport:
+def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralReport:
     pot = sample_potential(spec, grid)
     # the table checks both edges first, so the report below is never cut short
-    coeffs = scattering_table(pot, lams, edge_tol=edge_tol)
-    admissibility = check_admissibility(spec, grid, resonance_eps=resonance_eps, edge_tol=edge_tol)
+    coeffs = scattering_table(pot, lams)
+    admissibility = check_admissibility(spec, grid)
     half = min(abs(grid.x_min - spec.center), abs(grid.x[-1] - spec.center))
     lam_min = min(c.lam for c in coeffs)
     truncation = spec.tail_integral(half) / max(lam_min, 1.0)

@@ -64,6 +64,10 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "override_admissibility" in capsys.readouterr().err
 
+    def test_explicit_zero_dt_exits_1(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json", dt=0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
     def test_explicit_x0_and_dt(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", x0=-6, dt=0.001)
         out = tmp_path / "o"
@@ -158,6 +162,16 @@ class TestSpectral:
         assert payload["admissibility"]["bound_state_energies"] == payload["bound_state_energies"]
         assert payload["admissibility"]["wronskian_at_zero_abs"] == payload["resonance"]["w0_abs"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda-points", "0"],
+        ["--lambda-points", "-3"],
+        ["--lambda-min", "0"],
+    ])
+    def test_bad_lambda_table_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "specbad"
+        assert main(["spectral", "--kind", "zero", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_algebraic_admissible(self, tmp_path):
         out = tmp_path / "speca"
         code = main(
@@ -214,6 +228,14 @@ class TestStudy:
         assert main(["study", "--config", str(cfg), "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "rejected"
+        assert not (out / "runs").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        cfg = self._study_config(tmp_path / "c.json")
+        out = tmp_path / "o"
+        assert main(["study", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err.startswith("error:")
         assert not (out / "runs").exists()
 
     def test_horizon_before_crossing_exits_1(self, tmp_path):

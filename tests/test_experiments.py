@@ -1,6 +1,7 @@
 """Phase timing, forcing diagnostics, tail bound and the scaling machinery."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,9 +115,32 @@ class TestRunPlan:
         cfg = ExperimentConfig(
             potential=PotentialSpec("algebraic", q=0.5, s=3.0), delta=0.6, velocities=(8.0,)
         )
-        plan_run(cfg, 8.0, x0=-5.0)
+        plan_run(replace(cfg, x0=-5.0), 8.0)
         with pytest.raises(ConfigError):
-            plan_run(cfg, 8.0, x0=-1.0)  # inside -v^(1-delta)
+            plan_run(replace(cfg, x0=-1.0), 8.0)  # inside -v^(1-delta)
+
+    def test_explicit_x0_and_dt_from_config(self):
+        cfg = ExperimentConfig(
+            potential=PotentialSpec("algebraic", q=0.5, s=3.0), delta=0.6, velocities=(8.0,)
+        )
+        plan = plan_run(replace(cfg, x0=-6.0, dt=1e-3), 8.0)
+        assert (plan.x0, plan.dt) == (-6.0, 1e-3)
+        assert plan_run(replace(cfg, dt=0.0), 8.0).dt == 0.0  # not the rule's dt
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            transmission_run(replace(cfg, dt=0.0), 8.0)
+
+    def test_launch_measured_from_center(self):
+        cfg = ExperimentConfig(
+            potential=PotentialSpec("algebraic", q=0.5, s=3.0, center=10.0),
+            delta=0.6,
+            velocities=(8.0,),
+        )
+        plan = plan_run(cfg, 8.0)
+        assert plan.x0 == pytest.approx(10.0 - 2.0 * 8.0**0.4)
+        centered = phase_times(8.0, -2.0 * 8.0**0.4, 0.6)
+        assert (plan.phases.t1, plan.phases.t2) == pytest.approx((centered.t1, centered.t2))
+        with pytest.raises(ConfigError, match="center"):
+            plan_run(replace(cfg, x0=9.0), 8.0)  # within v^(1-delta) of the center
 
 
 class TestForcingProfile:
@@ -256,6 +280,20 @@ class TestTransmissionRun:
         assert reps[0.5][1] < reps[0.5][0]
         assert reps[-0.5][1] < reps[-0.5][0]
 
+    def test_error_independent_of_center(self):
+        # the run is the same experiment translated: the crossing, the phases
+        # and the horizon follow the potential
+        errors = []
+        for center in (0.0, 10.0, -7.5):
+            cfg = ExperimentConfig(
+                potential=PotentialSpec("algebraic", q=0.5, s=3.0, center=center),
+                delta=0.6,
+                velocities=(8.0,),
+            )
+            errors.append(transmission_run(cfg, 8.0).sup_error)
+        assert errors[0] == pytest.approx(0.16108346289719, rel=1e-9)
+        assert errors[1:] == pytest.approx([errors[0]] * 2, rel=1e-9)
+
     def test_phase_peaks_partition(self):
         cfg = ExperimentConfig(
             potential=PotentialSpec("algebraic", q=0.5, s=3.0),
@@ -356,6 +394,31 @@ class TestStudyGate:
                                velocities=(4.0, 8.0, 16.0, 32.0))
         with pytest.raises(ConfigError, match="before the crossing"):
             scaling_study(cfg, jobs=2)
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (1000, 4)])
+    def test_pool_no_larger_than_the_task_list(self, monkeypatch, jobs, workers):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        def fake_run(plan, config, spec, admissibility=None):
+            return SimpleNamespace(plan=plan, valid=True, sup_error=plan.v ** -0.5 if spec else 1e-9)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(experiments, "_run_plan", fake_run)
+        scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)), jobs=jobs)
+        assert sizes == [workers]
 
     def test_single_run_keys_rejected(self):
         cfg = self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0), x0=-10.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from solitonlab import scattering
 from solitonlab.errors import ConfigError
 from solitonlab.grid import make_grid
 from solitonlab.potentials import (
@@ -143,12 +144,14 @@ class TestAdmissibility:
         assert not rep.conclusive
         assert not rep.admissible
 
-    def test_resonance_flag_monotone_in_threshold(self, adm_grid):
+    def test_resonance_flag_monotone_in_threshold(self, adm_grid, monkeypatch):
         # a looser resonance threshold can only add resonance verdicts:
         # the admissible verdict never flips inadmissible -> admissible
         spec = PotentialSpec("sech2_scaled", beta=0.5)
-        loose = check_admissibility(spec, adm_grid, resonance_eps=1e-2)
-        tight = check_admissibility(spec, adm_grid, resonance_eps=1e-6)
+        monkeypatch.setattr(scattering, "RESONANCE_EPS", 1e-2)
+        loose = check_admissibility(spec, adm_grid)
+        monkeypatch.setattr(scattering, "RESONANCE_EPS", 1e-6)
+        tight = check_admissibility(spec, adm_grid)
         assert loose.resonance_detected or not tight.resonance_detected
         assert (not tight.admissible) or loose.admissible or loose.resonance_detected
 
