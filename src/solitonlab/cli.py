@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
         _write_run_outputs(report, out, manifest)
         manifest.status = "complete" if report.valid else "invalid"
         manifest.flags.update(valid=report.valid, sup_error=report.sup_error,
-                              invalid_reason=report.invalid_reason)
+                              invalid_reason=report.invalid_reason, wall_s=report.wall_s)
     if not report.valid:
         print(f"invalid run: {report.invalid_reason}", file=sys.stderr)
         return EXIT_INVALID_RUN
@@ -144,6 +144,9 @@ def cmd_spectral(args) -> int:
     spec = _potential_from_args(args)
     half = args.half_width
     grid = make_grid(spec.center - half, spec.center + half, args.n)
+    for flag, value in (("--lambda-min", args.lambda_min), ("--lambda-max", args.lambda_max)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     if args.lambda_points < 1:
         raise ConfigError(f"--lambda-points must be at least 1, got {args.lambda_points}")
     if not args.linear and not (args.lambda_min > 0 and args.lambda_max > 0):
@@ -208,7 +211,7 @@ def cmd_study(args) -> int:
                 floor.series.to_csv(floor_path)
                 sub.add_output(floor_path)
                 sub.status = "complete" if run.valid else "invalid"
-                sub.flags["valid"] = run.valid
+                sub.flags.update(valid=run.valid, wall_s=run.wall_s, floor_wall_s=floor.wall_s)
             manifest.add_output(run_dir / "manifest.json")
         study_path = out / "study.json"
         write_json(study_path, result.to_dict())
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="velocity scaling study")
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent per-velocity workers")
+    p.add_argument("--jobs", type=int, default=1, help="concurrent run workers")
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("check", help="run the bundled invariant suite")

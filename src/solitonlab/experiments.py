@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -223,7 +224,8 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
 @dataclass(frozen=True)
 class RunReport:
     """One transmission run: error series against the exact soliton plus
-    per-phase peak errors and validity flags."""
+    per-phase peak errors and validity flags. ``wall_s`` is the run's own
+    wall time; it is telemetry, so :meth:`to_dict` leaves it out."""
 
     plan: RunPlan
     potential: PotentialSpec
@@ -239,6 +241,7 @@ class RunReport:
     invalid_reason: str | None
     admissibility: AdmissibilityReport | None
     admissibility_overridden: bool
+    wall_s: float
     snapshot_times: tuple[float, ...] = ()
     snapshots: tuple[Field, ...] = ()
 
@@ -312,6 +315,7 @@ def _run_plan(
     """Evolve the boosted soliton on ``plan`` under ``potential_spec`` (None
     is V = 0, the matched-resolution floor) and assemble the report. No
     admissibility gate: callers judge the potential first."""
+    start = perf_counter()
     params = SolitonParams(v=plan.v, x0=plan.x0, mu=config.mu)
     grid = plan.grid
     sup_v = potential_spec.sup_norm if potential_spec is not None else 0.0
@@ -327,6 +331,7 @@ def _run_plan(
     )
     result = evolve(u0, pot, (0.0, plan.t_end), stepper, reference=params)
     p1, p2, p3 = _phase_peaks(result.series, plan.phases)
+    wall_s = perf_counter() - start
     return RunReport(
         plan=plan, potential=potential_spec or PotentialSpec("zero"), delta=config.delta,
         mu=config.mu, series=result.series, final=result.final,
@@ -334,7 +339,7 @@ def _run_plan(
         peak_phase1=p1, peak_phase2=p2, peak_phase3=p3,
         valid=result.valid, invalid_reason=result.invalid_reason, admissibility=admissibility,
         admissibility_overridden=potential_spec is None or config.override_admissibility,
-        snapshot_times=result.snapshot_times, snapshots=result.snapshots,
+        wall_s=wall_s, snapshot_times=result.snapshot_times, snapshots=result.snapshots,
     )
 
 
@@ -400,22 +405,34 @@ def loglog_slope(vs, es) -> float:
     return float(np.polyfit(np.log(vs), np.log(es), 1)[0])
 
 
-def _study_pair(args):
-    plan, config, admissibility = args
-    main = _run_plan(plan, config, config.potential, admissibility)
-    floor = _run_plan(plan, config, None)
-    return plan.v, main, floor
+def _run_cost(plan: RunPlan) -> float:
+    """Expected cost of a run on ``plan``: grid points times steps."""
+    return plan.grid.n * plan.t_end / plan.dt
+
+
+def _study_run(task) -> RunReport:
+    """Pool task: one run of a study, main (under V) or floor (V = 0)."""
+    plan, config, spec, admissibility = task
+    return _run_plan(plan, config, spec, admissibility)
 
 
 def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     """Run every velocity (plus its matched V=0 floor) and fit the exponent.
 
-    Needs >= 4 velocities spanning at least a factor 8. Admissibility is
-    judged once and every run is planned, before any run starts. Runs are
-    independent and can execute in parallel; results are keyed by v so the
-    aggregation is order-independent.
+    Needs >= 4 distinct velocities spanning at least a factor 8.
+    Admissibility is judged once and every run is planned, before any run
+    starts. Each main and each floor run is its own task, and the tasks run
+    longest first (grid points times steps, a velocity's main run before its
+    floor run), so that with ``jobs`` > 1 no worker is left with the two
+    longest runs back to back while the others idle (Graham's LPT rule).
+    Results are keyed by (v, "main" | "floor"), so the aggregation does not
+    depend on the order the runs finish in.
     """
     vs = sorted(config.velocities)
+    repeated = sorted({v for v in vs if vs.count(v) > 1})
+    if repeated:
+        raise ConfigError("velocities must be distinct; repeated: "
+                          + ", ".join(f"{v:g}" for v in repeated))
     if len(vs) < 4:
         raise ConfigError(f"scaling study needs >= 4 velocities, got {len(vs)}")
     if vs[-1] < 8.0 * vs[0] - 1e-9:
@@ -425,14 +442,20 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     admissibility = _admissibility_gate(config)
-    tasks = [(plan_run(config, v), config, admissibility) for v in vs]
+    tasks = []
+    for plan in (plan_run(config, v) for v in vs):
+        tasks.append((plan, config, config.potential, admissibility))
+        tasks.append((plan, config, None, None))
+    # stable sort: a velocity's main run stays ahead of its equal-cost floor run
+    tasks.sort(key=lambda task: -_run_cost(task[0]))
+    keys = [(plan.v, "floor" if spec is None else "main") for plan, _, spec, _ in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = {v: (main, floor) for v, main, floor in pool.map(_study_pair, tasks)}
+            results = dict(zip(keys, pool.map(_study_run, tasks)))
     else:
-        results = {v: (main, floor) for v, main, floor in map(_study_pair, tasks)}
-    runs = tuple(results[v][0] for v in vs)
-    floor_runs = tuple(results[v][1] for v in vs)
+        results = dict(zip(keys, map(_study_run, tasks)))
+    runs = tuple(results[v, "main"] for v in vs)
+    floor_runs = tuple(results[v, "floor"] for v in vs)
     errors = tuple(r.sup_error for r in runs)
     floors = tuple(r.sup_error for r in floor_runs)
     runs_valid = all(r.valid for r in runs) and all(r.valid for r in floor_runs)

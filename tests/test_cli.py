@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -33,8 +34,10 @@ class TestSimulate:
         report = json.loads((out / "report.json").read_text())
         assert report["valid"] is True
         assert report["sup_error"] > 0
+        assert "wall_s" not in report
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
+        assert manifest["flags"]["wall_s"] > 0
         listed = {p.split("/")[-1] for p in manifest["outputs"]}
         produced = {p.name for p in out.iterdir()}
         assert produced <= listed | {"manifest.json"} and "series.csv" in listed
@@ -172,6 +175,21 @@ class TestSpectral:
         assert main(["spectral", "--kind", "zero", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--lambda-max", "inf"], "--lambda-max"),
+        (["--lambda-min", "nan"], "--lambda-min"),
+        (["--linear", "--lambda-min=-inf"], "--lambda-min"),
+        (["--linear", "--lambda-max", "nan"], "--lambda-max"),
+    ])
+    def test_non_finite_lambda_bound_exits_1(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "specinf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectral", "--kind", "zero", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be finite")
+        assert not out.exists()
+
     def test_algebraic_admissible(self, tmp_path):
         out = tmp_path / "speca"
         code = main(
@@ -249,6 +267,16 @@ class TestStudy:
         assert "before the crossing" in manifest["flags"]["error"]
         assert not (out / "runs").exists()
 
+    def test_repeated_velocity_exits_1(self, tmp_path, capsys):
+        cfg = self._study_config(tmp_path / "c.json", delta=0.6, x0_factor=1.0,
+                                 velocities=[4.0, 4.0, 8.0, 32.0])
+        out = tmp_path / "o"
+        assert main(["study", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 1
+        assert "repeated: 4" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+        assert not (out / "runs").exists()
+
     @pytest.mark.slow
     def test_small_study_passes(self, tmp_path):
         cfg = self._study_config(tmp_path / "c.json")
@@ -258,6 +286,9 @@ class TestStudy:
         assert study["pass"] is True
         assert study["slope"] <= study["slope_limit"]
         assert len(study["per_v_error"]) == 4
+        for v in study["velocities"]:
+            flags = json.loads((out / "runs" / f"v{v:g}" / "manifest.json").read_text())["flags"]
+            assert flags["wall_s"] > 0 and flags["floor_wall_s"] > 0
         rows = (out / "scaling.csv").read_text().strip().splitlines()
         assert rows[0] == "log_v,log_err"
         lv, le = map(float, rows[1].split(","))

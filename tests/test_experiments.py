@@ -395,9 +395,11 @@ class TestStudyGate:
         with pytest.raises(ConfigError, match="before the crossing"):
             scaling_study(cfg, jobs=2)
 
-    @pytest.mark.parametrize("jobs, workers", [(2, 2), (1000, 4)])
-    def test_pool_no_larger_than_the_task_list(self, monkeypatch, jobs, workers):
-        sizes = []
+    @staticmethod
+    def _fake_pool_and_runs(monkeypatch):
+        """Replace the pool and the run helper; returns the pool sizes and
+        the task lists that the pool was handed."""
+        sizes, task_lists = [], []
 
         class FakePool:
             def __init__(self, max_workers):
@@ -410,15 +412,59 @@ class TestStudyGate:
                 return False
 
             def map(self, fn, tasks):
-                return map(fn, tasks)
+                task_lists.append(list(tasks))
+                return map(fn, task_lists[-1])
 
         def fake_run(plan, config, spec, admissibility=None):
             return SimpleNamespace(plan=plan, valid=True, sup_error=plan.v ** -0.5 if spec else 1e-9)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments, "_run_plan", fake_run)
+        return sizes, task_lists
+
+    @pytest.mark.parametrize("jobs, workers", [(2, 2), (1000, 8)])
+    def test_pool_no_larger_than_the_task_list(self, monkeypatch, jobs, workers):
+        sizes, _ = self._fake_pool_and_runs(monkeypatch)
         scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)), jobs=jobs)
         assert sizes == [workers]
+
+    def test_one_task_per_run_longest_first(self, monkeypatch):
+        _, task_lists = self._fake_pool_and_runs(monkeypatch)
+        spec = PotentialSpec("algebraic", q=0.5, s=3.0)
+        scaling_study(self._config(potential=spec), jobs=2)
+        [tasks] = task_lists
+        assert len(tasks) == 8
+        for v in (8.0, 16.0, 32.0, 64.0):
+            assert sorted(t[2] is None for t in tasks if t[0].v == v) == [False, True]
+        costs = [t[0].grid.n * t[0].t_end / t[0].dt for t in tasks]
+        assert costs == sorted(costs, reverse=True)
+        for a, b in zip(tasks, tasks[1:]):
+            if a[0].v == b[0].v:  # same plan, equal cost: main first
+                assert a[2] is spec and b[2] is None
+        assert tasks[0][0].v == 64.0 and tasks[0][2] is spec
+
+    def test_velocity_order_does_not_change_the_result(self, monkeypatch):
+        self._fake_pool_and_runs(monkeypatch)
+        spec = PotentialSpec("algebraic", q=0.5, s=3.0)
+        ordered = scaling_study(self._config(potential=spec), jobs=2)
+        cfg = ExperimentConfig(delta=0.6, velocities=(32.0, 8.0, 64.0, 16.0), potential=spec)
+        shuffled = scaling_study(cfg, jobs=2)
+        for name in ("velocities", "errors", "floors", "slope", "strictly_decreasing",
+                     "floor_gate_ok", "passed"):
+            assert getattr(shuffled, name) == getattr(ordered, name)
+        assert [r.plan.v for r in shuffled.runs] == [8.0, 16.0, 32.0, 64.0]
+        assert [r.plan.v for r in shuffled.floor_runs] == [8.0, 16.0, 32.0, 64.0]
+
+    def test_repeated_velocity_rejected_before_the_gate(self, monkeypatch):
+        def no_call(*a, **k):
+            raise AssertionError("study went past the velocity check")
+
+        monkeypatch.setattr(experiments, "check_admissibility", no_call)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_call)
+        cfg = ExperimentConfig(potential=PotentialSpec("algebraic", q=0.5, s=3.0), delta=0.6,
+                               velocities=(4.0, 4.0, 8.0, 32.0), x0_factor=1.0)
+        with pytest.raises(ConfigError, match="repeated: 4$"):
+            scaling_study(cfg, jobs=2)
 
     def test_single_run_keys_rejected(self):
         cfg = self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0), x0=-10.0)
