@@ -405,11 +405,6 @@ def loglog_slope(vs, es) -> float:
     return float(np.polyfit(np.log(vs), np.log(es), 1)[0])
 
 
-def _run_cost(plan: RunPlan) -> float:
-    """Expected cost of a run on ``plan``: grid points times steps."""
-    return plan.grid.n * plan.t_end / plan.dt
-
-
 def _study_run(task) -> RunReport:
     """Pool task: one run of a study, main (under V) or floor (V = 0)."""
     plan, config, spec, admissibility = task
@@ -446,8 +441,9 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     for plan in (plan_run(config, v) for v in vs):
         tasks.append((plan, config, config.potential, admissibility))
         tasks.append((plan, config, None, None))
-    # stable sort: a velocity's main run stays ahead of its equal-cost floor run
-    tasks.sort(key=lambda task: -_run_cost(task[0]))
+    # longest first by grid points x steps; the sort is stable, so a
+    # velocity's main run stays ahead of its equal-cost floor run
+    tasks.sort(key=lambda task: -task[0].grid.n * task[0].t_end / task[0].dt)
     keys = [(plan.v, "floor" if spec is None else "main") for plan, _, spec, _ in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
