@@ -19,7 +19,7 @@ import numpy as np
 from .experiments import lemma_error_check, phase_times
 from .grid import Field, from_fourier, inner_product, l2_norm, lp_norm, make_grid, to_fourier
 from .potentials import PotentialSpec, sample_potential
-from .propagation import SolitonParams, StepperConfig, energy, evolve, soliton, suggested_dt
+from .propagation import SolitonParams, StepperConfig, energy, evolve, soliton
 from .scattering import bound_states, detect_resonance, project, scattering_table
 
 
@@ -150,7 +150,7 @@ def check_splitting_convergence() -> tuple[bool, str]:
     params = SolitonParams(v=2.0, x0=-8.0)
     errs = []
     for k in range(4):
-        dt = suggested_dt(2.0) / 2**k
+        dt = 0.1 / 3 / 2**k
         res = evolve(
             soliton(params, 0.0, grid, check_support=False),
             None,

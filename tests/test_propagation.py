@@ -17,7 +17,6 @@ from solitonlab.propagation import (
     required_kmax,
     soliton,
     step,
-    suggested_dt,
     validate_step_rules,
 )
 from solitonlab.scattering import bound_states
@@ -134,7 +133,7 @@ class TestEvolve:
     def test_free_soliton_tracked(self):
         g = make_grid(-50.0, 50.0, 1024)
         p = SolitonParams(v=4.0, x0=-20.0)
-        cfg = StepperConfig(dt=suggested_dt(4.0) / 2.0, obs_cadence=0.1)
+        cfg = StepperConfig(dt=0.1 / 9 / 2.0, obs_cadence=0.1)
         res = evolve(soliton(p, 0.0, g), None, (0.0, 5.0), cfg, reference=p)
         assert res.valid
         assert res.series.err_l2.max() <= 1e-4
@@ -164,7 +163,7 @@ class TestEvolve:
         p = SolitonParams(v=2.0, x0=-8.0)
         errs = []
         for k in range(3):
-            cfg = StepperConfig(dt=suggested_dt(2.0) / 2**k, obs_cadence=0.1)
+            cfg = StepperConfig(dt=0.1 / 3 / 2**k, obs_cadence=0.1)
             res = evolve(soliton(p, 0.0, g, check_support=False), None, (0.0, 2.0), cfg, reference=p)
             errs.append(res.series.err_l2.max())
         for i in range(2):
@@ -220,7 +219,7 @@ class TestEvolve:
 
     def test_rules_validation(self):
         g = make_grid(-40.0, 40.0, 1024)
-        validate_step_rules(g, suggested_dt(4.0), 4.0, 0.0)
+        validate_step_rules(g, 0.1 / 9, 4.0, 0.0)
         with pytest.raises(ConfigError):
             validate_step_rules(g, 1.0, 4.0, 0.0)  # dt over cap
         with pytest.raises(ConfigError):
