@@ -38,6 +38,7 @@ from .propagation import (
     SolitonParams,
     StepperConfig,
     evolve,
+    required_kmax,
     soliton,
     suggested_dt,
     validate_step_rules,
@@ -53,8 +54,7 @@ SLOPE_SLACK = 0.1
 #: verdict is inconclusive
 ADMISSIBILITY_MAX_N = 1 << 16
 
-_NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "kmax_factor", "dt_safety",
-                "edge_mass_tol", "x0", "dt")
+_NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "dt_safety", "edge_mass_tol", "x0", "dt")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,6 @@ class ExperimentConfig:
     x0_factor: float = 2.0
     mu: float = 1.0
     margin: float = 30.0
-    kmax_factor: float = 4.0
     dt_safety: float = 1.0
     obs_points: int = 800
     edge_mass_tol: float = 1e-8
@@ -134,8 +133,8 @@ class ExperimentConfig:
             raise ConfigError("all velocities must exceed 1")
         if self.mu <= 0 or self.margin <= 0 or self.dt_safety < 1.0:
             raise ConfigError("mu and margin must be positive, dt_safety >= 1")
-        if self.kmax_factor <= 0 or self.edge_mass_tol <= 0:
-            raise ConfigError("kmax_factor and edge_mass_tol must be positive")
+        if self.edge_mass_tol <= 0:
+            raise ConfigError("edge_mass_tol must be positive")
         if self.obs_points < 16:
             raise ConfigError("obs_points must be at least 16")
         object.__setattr__(self, "velocities", tuple(float(v) for v in self.velocities))
@@ -192,8 +191,8 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     The domain covers the soliton path plus the leftward excursion of the
     reflected component (speed ~ -v from the potential after the crossing),
     with ``margin`` clearance so nothing reaches the edge windows. An
-    explicit dt must still satisfy the phase-resolution cap when the run
-    starts.
+    explicit dt must still satisfy the dt rule when the run starts. Both
+    rules come from :mod:`propagation`, which validates them again.
     """
     x0 = config.x0 if config.x0 is not None else config.default_x0(v)
     center = config.potential.center
@@ -208,7 +207,7 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     left_reach = center - v * max(0.0, phases.t_end - t_cross)
     x_min = min(x0, left_reach) - config.margin
     x_max = x0 + v * phases.t_end + config.margin
-    dx_max = math.pi / (config.kmax_factor * (v + 3.0 * config.mu))
+    dx_max = math.pi / required_kmax(v, config.potential, config.mu)
     n = max(16, 1 << math.ceil(math.log2((x_max - x_min) / dx_max)))
     if n > 1 << 22:
         raise ConfigError(f"required grid size n={n} is unreasonably large")
@@ -216,7 +215,7 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     if config.dt is not None:
         dt = config.dt
     else:
-        dt = suggested_dt(v, config.potential.sup_norm, config.mu, config.dt_safety)
+        dt = suggested_dt(v, config.potential, config.mu, config.dt_safety)
     cadence = min(phases.t_end / config.obs_points, v**-config.delta / 10.0)
     return RunPlan(v=float(v), x0=float(x0), grid=grid, dt=dt, cadence=cadence, phases=phases)
 
@@ -318,8 +317,7 @@ def _run_plan(
     start = perf_counter()
     params = SolitonParams(v=plan.v, x0=plan.x0, mu=config.mu)
     grid = plan.grid
-    sup_v = potential_spec.sup_norm if potential_spec is not None else 0.0
-    validate_step_rules(grid, plan.dt, plan.v, sup_v, config.mu)
+    validate_step_rules(grid, plan.dt, plan.v, potential_spec, config.mu)
     pot = sample_potential(potential_spec, grid) if potential_spec is not None else None
     u0 = soliton(params, 0.0, grid)
     soliton(params, plan.t_end, grid)  # final support must fit as well

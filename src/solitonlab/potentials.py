@@ -94,6 +94,23 @@ class PotentialSpec:
         return float(abs(self(np.array([self.center]))[0]))
 
     @property
+    def slope_norm(self) -> float:
+        """max |V'|, in closed form per kind: |q| s (s+1)^{-1/2} ((s+1)/(s+2))^{(s+2)/2}
+        (algebraic, at (x-c)^2 = 1/(s+1) for s > -1), |q| e^{-1/2}/sigma
+        (gaussian, at |x-c| = sigma), depth 4/(3 sqrt 3) (sech^2 kinds, at
+        tanh(x-c) = 1/sqrt 3) and 0 (zero)."""
+        if self.kind == "zero":
+            return 0.0
+        if self.kind == "algebraic":
+            s = self.s
+            if s <= -1.0:  # |V'| grows without bound for s < -1 and tends to |q| at s = -1
+                return math.inf if s < -1.0 else abs(self.q)
+            return abs(self.q * s) * (s + 1.0) ** -0.5 * ((s + 1.0) / (s + 2.0)) ** ((s + 2.0) / 2.0)
+        if self.kind == "gaussian":
+            return abs(self.q) * math.exp(-0.5) / self.sigma
+        return self.sup_norm * 4.0 / (3.0 * math.sqrt(3.0))
+
+    @property
     def decay_parameter(self) -> float:
         """Nominal decay exponent: s for the algebraic family, inf otherwise
         (super-algebraic decay), 0 never occurs (zero potential gives inf)."""

@@ -13,10 +13,17 @@ samples fuse their adjacent half-kinetic factors, halving the transform
 count; ``step`` and ``evolve`` share this one kernel.
 
 Resolution rules for a boosted soliton with carrier velocity v and width
-parameter mu:
+parameter mu, under V. Both are Galilean invariant: the carrier phase
+e^{ivx} is integrated exactly by the kinetic substep, so neither rule pays
+for v^2. The length ell is the shorter of the soliton width 1/mu and the
+potential's feature length max|V|/max|V'|:
 
-    k_max >= 4 (v + 3 mu)                  (carrier at k = v, width ~ mu)
-    dt    <= 0.1 / (v^2/2 + max|V| + mu^2) (<= 0.1 rad pointwise phase per substep)
+    k_max >= |v| + (2/(pi ell)) ln(2/SOLITON_TAIL_TOL)
+             (the Fourier envelope sech(pi (k - v) ell/2) is below
+             SOLITON_TAIL_TOL at Nyquist; about |v| + 18/ell)
+    dt    <= PHASE_CAP / (max|V| + mu^2 + 2|v|/ell)
+             (<= 0.1 rad pointwise phase per substep, and the soliton
+             moves at most 0.05 ell per step)
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidRunError, NumericalBreakdownError
 from .grid import Field, Grid, edge_mass_fraction, l2_norm
-from .potentials import SampledPotential, _sech
+from .potentials import PotentialSpec, SampledPotential, _sech
 from .scattering import BoundState
 
 #: pointwise phase cap per substep (radians)
@@ -78,28 +85,45 @@ def soliton(
     return Field(grid, p.mu * np.exp(1j * phase) * _sech(p.mu * (grid.x - p.center(t))))
 
 
-def required_kmax(v: float, mu: float = 1.0) -> float:
-    return 4.0 * (abs(v) + 3.0 * mu)
+def resolution_length(potential: PotentialSpec | None = None, mu: float = 1.0) -> float:
+    """ell of the resolution rules: the shorter of the soliton width 1/mu and
+    the feature length max|V|/max|V'| of ``potential`` (None is V = 0)."""
+    slope = potential.slope_norm if potential is not None else 0.0
+    return min(1.0 / mu, potential.sup_norm / slope) if slope > 0 else 1.0 / mu
 
 
-def suggested_dt(v: float, sup_v: float = 0.0, mu: float = 1.0, safety: float = 1.0) -> float:
-    return PHASE_CAP / (0.5 * v * v + sup_v + mu * mu) / safety
+def required_kmax(v: float, potential: PotentialSpec | None = None, mu: float = 1.0) -> float:
+    """The k rule: the smallest grid k_max for carrier v (see the module docstring)."""
+    ell = resolution_length(potential, mu)
+    return abs(v) + 2.0 / (math.pi * ell) * math.log(2.0 / SOLITON_TAIL_TOL)
 
 
-def validate_step_rules(grid: Grid, dt: float, v: float, sup_v: float, mu: float = 1.0) -> None:
+def suggested_dt(
+    v: float, potential: PotentialSpec | None = None, mu: float = 1.0, safety: float = 1.0
+) -> float:
+    """The dt rule: the largest step for carrier v (see the module docstring),
+    divided by ``safety``."""
+    sup_v = potential.sup_norm if potential is not None else 0.0
+    budget = sup_v + mu * mu + 2.0 * abs(v) / resolution_length(potential, mu)
+    return PHASE_CAP / budget / safety
+
+
+def validate_step_rules(
+    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None, mu: float = 1.0
+) -> None:
     """Raise ConfigError when dt or the grid violate the resolution rules."""
     if dt <= 0 or not math.isfinite(dt):
         raise ConfigError("dt must be positive")
-    budget = 0.5 * v * v + sup_v + mu * mu
-    if dt * budget > PHASE_CAP * (1 + 1e-9):
+    cap = suggested_dt(v, potential, mu)
+    if dt > cap * (1 + 1e-9):
         raise ConfigError(
-            f"dt={dt:g} exceeds the phase-resolution cap {PHASE_CAP}/(v^2/2+max|V|+mu^2)"
-            f" = {PHASE_CAP / budget:g}"
+            f"dt={dt:g} exceeds the resolution cap {PHASE_CAP}/(max|V|+mu^2+2|v|/ell) = {cap:g}"
         )
-    if grid.k_max < required_kmax(v, mu):
+    kmax = required_kmax(v, potential, mu)
+    if grid.k_max < kmax:
         raise ConfigError(
             f"grid k_max={grid.k_max:.3g} below the resolution rule "
-            f"4(v+3mu)={required_kmax(v, mu):.3g}; refine dx"
+            f"|v|+(2/(pi ell)) ln(2/{SOLITON_TAIL_TOL:g})={kmax:.3g}; refine dx"
         )
 
 
@@ -218,7 +242,9 @@ def evolve(
     """Iterate Strang steps over ``t_span`` with observer sampling.
 
     The step count is rounded so observations fall on a uniform time grid
-    with spacing <= obs_cadence and the step never exceeds config.dt.
+    and the step never exceeds config.dt. Observations are spaced by
+    <= obs_cadence when config.dt <= obs_cadence; otherwise every step is
+    observed, so they are spaced by the step (<= config.dt) instead.
     err_l2 tracks the exact soliton when ``reference`` is given (else 0);
     a_abs tracks |<u, phi>| when ``bound_state`` is given.
     """

@@ -7,6 +7,7 @@ scope) and shared by the criteria that consume it.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from solitonlab.propagation import (
     StepperConfig,
     bound_mode_residual,
     evolve,
+    resolution_length,
     soliton,
 )
 from solitonlab.scattering import bound_states, detect_resonance, scattering_table
 from solitonlab.experiments import (
     ExperimentConfig,
+    _run_plan,
     lemma_error_check,
+    plan_run,
     scaling_study,
     transmission_run,
 )
@@ -36,6 +40,25 @@ DECAY_S = 3.0
 def _report(num, name, ok, detail):
     print(f"[acceptance] criterion {num:>2} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} ({name}): {detail}"
+
+
+#: self-convergence: rerunning at dt/2 may move the sup error by at most
+#: this many matched floors (measured 0.64-1.04 at v = 8..64: the Strang
+#: error is O(dt^2), so halving dt removes about 3/4 of the floor) ...
+DT_HALF_FLOORS = 1.5
+#: ... and rerunning at 2n by at most this many (measured <= 2.7e-6: the k
+#: rule leaves the spectrum 1e-12 below its peak at Nyquist)
+TWO_N_FLOORS = 1e-3
+#: every sup error must sit this far above its floor (measured 6.5e4-2.2e5)
+MIN_HEADROOM = 1000.0
+
+
+def _refined(plan, config, spec):
+    """Sup errors of ``plan`` rerun at dt/2 and at 2n on the same domain."""
+    g = plan.grid
+    half = _run_plan(replace(plan, dt=plan.dt / 2.0), config, spec)
+    fine = _run_plan(replace(plan, grid=make_grid(g.x_min, g.x_max, 2 * g.n)), config, spec)
+    return half.sup_error, fine.sup_error
 
 
 def _free_soliton_error(dt):
@@ -243,6 +266,66 @@ def test_c09_phase_structure(velocity_study):
         ordering_ok and envelope_ok,
         f"peak[0,T1] <= peak[T1,T2] at every v; envelope C = {envelope_c:.3f} from v=8 "
         f"gives bound {bound64:.3e} at v=64, measured {run64.peak_phase1:.3e}",
+    )
+
+
+@pytest.mark.slow
+def test_c11_self_convergence(velocity_study):
+    result, _ = velocity_study
+    config = ExperimentConfig(
+        potential=PotentialSpec("algebraic", q=0.5, s=DECAY_S),
+        delta=DELTA,
+        velocities=result.velocities,
+    )
+    details = []
+    ok = True
+    for run, floor in zip(result.runs, result.floors):
+        half, fine = _refined(run.plan, config, config.potential)
+        d_half = abs(half - run.sup_error) / floor
+        d_fine = abs(fine - run.sup_error) / floor
+        headroom = run.sup_error / floor
+        ok = ok and d_half <= DT_HALF_FLOORS and d_fine <= TWO_N_FLOORS and headroom >= MIN_HEADROOM
+        details.append(f"v={run.plan.v:g}: dt/2 {d_half:.2f}, 2n {d_fine:.1e} floors, "
+                       f"error/floor {headroom:.1e}")
+    _report(
+        11, "self-convergence",
+        ok,
+        "; ".join(details) + f" (<= {DT_HALF_FLOORS:g}, <= {TWO_N_FLOORS:g}, >= {MIN_HEADROOM:g})",
+    )
+
+
+@pytest.mark.slow
+def test_c12_delta_stand_in_resolution():
+    # the narrow gaussian stands in for the delta potential; its feature
+    # length sigma e^{1/2} = 0.082, not the soliton width, sets both rules.
+    # Its decay fit window underflows, so the admissibility gate is skipped
+    config = ExperimentConfig(
+        potential=PotentialSpec("gaussian", q=1.0, sigma=0.05),
+        delta=0.9,
+        velocities=(32.0,),
+        override_admissibility=True,
+    )
+    v = 32.0
+    ell = resolution_length(config.potential, config.mu)
+    plan = plan_run(config, v)
+    base = _run_plan(plan, config, config.potential).sup_error
+    half, fine = _refined(plan, config, config.potential)
+    # the V = 0 floor misses the splitting error of the narrow potential
+    # itself, so agreement is relative (measured 1.5e-7 at dt/2, 3e-11 at 2n)
+    ok = (
+        ell == pytest.approx(0.05 * math.exp(0.5))
+        and plan.grid.k_max >= v + 18.0 / ell
+        and v * plan.dt <= 0.05 * ell
+        and abs(half - base) <= 1e-5 * base
+        and abs(fine - base) <= 1e-9 * base
+    )
+    _report(
+        12, "delta stand-in resolution",
+        ok,
+        f"ell = {ell:.4f}, k_max {plan.grid.k_max:.1f} >= {v + 18.0 / ell:.1f}, "
+        f"v dt / ell = {v * plan.dt / ell:.4f} <= 0.05; sup error {base:.10g}, "
+        f"relative shift {abs(half - base) / base:.1e} at dt/2 (<= 1e-5), "
+        f"{abs(fine - base) / base:.1e} at 2n (<= 1e-9)",
     )
 
 

@@ -67,6 +67,12 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "override_admissibility" in capsys.readouterr().err
 
+    def test_kmax_factor_is_not_a_key(self, tmp_path, capsys):
+        # the k rule has one owner, propagation.required_kmax
+        cfg = write_config(tmp_path / "c.json", kmax_factor=4.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['kmax_factor']" in capsys.readouterr().err
+
     def test_explicit_zero_dt_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", dt=0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -6,8 +6,9 @@ import math
 import pytest
 
 from solitonlab.errors import ConfigError
-from solitonlab.experiments import ExperimentConfig
+from solitonlab.experiments import ExperimentConfig, plan_run
 from solitonlab.potentials import PotentialSpec
+from solitonlab.propagation import validate_step_rules
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -99,17 +100,17 @@ _valid_configs = st.fixed_dictionaries(
      "v": _speeds},
     optional={
         "x0_factor": st.floats(1, 4), "mu": st.floats(0.5, 2), "margin": st.floats(10, 50),
-        "kmax_factor": st.floats(1, 8), "dt_safety": st.floats(1, 4),
+        "dt_safety": st.floats(1, 4),
         "edge_mass_tol": st.floats(1e-10, 1e-6), "x0": st.floats(-50, -1),
         "dt": st.floats(1e-4, 1e-2), "obs_points": st.integers(16, 2000),
         "override_admissibility": st.booleans(), "out_dir": st.text(max_size=4),
     },
 )
-_NUMERIC_KEYS = ("delta", "v", "x0_factor", "mu", "margin", "kmax_factor", "dt_safety",
-                 "edge_mass_tol", "x0", "dt")
+_NUMERIC_KEYS = ("delta", "v", "x0_factor", "mu", "margin", "dt_safety", "edge_mass_tol",
+                 "x0", "dt")
 _configs = _mutated(_valid_configs, (
-    "potential", "delta", "velocities", "v", "x0_factor", "mu", "margin", "kmax_factor",
-    "dt_safety", "obs_points", "edge_mass_tol", "override_admissibility", "out_dir", "x0", "dt",
+    "potential", "delta", "velocities", "v", "x0_factor", "mu", "margin", "dt_safety",
+    "obs_points", "edge_mass_tol", "override_admissibility", "out_dir", "x0", "dt",
 )) | st.fixed_dictionaries(
     {"potential": _potentials, "delta": st.floats(0.51, 0.6),
      "velocities": st.lists(_speeds, min_size=1, max_size=5) | _json})
@@ -135,7 +136,7 @@ def test_any_json_experiment_config(raw):
         assert type(cfg.obs_points) is int
         # nothing was coerced: every numeric value read was a JSON number
         assert all(type(raw[k]) in (int, float) for k in _NUMERIC_KEYS if k in raw)
-        for name in ("x0_factor", "mu", "margin", "kmax_factor", "dt_safety", "edge_mass_tol"):
+        for name in ("x0_factor", "mu", "margin", "dt_safety", "edge_mass_tol"):
             assert math.isfinite(getattr(cfg, name))
 
 
@@ -147,3 +148,36 @@ def test_any_json_potential(raw):
         assert all(type(v) in (int, float) for k, v in raw.items() if k != "kind")
         echo = spec.to_dict()
         assert PotentialSpec.from_dict(json.loads(json.dumps(echo))).to_dict() == echo
+
+
+# --- property: every run plan satisfies the resolution rules -------------------
+
+_centers = st.integers(-5, 5)
+_catalog = st.one_of(
+    st.just(PotentialSpec("zero")),
+    st.builds(lambda q, s, c: PotentialSpec("algebraic", q=q, s=s, center=c),
+              st.floats(-3, 3), st.floats(2.5, 6), _centers),
+    st.builds(lambda q, sigma, c: PotentialSpec("gaussian", q=q, sigma=sigma, center=c),
+              st.floats(-3, 3), st.floats(0.05, 3), _centers),
+    st.builds(lambda beta, c: PotentialSpec("sech2_scaled", beta=beta, center=c),
+              st.floats(-2, 2), _centers),
+    st.builds(lambda ell, c: PotentialSpec("poschl_teller", ell=ell, center=c),
+              st.floats(0.1, 3), _centers),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=_catalog, delta=st.floats(0.51, 0.7), v=st.floats(6, 64),
+       x0_factor=st.floats(1, 3), mu=st.floats(0.5, 2), margin=st.floats(10, 50),
+       dt_safety=st.floats(1, 4))
+def test_every_plan_passes_the_step_rules(spec, delta, v, x0_factor, mu, margin, dt_safety):
+    # plan_run and validate_step_rules read one owner per rule, so whatever
+    # plan_run sizes, the run (under V, and its V = 0 floor) accepts
+    try:
+        config = ExperimentConfig(potential=spec, delta=delta, velocities=(v,),
+                                  x0_factor=x0_factor, mu=mu, margin=margin, dt_safety=dt_safety)
+        plan = plan_run(config, v)
+    except ConfigError:  # a launch geometry the phase rules reject
+        hypothesis.reject()
+    validate_step_rules(plan.grid, plan.dt, plan.v, spec, mu)
+    validate_step_rules(plan.grid, plan.dt, plan.v, None, mu)

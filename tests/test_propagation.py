@@ -219,12 +219,13 @@ class TestEvolve:
 
     def test_rules_validation(self):
         g = make_grid(-40.0, 40.0, 1024)
-        validate_step_rules(g, 0.1 / 9, 4.0, 0.0)
+        validate_step_rules(g, 0.1 / 9, 4.0)
         with pytest.raises(ConfigError):
-            validate_step_rules(g, 1.0, 4.0, 0.0)  # dt over cap
+            validate_step_rules(g, 1.0, 4.0)  # dt over cap
         with pytest.raises(ConfigError):
-            validate_step_rules(g, 1e-4, 50.0, 0.0)  # k_max too small for v=50
-        assert required_kmax(4.0) == pytest.approx(28.0)
+            validate_step_rules(g, 1e-4, 50.0)  # k_max too small for v=50
+        assert required_kmax(4.0) == pytest.approx(4.0 + 2.0 / math.pi * math.log(2e12))
+        assert required_kmax(4.0) == pytest.approx(22.03, abs=0.01)
 
 
 @pytest.fixture(scope="module")
