@@ -191,8 +191,8 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     The domain covers the soliton path plus the leftward excursion of the
     reflected component (speed ~ -v from the potential after the crossing),
     with ``margin`` clearance so nothing reaches the edge windows. An
-    explicit dt must still satisfy the dt rule when the run starts. Both
-    rules come from :mod:`propagation`, which validates them again.
+    explicit dt must still satisfy the dt rule when the run starts: every
+    run is checked by ``validate_step_rules``, against the same two rules.
     """
     x0 = config.x0 if config.x0 is not None else config.default_x0(v)
     center = config.potential.center

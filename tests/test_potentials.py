@@ -60,6 +60,22 @@ class TestSampling:
         for kind in ("zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller"):
             assert sample_potential(PotentialSpec(kind), g).values.dtype == np.float64
 
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("zero"),
+        PotentialSpec("algebraic", q=0.5, s=3.0),
+        PotentialSpec("algebraic", q=-5.0, s=2.5, center=2.0),
+        PotentialSpec("algebraic", q=1.0, s=0.3),
+        PotentialSpec("gaussian", q=2.0, sigma=1.0),
+        PotentialSpec("gaussian", q=-1.0, sigma=0.05),
+        PotentialSpec("sech2_scaled", beta=0.5),
+        PotentialSpec("poschl_teller", ell=2.0),
+    ])
+    def test_slope_norm_is_max_derivative(self, spec):
+        # the closed form against the largest central difference on a fine grid
+        x = np.linspace(spec.center - 10.0, spec.center + 10.0, 400_001)
+        measured = float(np.max(np.abs(np.gradient(spec(x), x))))
+        assert spec.slope_norm == pytest.approx(measured, rel=1e-6, abs=1e-15)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             PotentialSpec("delta")
