@@ -356,7 +356,9 @@ def transmission_run(
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Velocity sweep against the theoretical decay exponent."""
+    """Velocity sweep against the theoretical decay exponent. :meth:`to_dict`
+    also reports each velocity's headroom, error / floor (the floor gate
+    asks for at least ``FLOOR_FACTOR``)."""
 
     velocities: tuple[float, ...]
     errors: tuple[float, ...]
@@ -379,6 +381,7 @@ class ScalingResult:
             "velocities": list(self.velocities),
             "per_v_error": list(self.errors),
             "per_v_floor": list(self.floors),
+            "per_v_headroom": [e / f if f > 0 else math.inf for e, f in zip(self.errors, self.floors)],
             "slope": self.slope,
             "bound_slope": self.bound_slope,
             "slope_limit": self.slope_limit,

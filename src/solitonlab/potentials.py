@@ -187,7 +187,9 @@ def decay_fit(spec: PotentialSpec, grid: Grid) -> float:
 
     Returns the decay-parameter estimate (minus the slope). Estimates steeper
     than ``SLOPE_CAP`` are reported as ``math.inf`` (super-algebraic decay);
-    this is what every exponentially decaying catalog kind produces.
+    this is what every exponentially decaying catalog kind produces. So is a
+    nonzero V that underflows to 0 on all but 7 or fewer window samples (a
+    narrow gaussian); the zero potential raises ConfigError.
     """
     y = grid.x - spec.center
     window = (np.abs(y) >= grid.length / 8.0) & (np.abs(y) <= 3.0 * grid.length / 8.0)
@@ -197,6 +199,8 @@ def decay_fit(spec: PotentialSpec, grid: Grid) -> float:
     y = np.abs(y[window])
     keep = v > 0.0  # drop underflowed samples
     if keep.sum() < 8:
+        if spec.sup_norm > 0.0:  # V underflows on the window: faster than any power
+            return math.inf
         raise ConfigError("decay fit window has no usable (nonzero) samples")
     logv = np.log(v[keep])
     logx = 0.5 * np.log1p(y[keep] ** 2)  # log <x>

@@ -297,13 +297,11 @@ def test_c11_self_convergence(velocity_study):
 @pytest.mark.slow
 def test_c12_delta_stand_in_resolution():
     # the narrow gaussian stands in for the delta potential; its feature
-    # length sigma e^{1/2} = 0.082, not the soliton width, sets both rules.
-    # Its decay fit window underflows, so the admissibility gate is skipped
+    # length sigma e^{1/2} = 0.082, not the soliton width, sets both rules
     config = ExperimentConfig(
         potential=PotentialSpec("gaussian", q=1.0, sigma=0.05),
         delta=0.9,
         velocities=(32.0,),
-        override_admissibility=True,
     )
     v = 32.0
     ell = resolution_length(config.potential, config.mu)

@@ -61,6 +61,16 @@ class TestSimulate:
         assert "not admissible" in manifest["flags"]["error"]
         assert manifest["finished_utc"] is not None
 
+    def test_delta_stand_in_runs_without_override(self, tmp_path):
+        # the narrow gaussian's decay-fit window underflows; it is admissible
+        cfg = write_config(tmp_path / "c.json", potential={"kind": "gaussian", "q": 1.0,
+                                                           "sigma": 0.05}, delta=0.9, v=32.0)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["valid"] is True
+        assert report["admissibility_overridden"] is False
+
     def test_override_must_be_a_bool(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", potential={"kind": "sech2_scaled", "beta": 1.0},
                            override_admissibility="no")

@@ -349,6 +349,21 @@ class TestAdmissibilityDomain:
             transmission_run(cfg, 8.0)
         assert "not admissible" not in str(info.value)
 
+    @pytest.mark.parametrize("sigma", [0.2, 0.05])
+    def test_narrow_gaussian_admissible(self, sigma):
+        # V underflows on the decay-fit window; that is super-algebraic
+        # decay, not a failed fit
+        spec = PotentialSpec("gaussian", q=1.0, sigma=sigma)
+        rep = experiments.check_admissibility(spec, experiments._admissibility_grid(spec))
+        assert rep.admissible and rep.conclusive
+        assert math.isinf(rep.decay_parameter_estimate)
+
+    def test_zero_potential_still_not_admissible(self):
+        spec = PotentialSpec("zero")
+        rep = experiments.check_admissibility(spec, experiments._admissibility_grid(spec))
+        assert not rep.admissible and rep.resonance_detected
+        assert "potential vanishes on the decay-fit window" in rep.notes
+
     def test_resonant_message_says_not_admissible(self):
         cfg = ExperimentConfig(
             potential=PotentialSpec("sech2_scaled", beta=1.0), delta=0.6, velocities=(8.0,)
@@ -457,6 +472,13 @@ class TestStudyGate:
             assert getattr(shuffled, name) == getattr(ordered, name)
         assert [r.plan.v for r in shuffled.runs] == [8.0, 16.0, 32.0, 64.0]
         assert [r.plan.v for r in shuffled.floor_runs] == [8.0, 16.0, 32.0, 64.0]
+
+    def test_headroom_is_error_over_floor(self, monkeypatch):
+        self._fake_pool_and_runs(monkeypatch)
+        result = scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)))
+        d = replace(result, runs=()).to_dict()  # the fake runs carry no phase peaks
+        assert d["per_v_headroom"] == [e / f for e, f in zip(result.errors, result.floors)]
+        assert d["per_v_headroom"] == [v ** -0.5 / 1e-9 for v in (8.0, 16.0, 32.0, 64.0)]
 
     def test_repeated_velocity_rejected_before_the_gate(self, monkeypatch):
         def no_call(*a, **k):

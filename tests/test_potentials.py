@@ -113,6 +113,16 @@ class TestDecayFit:
         with pytest.raises(ConfigError):
             decay_fit(PotentialSpec("zero"), g)
 
+    @pytest.mark.parametrize("sigma", [0.2, 0.05])
+    def test_underflowed_narrow_gaussian_super_algebraic(self, sigma):
+        # V underflows to 0 on the window L/8..3L/8: faster than any power
+        g = make_grid(-40.0, 40.0, 2048)
+        spec = PotentialSpec("gaussian", q=1.0, sigma=sigma)
+        y = np.abs(g.x)
+        window = (y >= g.length / 8.0) & (y <= 3.0 * g.length / 8.0)
+        assert np.count_nonzero(spec(g.x)[window]) < 8
+        assert math.isinf(decay_fit(spec, g))
+
 
 @pytest.fixture(scope="module")
 def adm_grid():

@@ -228,6 +228,62 @@ class TestEvolve:
         assert required_kmax(4.0) == pytest.approx(22.03, abs=0.01)
 
 
+class TestObserver:
+    """evolve's observer reuses the kernel's spectrum and a carrier built once;
+    its columns must match the public functions on the same samples."""
+
+    @staticmethod
+    def _run(cadence, with_potential):
+        g = make_grid(-40.0, 40.0, 1024)
+        pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), g) if with_potential else None
+        p = SolitonParams(v=2.0, x0=-10.0)
+        # a shifted reference keeps err_l2 O(1) from t = 0, so the relative
+        # comparison is not against roundoff
+        ref = SolitonParams(v=2.0, x0=-9.7)
+        cfg = StepperConfig(dt=0.01, obs_cadence=cadence, snapshot_every=1)
+        return g, pot, ref, evolve(soliton(p, 0.0, g), pot, (0.0, 2.0), cfg, reference=ref)
+
+    @pytest.mark.parametrize("with_potential", [False, True])
+    @pytest.mark.parametrize("cadence", [0.01, 0.05])
+    def test_energy_column_matches_energy(self, cadence, with_potential):
+        _, pot, _, res = self._run(cadence, with_potential)
+        expected = np.array([energy(s, pot) for s in res.snapshots])
+        assert len(expected) == len(res.series.energy)
+        assert np.max(np.abs(res.series.energy - expected) / np.abs(expected)) <= 1e-12
+
+    @pytest.mark.parametrize("with_potential", [False, True])
+    @pytest.mark.parametrize("cadence", [0.01, 0.05])
+    def test_err_column_matches_l2_norm(self, cadence, with_potential):
+        g, _, ref, res = self._run(cadence, with_potential)
+        expected = np.array([
+            l2_norm(Field(g, s.values - soliton(ref, t, g, check_support=False).values))
+            for t, s in zip(res.snapshot_times, res.snapshots)
+        ])
+        assert len(expected) == len(res.series.err_l2) and expected.min() > 0.1
+        assert np.max(np.abs(res.series.err_l2 - expected) / expected) <= 1e-12
+
+    @pytest.mark.parametrize("cadence, k_obs", [(0.01, 1), (0.05, 5)])
+    def test_transform_budget(self, monkeypatch, cadence, k_obs):
+        # one forward transform of u0, then 2k+1 per segment of k steps: the
+        # observer makes none. step() makes 4.
+        calls = []
+        for name in ("fft", "ifft"):
+            real = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda a, *args, _f=real, **kw: calls.append(1) or _f(a, *args, **kw))
+        g = make_grid(-40.0, 40.0, 512)
+        pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), g)
+        p = SolitonParams(v=2.0, x0=-10.0)
+        u0 = soliton(p, 0.0, g)
+        res = evolve(u0, pot, (0.0, 0.2), StepperConfig(dt=0.01, obs_cadence=cadence), reference=p)
+        n_seg = len(res.series.times) - 1
+        assert n_seg * k_obs == 20
+        assert len(calls) == 1 + n_seg * (2 * k_obs + 1)
+        calls.clear()
+        step(u0, pot, 0.01)
+        assert len(calls) == 4
+
+
 @pytest.fixture(scope="module")
 def well():
     g = make_grid(-28.0, 28.0, 2048)
