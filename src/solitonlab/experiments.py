@@ -381,7 +381,8 @@ class ScalingResult:
             "velocities": list(self.velocities),
             "per_v_error": list(self.errors),
             "per_v_floor": list(self.floors),
-            "per_v_headroom": [e / f if f > 0 else math.inf for e, f in zip(self.errors, self.floors)],
+            "per_v_headroom": [e / f if f > 0 else math.inf
+                               for e, f in zip(self.errors, self.floors)],
             "slope": self.slope,
             "bound_slope": self.bound_slope,
             "slope_limit": self.slope_limit,

@@ -187,9 +187,10 @@ def decay_fit(spec: PotentialSpec, grid: Grid) -> float:
 
     Returns the decay-parameter estimate (minus the slope). Estimates steeper
     than ``SLOPE_CAP`` are reported as ``math.inf`` (super-algebraic decay);
-    this is what every exponentially decaying catalog kind produces. So is a
-    nonzero V that underflows to 0 on all but 7 or fewer window samples (a
-    narrow gaussian); the zero potential raises ConfigError.
+    this is what every exponentially decaying catalog kind produces, and
+    what a nonzero V with fewer than 8 nonzero window samples returns (it
+    underflowed there, as a narrow gaussian does). The zero potential
+    raises ConfigError.
     """
     y = grid.x - spec.center
     window = (np.abs(y) >= grid.length / 8.0) & (np.abs(y) <= 3.0 * grid.length / 8.0)

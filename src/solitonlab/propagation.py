@@ -242,7 +242,7 @@ def _energy(
     """The energy of samples with spectrum ``uhat`` (numpy's ``fft``) and
     |u|^2 = ``absu2``, on wavenumbers squared ``k2``. The kinetic term is
     taken by Parseval: dx sum 1/4|u_x|^2 = dx/(4n) sum k^2 |uhat|^2."""
-    kinetic = 0.25 / k2.size * float(np.dot(k2, uhat.real * uhat.real + uhat.imag * uhat.imag))
+    kinetic = 0.25 / k2.size * float(np.sum(k2 * (uhat.real * uhat.real + uhat.imag * uhat.imag)))
     dens = -0.25 * absu2 * absu2
     if vpot is not None:
         dens += 0.5 * vpot * absu2
