@@ -185,10 +185,7 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_potential_report(args) -> int:
-    spec = _potential_from_args(args)
-    half = args.half_width
-    grid = make_grid(spec.center - half, spec.center + half, args.n)
-    report = check_admissibility(spec, grid)
+    report = check_admissibility(_potential_from_args(args))
     out = _out_dir(args, None, "runs/potential")
     path = out / "admissibility.json"
     write_json(path, report.to_dict())
@@ -282,9 +279,6 @@ def _add_potential_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, help="sech^2 well depth")
     p.add_argument("--ell", type=float, help="reflectionless family index")
     p.add_argument("--center", type=float, help="potential center offset")
-    p.add_argument("--half-width", type=float, default=60.0, dest="half_width",
-                   help="half-width of the analysis domain (default 60)")
-    p.add_argument("--n", type=int, default=2048, help="grid points (power of two)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,6 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="transmission/reflection table and spectral report")
     _add_potential_flags(p)
+    p.add_argument("--half-width", type=float, default=60.0, dest="half_width",
+                   help="half-width of the T/R table domain (default 60)")
+    p.add_argument("--n", type=int, default=2048, help="T/R table grid points (power of two)")
     p.add_argument("--lambda-min", type=float, default=0.5, dest="lambda_min")
     p.add_argument("--lambda-max", type=float, default=20.0, dest="lambda_max")
     p.add_argument("--lambda-points", type=int, default=50, dest="lambda_points")

@@ -30,8 +30,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import Field, Grid, l2_norm, make_grid
 from .potentials import (
-    EDGE_TOL, AdmissibilityReport, PotentialSpec, check_admissibility, edge_magnitude,
-    json_number, sample_potential,
+    AdmissibilityReport, PotentialSpec, check_admissibility, json_number, sample_potential,
 )
 from .propagation import (
     ObserverSeries,
@@ -43,18 +42,14 @@ from .propagation import (
     suggested_dt,
     validate_step_rules,
 )
+from .scattering import bound_states
 
 #: scaling points must exceed this multiple of the matched-resolution floor
 FLOOR_FACTOR = 10.0
 #: slack added to the theoretical slope bound -(2 delta - 1)
 SLOPE_SLACK = 0.1
-#: admissibility is judged on [c - 40, c + 40] x 2048 around the center c,
-#: doubled in width and points together (same spacing) until |V| at both
-#: edges is below EDGE_TOL, up to this many points; past it the
-#: verdict is inconclusive
-ADMISSIBILITY_MAX_N = 1 << 16
 
-_NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "dt_safety", "edge_mass_tol", "x0", "dt")
+_NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "dt_safety", "x0", "dt")
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,6 @@ class ExperimentConfig:
     margin: float = 30.0
     dt_safety: float = 1.0
     obs_points: int = 800
-    edge_mass_tol: float = 1e-8
     override_admissibility: bool = False
     x0: float | None = None
     dt: float | None = None
@@ -133,8 +127,6 @@ class ExperimentConfig:
             raise ConfigError("all velocities must exceed 1")
         if self.mu <= 0 or self.margin <= 0 or self.dt_safety < 1.0:
             raise ConfigError("mu and margin must be positive, dt_safety >= 1")
-        if self.edge_mass_tol <= 0:
-            raise ConfigError("edge_mass_tol must be positive")
         if self.obs_points < 16:
             raise ConfigError("obs_points must be at least 16")
         object.__setattr__(self, "velocities", tuple(float(v) for v in self.velocities))
@@ -281,22 +273,12 @@ def _phase_peaks(series: ObserverSeries, phases: PhaseTimes):
     return peak(0.0, phases.t1), peak(phases.t1, phases.t2), peak(phases.t2, phases.t_end)
 
 
-def _admissibility_grid(spec: PotentialSpec) -> Grid:
-    """The domain admissibility is judged on (see ADMISSIBILITY_MAX_N)."""
-    half, n = 40.0, 2048
-    grid = make_grid(spec.center - half, spec.center + half, n)
-    while edge_magnitude(spec, grid) >= EDGE_TOL and n < ADMISSIBILITY_MAX_N:
-        half, n = 2.0 * half, 2 * n
-        grid = make_grid(spec.center - half, spec.center + half, n)
-    return grid
-
-
 def _admissibility_gate(config: ExperimentConfig) -> AdmissibilityReport | None:
-    """Judge the potential on the domain its decay needs; raise ConfigError
-    unless it is admissible or config.override_admissibility is set."""
+    """Judge the potential; raise ConfigError unless it is admissible or
+    config.override_admissibility is set."""
     if config.override_admissibility:
         return None
-    report = check_admissibility(config.potential, _admissibility_grid(config.potential))
+    report = check_admissibility(config.potential)
     if not report.admissible:
         verdict = "not admissible" if report.conclusive else "inconclusive"
         raise ConfigError(f"potential {config.potential.to_dict()} is {verdict} "
@@ -312,22 +294,20 @@ def _run_plan(
     snapshot_every: int | None = None,
 ) -> RunReport:
     """Evolve the boosted soliton on ``plan`` under ``potential_spec`` (None
-    is V = 0, the matched-resolution floor) and assemble the report. No
-    admissibility gate: callers judge the potential first."""
+    is V = 0, the matched-resolution floor) and assemble the report. Under a
+    V with a bound state on the run grid, a_abs tracks the amplitude on its
+    ground state. No admissibility gate: callers judge the potential first."""
     start = perf_counter()
     params = SolitonParams(v=plan.v, x0=plan.x0, mu=config.mu)
     grid = plan.grid
     validate_step_rules(grid, plan.dt, plan.v, potential_spec, config.mu)
     pot = sample_potential(potential_spec, grid) if potential_spec is not None else None
+    states = bound_states(pot) if pot is not None else []
     u0 = soliton(params, 0.0, grid)
     soliton(params, plan.t_end, grid)  # final support must fit as well
-    stepper = StepperConfig(
-        dt=plan.dt,
-        obs_cadence=plan.cadence,
-        edge_mass_tol=config.edge_mass_tol,
-        snapshot_every=snapshot_every,
-    )
-    result = evolve(u0, pot, (0.0, plan.t_end), stepper, reference=params)
+    stepper = StepperConfig(dt=plan.dt, obs_cadence=plan.cadence, snapshot_every=snapshot_every)
+    result = evolve(u0, pot, (0.0, plan.t_end), stepper, reference=params,
+                    bound_state=states[0] if states else None)
     p1, p2, p3 = _phase_peaks(result.series, plan.phases)
     wall_s = perf_counter() - start
     return RunReport(

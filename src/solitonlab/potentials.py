@@ -26,10 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid
+from .grid import Grid, make_grid
 
 #: |V| must fall below this at the grid edges for scattering asymptotics
 EDGE_TOL = 1e-4
+#: admissibility is judged on [c - 40, c + 40] x 2048 around the center c,
+#: doubled in width and points together (same spacing) until |V| at both
+#: edges is below EDGE_TOL, up to this many points; past it the
+#: verdict is inconclusive
+ADMISSIBILITY_MAX_N = 1 << 16
 #: log-log slopes steeper than this are reported as the super-algebraic sentinel
 SLOPE_CAP = 15.0
 
@@ -225,10 +230,12 @@ class ResonanceProbe:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Verdict of the three admissibility conditions plus the measured inputs.
-    ``resonance`` is None when the edge check stopped the report early."""
+    """Verdict of the three admissibility conditions plus the measured inputs,
+    on the domain ``grid`` they were judged on. ``resonance`` is None when
+    the edge check stopped the report early."""
 
     spec: PotentialSpec
+    grid: Grid
     decay_parameter_estimate: float
     bound_state_energies: tuple[float, ...]
     resonance: ResonanceProbe | None
@@ -252,6 +259,7 @@ class AdmissibilityReport:
         est = self.decay_parameter_estimate
         return {
             "potential": self.spec.to_dict(),
+            "domain": {"x_min": self.grid.x_min, "x_max": self.grid.x_max, "n": self.grid.n},
             "decay_parameter_estimate": est if math.isfinite(est) else None,
             "decay_super_algebraic": bool(math.isinf(est)),
             "bound_state_count": self.bound_state_count,
@@ -264,8 +272,10 @@ class AdmissibilityReport:
         }
 
 
-def check_admissibility(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
-    """Assemble the admissibility report for H = -1/2 d^2/dx^2 + V.
+def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
+    """Assemble the admissibility report for H = -1/2 d^2/dx^2 + V, on the
+    domain sized from V (see ADMISSIBILITY_MAX_N); every caller gets the
+    same verdict for the same V.
 
     Bound states come from the tridiagonal eigensolver and the resonance
     verdict from the zero-frequency Wronskian with a domain-doubling
@@ -273,6 +283,11 @@ def check_admissibility(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
     """
     from . import scattering  # deferred: scattering imports this module
 
+    half, n = 40.0, 2048
+    grid = make_grid(spec.center - half, spec.center + half, n)
+    while (edge_v := edge_magnitude(spec, grid)) >= EDGE_TOL and n < ADMISSIBILITY_MAX_N:
+        half, n = 2.0 * half, 2 * n
+        grid = make_grid(spec.center - half, spec.center + half, n)
     notes: list[str] = []
     try:
         decay_est = decay_fit(spec, grid)
@@ -280,10 +295,9 @@ def check_admissibility(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
         decay_est = math.nan
         notes.append("potential vanishes on the decay-fit window")
 
-    edge_v = edge_magnitude(spec, grid)
     if edge_v >= EDGE_TOL:
         return AdmissibilityReport(
-            spec, decay_est, (), None, False, False,
+            spec, grid, decay_est, (), None, False, False,
             tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}"]),
         )
 
@@ -303,6 +317,7 @@ def check_admissibility(spec: PotentialSpec, grid: Grid) -> AdmissibilityReport:
     )
     return AdmissibilityReport(
         spec,
+        grid,
         decay_est,
         energies,
         probe,

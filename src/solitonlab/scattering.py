@@ -426,7 +426,9 @@ def ode_residual(sol: JostSolution, potential: SampledPotential) -> ResidualRepo
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """T/R table and admissibility report (bound states, resonance) for one potential."""
+    """T/R table and admissibility report (bound states, resonance) for one
+    potential; the admissibility report is judged on its own domain, not on
+    the table's."""
 
     lams: tuple[float, ...]
     coefficients: tuple[ScatteringCoefficients, ...]
@@ -448,10 +450,11 @@ class SpectralReport:
         return max((abs(c.R) * c.lam for c in self.coefficients), default=0.0)
 
     def to_dict(self) -> dict:
+        resonance = self.admissibility.resonance  # None when judged inconclusive at an edge
         return {
             "potential": self.admissibility.spec.to_dict(),
             "bound_state_energies": list(self.admissibility.bound_state_energies),
-            "resonance": asdict(self.admissibility.resonance),
+            "resonance": asdict(resonance) if resonance is not None else None,
             "max_unitarity_defect": self.max_unitarity_defect,
             "max_t_agreement": self.max_t_agreement,
             "sup_reflection_times_lam": self.sup_reflection_times_lam,
@@ -472,10 +475,9 @@ class SpectralReport:
 
 
 def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralReport:
-    pot = sample_potential(spec, grid)
-    # the table checks both edges first, so the report below is never cut short
-    coeffs = scattering_table(pot, lams)
-    admissibility = check_admissibility(spec, grid)
+    """The T/R table on ``grid``, with the admissibility report of ``spec``."""
+    coeffs = scattering_table(sample_potential(spec, grid), lams)
+    admissibility = check_admissibility(spec)
     half = min(abs(grid.x_min - spec.center), abs(grid.x[-1] - spec.center))
     lam_min = min(c.lam for c in coeffs)
     truncation = spec.tail_integral(half) / max(lam_min, 1.0)

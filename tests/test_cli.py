@@ -4,11 +4,15 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from solitonlab import scattering
 from solitonlab.cli import _potential_from_args, build_parser, main
-from solitonlab.potentials import KINDS, PotentialSpec
+from solitonlab.experiments import ExperimentConfig, _admissibility_gate
+from solitonlab.grid import make_grid
+from solitonlab.potentials import KINDS, PotentialSpec, sample_potential
+from solitonlab.propagation import SolitonParams, soliton
 from solitonlab.reporting import config_hash
 
 
@@ -31,6 +35,8 @@ class TestSimulate:
         rows = (out / "series.csv").read_text().strip().splitlines()
         assert rows[0] == "t,err_l2,mass,energy,a_abs,edge_mass"
         assert len(rows) >= 3
+        # V > 0 has no bound state, so there is no mode amplitude to track
+        assert np.all(np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 4] == 0.0)
         report = json.loads((out / "report.json").read_text())
         assert report["valid"] is True
         assert report["sup_error"] > 0
@@ -43,6 +49,21 @@ class TestSimulate:
         assert produced <= listed | {"manifest.json"} and "series.csv" in listed
         assert (out / "final_field.bin").exists()
         assert (out / "summary.svg").read_text().startswith("<svg")
+
+    def test_bound_mode_amplitude(self, tmp_path):
+        spec = {"kind": "sech2_scaled", "beta": 0.5}
+        cfg = write_config(tmp_path / "c.json", potential=spec)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        a_abs = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 4]
+        report = json.loads((out / "report.json").read_text())
+        g = report["grid"]
+        grid = make_grid(g["x_min"], g["x_max"], g["n"])
+        (state,) = scattering.bound_states(sample_potential(PotentialSpec.from_dict(spec), grid))
+        u0 = soliton(SolitonParams(v=8.0, x0=report["x0"]), 0.0, grid).values
+        expected = abs(grid.dx * np.sum(u0 * np.conj(state.field.values)))
+        assert expected > 0.0
+        assert abs(a_abs[0] - expected) <= 1e-12
 
     def test_delta_out_of_range_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", delta=0.4)
@@ -82,6 +103,12 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", kmax_factor=4.0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "unknown config keys: ['kmax_factor']" in capsys.readouterr().err
+
+    def test_edge_mass_tol_is_not_a_key(self, tmp_path, capsys):
+        # the validity gate is propagation.EDGE_MASS_TOL
+        cfg = write_config(tmp_path / "c.json", edge_mass_tol=0.0)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['edge_mass_tol']" in capsys.readouterr().err
 
     def test_explicit_zero_dt_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", dt=0)
@@ -216,6 +243,17 @@ class TestSpectral:
         payload = json.loads((out / "spectral_report.json").read_text())
         assert payload["admissibility"]["admissible"] is True
 
+    def test_table_wider_than_the_admissibility_domain(self, tmp_path):
+        # the table's edges pass at |x| = 4096; admissibility stops at its
+        # widest domain, where |V| is still over the edge tolerance
+        out = tmp_path / "wide"
+        assert main(["spectral", "--kind", "algebraic", "--q", "2", "--s", "1.2",
+                     "--half-width", "4096", "--n", "4096", "--lambda-min", "1",
+                     "--lambda-max", "1", "--lambda-points", "1", "--out", str(out)]) == 0
+        payload = json.loads((out / "spectral_report.json").read_text())
+        assert payload["resonance"] is None
+        assert payload["admissibility"]["conclusive"] is False
+
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_kind_flag_accepts_every_catalog_kind(kind):
@@ -228,13 +266,41 @@ class TestPotentialReport:
         out = tmp_path / "pot"
         code = main(
             ["potential-report", "--kind", "gaussian", "--q", "2.0", "--sigma", "1.0",
-             "--half-width", "40", "--n", "2048", "--out", str(out)]
+             "--out", str(out)]
         )
         assert code == 0
         d = json.loads((out / "admissibility.json").read_text())
         assert d["resonance_detected"] is False
         assert d["decay_super_algebraic"] is True
         assert d["admissible"] is True
+        assert d["domain"] == {"x_min": -40.0, "x_max": 40.0, "n": 2048}
+
+    def test_slow_decay_judged_on_its_own_domain(self, tmp_path):
+        # |V(40)| = 4.9e-4 is over the edge tolerance; the domain doubles
+        out = tmp_path / "pot"
+        assert main(["potential-report", "--kind", "algebraic", "--q", "5", "--s", "2.5",
+                     "--out", str(out)]) == 0
+        d = json.loads((out / "admissibility.json").read_text())
+        assert d["admissible"] is True and d["conclusive"] is True
+        assert d["domain"] == {"x_min": -80.0, "x_max": 80.0, "n": 4096}
+
+    def test_no_grid_flags(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(["potential-report", "--kind", "gaussian", "--half-width", "40",
+                  "--out", str(tmp_path / "pot")])
+        assert info.value.code == 2
+
+    def test_spectral_and_the_run_gate_report_the_same_verdict(self, tmp_path):
+        # the T/R table's --half-width sizes only the table
+        flags = ["--kind", "sech2_scaled", "--beta", "0.5"]
+        assert main(["potential-report", *flags, "--out", str(tmp_path / "pot")]) == 0
+        assert main(["spectral", *flags, "--half-width", "60", "--lambda-points", "2",
+                     "--out", str(tmp_path / "spec")]) == 0
+        alone = json.loads((tmp_path / "pot" / "admissibility.json").read_text())
+        spectral = json.loads((tmp_path / "spec" / "spectral_report.json").read_text())
+        gate = _admissibility_gate(ExperimentConfig(
+            potential=PotentialSpec("sech2_scaled", beta=0.5), delta=0.6, velocities=(8.0,)))
+        assert spectral["admissibility"] == alone == json.loads(json.dumps(gate.to_dict()))
 
 
 class TestStudy:

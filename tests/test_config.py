@@ -38,6 +38,7 @@ class TestExperimentConfigTypes:
         with_(velocities=[8.0]),  # both 'v' and 'velocities'
         with_(kmax_factor=-1.0),
         with_(potential={"kind": "algebraic", "q": 0.5, "s": -1.0}),
+        with_(edge_mass_tol=0.0),  # a module constant, not a key
     ])
     def test_rejected(self, raw):
         with pytest.raises(ConfigError):
@@ -100,17 +101,15 @@ _valid_configs = st.fixed_dictionaries(
      "v": _speeds},
     optional={
         "x0_factor": st.floats(1, 4), "mu": st.floats(0.5, 2), "margin": st.floats(10, 50),
-        "dt_safety": st.floats(1, 4),
-        "edge_mass_tol": st.floats(1e-10, 1e-6), "x0": st.floats(-50, -1),
+        "dt_safety": st.floats(1, 4), "x0": st.floats(-50, -1),
         "dt": st.floats(1e-4, 1e-2), "obs_points": st.integers(16, 2000),
         "override_admissibility": st.booleans(), "out_dir": st.text(max_size=4),
     },
 )
-_NUMERIC_KEYS = ("delta", "v", "x0_factor", "mu", "margin", "dt_safety", "edge_mass_tol",
-                 "x0", "dt")
+_NUMERIC_KEYS = ("delta", "v", "x0_factor", "mu", "margin", "dt_safety", "x0", "dt")
 _configs = _mutated(_valid_configs, (
     "potential", "delta", "velocities", "v", "x0_factor", "mu", "margin", "dt_safety",
-    "obs_points", "edge_mass_tol", "override_admissibility", "out_dir", "x0", "dt",
+    "obs_points", "override_admissibility", "out_dir", "x0", "dt",
 )) | st.fixed_dictionaries(
     {"potential": _potentials, "delta": st.floats(0.51, 0.6),
      "velocities": st.lists(_speeds, min_size=1, max_size=5) | _json})
@@ -136,7 +135,7 @@ def test_any_json_experiment_config(raw):
         assert type(cfg.obs_points) is int
         # nothing was coerced: every numeric value read was a JSON number
         assert all(type(raw[k]) in (int, float) for k in _NUMERIC_KEYS if k in raw)
-        for name in ("x0_factor", "mu", "margin", "dt_safety", "edge_mass_tol"):
+        for name in ("x0_factor", "mu", "margin", "dt_safety"):
             assert math.isfinite(getattr(cfg, name))
 
 

@@ -318,13 +318,13 @@ class TestAdmissibilityDomain:
         PotentialSpec("sech2_scaled", beta=0.5),
     ])
     def test_fast_decay_keeps_base_domain(self, spec):
-        grid = experiments._admissibility_grid(spec)
-        assert (grid.x_min, grid.x_max, grid.n) == (-40.0, 40.0, 2048)
+        domain = experiments.check_admissibility(spec).to_dict()["domain"]
+        assert domain == {"x_min": -40.0, "x_max": 40.0, "n": 2048}
 
     def test_slow_decay_doubles_at_fixed_spacing(self):
         # |V(40)| = 4.9e-4 exceeds the edge tolerance, |V(80)| = 8.7e-5 does not
-        grid = experiments._admissibility_grid(PotentialSpec("algebraic", q=5.0, s=2.5, center=3.0))
-        assert (grid.x_min, grid.x_max, grid.n) == (-77.0, 83.0, 4096)
+        rep = experiments.check_admissibility(PotentialSpec("algebraic", q=5.0, s=2.5, center=3.0))
+        assert (rep.grid.x_min, rep.grid.x_max, rep.grid.n) == (-77.0, 83.0, 4096)
 
     def test_slow_decay_passes_gate(self):
         cfg = ExperimentConfig(
@@ -354,13 +354,13 @@ class TestAdmissibilityDomain:
         # V underflows on the decay-fit window; that is super-algebraic
         # decay, not a failed fit
         spec = PotentialSpec("gaussian", q=1.0, sigma=sigma)
-        rep = experiments.check_admissibility(spec, experiments._admissibility_grid(spec))
+        rep = experiments.check_admissibility(spec)
         assert rep.admissible and rep.conclusive
         assert math.isinf(rep.decay_parameter_estimate)
 
     def test_zero_potential_still_not_admissible(self):
         spec = PotentialSpec("zero")
-        rep = experiments.check_admissibility(spec, experiments._admissibility_grid(spec))
+        rep = experiments.check_admissibility(spec)
         assert not rep.admissible and rep.resonance_detected
         assert "potential vanishes on the decay-fit window" in rep.notes
 

@@ -124,74 +124,69 @@ class TestDecayFit:
         assert math.isinf(decay_fit(spec, g))
 
 
-@pytest.fixture(scope="module")
-def adm_grid():
-    return make_grid(-40.0, 40.0, 2048)
-
-
 class TestAdmissibility:
-    def test_zero_potential_resonant(self, adm_grid):
-        rep = check_admissibility(PotentialSpec("zero"), adm_grid)
+    def test_zero_potential_resonant(self):
+        rep = check_admissibility(PotentialSpec("zero"))
         assert rep.resonance_detected
         assert not rep.admissible
         assert rep.bound_state_count == 0
 
-    def test_depth_one_well_resonant(self, adm_grid):
-        rep = check_admissibility(PotentialSpec("sech2_scaled", beta=1.0), adm_grid)
+    def test_depth_one_well_resonant(self):
+        rep = check_admissibility(PotentialSpec("sech2_scaled", beta=1.0))
         assert rep.bound_state_count == 1
         assert rep.bound_state_energies[0] == pytest.approx(-0.5, abs=1e-3)
         assert rep.resonance_detected
         assert not rep.admissible
 
-    def test_half_depth_well_admissible(self, adm_grid):
-        rep = check_admissibility(PotentialSpec("sech2_scaled", beta=0.5), adm_grid)
+    def test_half_depth_well_admissible(self):
+        rep = check_admissibility(PotentialSpec("sech2_scaled", beta=0.5))
         assert rep.bound_state_count == 1
         assert rep.bound_state_energies[0] == pytest.approx(-KAPPA**2 / 2.0, abs=1e-3)
         assert not rep.resonance_detected
         assert rep.admissible
         assert rep.conclusive
 
-    def test_repulsive_algebraic_admissible(self, adm_grid):
-        rep = check_admissibility(PotentialSpec("algebraic", q=0.5, s=3.0), adm_grid)
+    def test_repulsive_algebraic_admissible(self):
+        rep = check_admissibility(PotentialSpec("algebraic", q=0.5, s=3.0))
         assert rep.admissible
         assert rep.bound_state_count == 0
         assert 2.9 <= rep.decay_parameter_estimate <= 3.1
 
-    def test_slow_decay_not_admissible(self, adm_grid):
+    def test_slow_decay_not_admissible(self):
         # s < 2 fails the decay requirement even without bound states
-        rep = check_admissibility(PotentialSpec("algebraic", q=0.02, s=1.5), adm_grid)
+        rep = check_admissibility(PotentialSpec("algebraic", q=0.02, s=1.5))
         assert not rep.admissible
         assert rep.decay_parameter_estimate < 2.0
 
     def test_edge_tolerance_inconclusive(self):
-        # domain too small for the slowly decaying potential
-        small = make_grid(-8.0, 8.0, 256)
-        rep = check_admissibility(PotentialSpec("algebraic", q=2.0, s=3.0), small)
+        # |V| still exceeds the edge tolerance on the widest domain
+        rep = check_admissibility(PotentialSpec("algebraic", q=2.0, s=1.2))
+        assert rep.grid.n == 1 << 16
         assert not rep.conclusive
         assert not rep.admissible
 
-    def test_resonance_flag_monotone_in_threshold(self, adm_grid, monkeypatch):
+    def test_resonance_flag_monotone_in_threshold(self, monkeypatch):
         # a looser resonance threshold can only add resonance verdicts:
         # the admissible verdict never flips inadmissible -> admissible
         spec = PotentialSpec("sech2_scaled", beta=0.5)
         monkeypatch.setattr(scattering, "RESONANCE_EPS", 1e-2)
-        loose = check_admissibility(spec, adm_grid)
+        loose = check_admissibility(spec)
         monkeypatch.setattr(scattering, "RESONANCE_EPS", 1e-6)
-        tight = check_admissibility(spec, adm_grid)
+        tight = check_admissibility(spec)
         assert loose.resonance_detected or not tight.resonance_detected
         assert (not tight.admissible) or loose.admissible or loose.resonance_detected
 
-    def test_json_round_trip(self, adm_grid):
-        rep = check_admissibility(PotentialSpec("gaussian", q=1.0, sigma=1.0), adm_grid)
+    def test_json_round_trip(self):
+        rep = check_admissibility(PotentialSpec("gaussian", q=1.0, sigma=1.0))
         d = rep.to_dict()
         assert d["decay_super_algebraic"] is True
         assert d["decay_parameter_estimate"] is None
         assert isinstance(d["admissible"], bool)
 
-    def test_narrow_gaussian_labeled_as_delta_stand_in(self, adm_grid):
+    def test_narrow_gaussian_labeled_as_delta_stand_in(self):
         spec = PotentialSpec("gaussian", q=1.0, sigma=0.04)
         assert spec.is_delta_approximation
-        rep = check_admissibility(spec, adm_grid)
+        rep = check_admissibility(spec)
         assert any("delta" in note for note in rep.notes)
 
 
