@@ -1,9 +1,10 @@
 """Three-phase transmission experiment and the velocity-scaling study.
 
-A boosted soliton starts at x0 = c - x0_factor * v^(1-delta), left of the
-potential's center c by at least the required launch distance v^(1-delta),
-crosses the potential around t* = |x0 - c|/v, and is tracked against the
-exact free soliton over the horizon t_end = (1-delta) log v. The phases are
+A boosted soliton (mu = 1) starts at x0 = c - x0_factor * v^(1-delta), left
+of the potential's center c by at least the required launch distance
+v^(1-delta), crosses the potential around t* = |x0 - c|/v, and is tracked
+against the exact free soliton over the horizon t_end = (1-delta) log v. The
+phases are
 
     phase 1 (pre-interaction)  [0, T1],  T1 = |x0 - c|/v - v^-delta
     phase 2 (interaction)      [T1, T2], T2 = |x0 - c|/v + v^-delta
@@ -28,11 +29,12 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Field, Grid, l2_norm, make_grid
+from .grid import EDGE_WINDOW, Field, Grid, l2_norm, make_grid
 from .potentials import (
     AdmissibilityReport, PotentialSpec, check_admissibility, json_number, sample_potential,
 )
 from .propagation import (
+    EDGE_MASS_TOL,
     ObserverSeries,
     SolitonParams,
     StepperConfig,
@@ -48,8 +50,16 @@ from .scattering import bound_states
 FLOOR_FACTOR = 10.0
 #: slack added to the theoretical slope bound -(2 delta - 1)
 SLOPE_SLACK = 0.1
+#: least clearance between the soliton path and a domain end; sech(30) keeps
+#: the soliton tail at the edge below propagation.SOLITON_TAIL_TOL
+MARGIN = 30.0
+#: observations over the horizon (fewer when v^-delta/10 is the finer cadence)
+OBS_POINTS = 800
+#: distance from the soliton center to an edge window at which the exact
+#: soliton's share of the mass in the window, e^{-2d}, is EDGE_MASS_TOL/2000
+_WINDOW_DISTANCE = 0.5 * math.log(2000.0 / EDGE_MASS_TOL)
 
-_NUMBER_KEYS = ("delta", "x0_factor", "mu", "margin", "dt_safety", "x0", "dt")
+_NUMBER_KEYS = ("delta", "x0_factor")
 
 
 @dataclass(frozen=True)
@@ -71,7 +81,9 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
     """T1 = |x0|/v - v^-delta, T2 = |x0|/v + v^-delta, T3 = T2 + (1-delta) log v,
     horizon t_end = (1-delta) log v, for a launch at x0 relative to the
     potential's center. Rejects T1 < 0 (start inside the interaction window)
-    and t_end <= |x0|/v (horizon over before the crossing)."""
+    and t_end <= |x0|/v (horizon over before the crossing). A T1 below 0 by
+    at most 1e-12 |x0|/v is roundoff at the launch boundary |x0| = v^(1-delta)
+    and counts as 0."""
     if not v > 1:
         raise ConfigError(f"velocity must exceed 1, got {v}")
     if not x0 < 0:
@@ -81,7 +93,7 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
     t_cross = abs(x0) / v
     half = v**-delta
     t1 = t_cross - half
-    if t1 < 0:
+    if t1 < -1e-12 * t_cross:
         raise ConfigError(
             f"T1 = |x0 - c|/v - v^-delta = {t1:.3g} < 0: soliton starts inside the "
             "interaction window; move x0 further out"
@@ -92,26 +104,19 @@ def phase_times(v: float, x0: float, delta: float) -> PhaseTimes:
             f"horizon t_end = (1-delta) log v = {t_end:.3g} ends before the crossing time "
             f"|x0 - c|/v = {t_cross:.3g}; move x0 closer (smaller x0_factor) or raise v"
         )
-    return PhaseTimes(t1=t1, t2=t_cross + half, t3=t_cross + half + t_end, t_end=t_end)
+    return PhaseTimes(t1=max(t1, 0.0), t2=t_cross + half, t3=t_cross + half + t_end, t_end=t_end)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Inputs of the transmission experiment (defaults follow the run rules).
-    ``x0`` and ``dt`` are optional explicit values for a single run, read
-    by :func:`plan_run`."""
+    """What the transmission experiment varies; :func:`plan_run` derives
+    the rest from the run rules."""
 
     potential: PotentialSpec
     delta: float
     velocities: tuple[float, ...]
     x0_factor: float = 2.0
-    mu: float = 1.0
-    margin: float = 30.0
-    dt_safety: float = 1.0
-    obs_points: int = 800
     override_admissibility: bool = False
-    x0: float | None = None
-    dt: float | None = None
 
     def __post_init__(self):
         s = max(self.potential.decay_parameter, 0.0)  # s <= 0 leaves the window empty
@@ -125,22 +130,16 @@ class ExperimentConfig:
             raise ConfigError("x0_factor must be >= 1 so that x0 - center <= -v^(1-delta)")
         if not self.velocities or any(not v > 1 for v in self.velocities):
             raise ConfigError("all velocities must exceed 1")
-        if self.mu <= 0 or self.margin <= 0 or self.dt_safety < 1.0:
-            raise ConfigError("mu and margin must be positive, dt_safety >= 1")
-        if self.obs_points < 16:
-            raise ConfigError("obs_points must be at least 16")
         object.__setattr__(self, "velocities", tuple(float(v) for v in self.velocities))
-
-    def default_x0(self, v: float) -> float:
-        return self.potential.center - self.x0_factor * v ** (1.0 - self.delta)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Read a JSON config; every value of the wrong type is a ConfigError."""
+        """Read a JSON config; every value of the wrong type is a ConfigError.
+        ``out_dir`` is accepted here and read by the command line."""
         if not isinstance(d, dict):
             raise ConfigError("experiment config must be a JSON object")
-        known = {"potential", "velocities", "v", "obs_points", "override_admissibility",
-                 "out_dir", *_NUMBER_KEYS}
+        known = {"potential", "velocities", "v", "override_admissibility", "out_dir",
+                 *_NUMBER_KEYS}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -151,11 +150,12 @@ class ExperimentConfig:
         velocities = [d["v"]] if "v" in d else d["velocities"]
         if not isinstance(velocities, list):
             raise ConfigError(f"'velocities' must be a list, got {velocities!r}")
-        for key, kind in (("obs_points", int), ("override_admissibility", bool), ("out_dir", str)):
-            if key in d and type(d[key]) is not kind:  # bool is not an int here
+        for key, kind in (("override_admissibility", bool), ("out_dir", str)):
+            if key in d and type(d[key]) is not kind:
                 raise ConfigError(f"{key!r} must be of JSON type {kind.__name__}, got {d[key]!r}")
         kwargs = {k: json_number(d[k], k) for k in _NUMBER_KEYS if k in d}
-        kwargs.update({k: d[k] for k in ("obs_points", "override_admissibility") if k in d})
+        if "override_admissibility" in d:
+            kwargs["override_admissibility"] = d["override_admissibility"]
         return cls(potential=PotentialSpec.from_dict(d["potential"]),
                    velocities=tuple(json_number(v, "velocities") for v in velocities), **kwargs)
 
@@ -177,39 +177,33 @@ class RunPlan:
 
 
 def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
-    """Size domain, grid and time step for one velocity, with config.x0 and
-    config.dt when they are set.
+    """Size domain, grid and time step for one velocity from the run rules.
 
-    The domain covers the soliton path plus the leftward excursion of the
-    reflected component (speed ~ -v from the potential after the crossing),
-    with ``margin`` clearance so nothing reaches the edge windows. An
-    explicit dt must still satisfy the dt rule when the run starts: every
-    run is checked by ``validate_step_rules``, against the same two rules.
+    The launch offset from the center is -x0_factor v^(1-delta). The core of
+    the domain spans the soliton path and the leftward excursion of the
+    reflected component (speed ~ -v from the potential after the crossing).
+    Each end adds a clearance of at least ``MARGIN``, widened so that a
+    soliton at either end of the core stays ``_WINDOW_DISTANCE`` clear of the
+    edge window, which covers ``EDGE_WINDOW`` of the whole domain.
     """
-    x0 = config.x0 if config.x0 is not None else config.default_x0(v)
     center = config.potential.center
-    launch = x0 - center
-    threshold = -(v ** (1.0 - config.delta))
-    if launch > threshold + 1e-12:
-        raise ConfigError(
-            f"x0={x0:g} violates x0 - center <= -v^(1-delta) = {threshold:g} (center {center:g})"
-        )
+    launch = -config.x0_factor * v ** (1.0 - config.delta)
+    x0 = center + launch
     phases = phase_times(v, launch, config.delta)
     t_cross = abs(launch) / v  # the crossing time of phase_times
     left_reach = center - v * max(0.0, phases.t_end - t_cross)
-    x_min = min(x0, left_reach) - config.margin
-    x_max = x0 + v * phases.t_end + config.margin
-    dx_max = math.pi / required_kmax(v, config.potential, config.mu)
+    lo, hi = min(x0, left_reach), x0 + v * phases.t_end
+    window_clear = (_WINDOW_DISTANCE + EDGE_WINDOW * (hi - lo)) / (1.0 - 2.0 * EDGE_WINDOW)
+    clearance = max(MARGIN, window_clear)
+    x_min, x_max = lo - clearance, hi + clearance
+    dx_max = math.pi / required_kmax(v, config.potential)
     n = max(16, 1 << math.ceil(math.log2((x_max - x_min) / dx_max)))
     if n > 1 << 22:
         raise ConfigError(f"required grid size n={n} is unreasonably large")
     grid = make_grid(x_min, x_max, n)
-    if config.dt is not None:
-        dt = config.dt
-    else:
-        dt = suggested_dt(v, config.potential, config.mu, config.dt_safety)
-    cadence = min(phases.t_end / config.obs_points, v**-config.delta / 10.0)
-    return RunPlan(v=float(v), x0=float(x0), grid=grid, dt=dt, cadence=cadence, phases=phases)
+    cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
+    return RunPlan(v=float(v), x0=float(x0), grid=grid, dt=suggested_dt(v, config.potential),
+                   cadence=cadence, phases=phases)
 
 
 @dataclass(frozen=True)
@@ -230,7 +224,6 @@ class RunReport:
     peak_phase3: float | None
     valid: bool
     invalid_reason: str | None
-    admissibility: AdmissibilityReport | None
     admissibility_overridden: bool
     wall_s: float
     snapshot_times: tuple[float, ...] = ()
@@ -290,7 +283,6 @@ def _run_plan(
     plan: RunPlan,
     config: ExperimentConfig,
     potential_spec: PotentialSpec | None,
-    admissibility: AdmissibilityReport | None = None,
     snapshot_every: int | None = None,
 ) -> RunReport:
     """Evolve the boosted soliton on ``plan`` under ``potential_spec`` (None
@@ -298,9 +290,9 @@ def _run_plan(
     V with a bound state on the run grid, a_abs tracks the amplitude on its
     ground state. No admissibility gate: callers judge the potential first."""
     start = perf_counter()
-    params = SolitonParams(v=plan.v, x0=plan.x0, mu=config.mu)
+    params = SolitonParams(v=plan.v, x0=plan.x0)
     grid = plan.grid
-    validate_step_rules(grid, plan.dt, plan.v, potential_spec, config.mu)
+    validate_step_rules(grid, plan.dt, plan.v, potential_spec)
     pot = sample_potential(potential_spec, grid) if potential_spec is not None else None
     states = bound_states(pot) if pot is not None else []
     u0 = soliton(params, 0.0, grid)
@@ -312,10 +304,10 @@ def _run_plan(
     wall_s = perf_counter() - start
     return RunReport(
         plan=plan, potential=potential_spec or PotentialSpec("zero"), delta=config.delta,
-        mu=config.mu, series=result.series, final=result.final,
+        mu=params.mu, series=result.series, final=result.final,
         sup_error=float(result.series.err_l2.max()),
         peak_phase1=p1, peak_phase2=p2, peak_phase3=p3,
-        valid=result.valid, invalid_reason=result.invalid_reason, admissibility=admissibility,
+        valid=result.valid, invalid_reason=result.invalid_reason,
         admissibility_overridden=potential_spec is None or config.override_admissibility,
         wall_s=wall_s, snapshot_times=result.snapshot_times, snapshots=result.snapshots,
     )
@@ -331,7 +323,8 @@ def transmission_run(
     set; the override is recorded in the report.
     """
     plan = plan_run(config, v)
-    return _run_plan(plan, config, config.potential, _admissibility_gate(config), snapshot_every)
+    _admissibility_gate(config)
+    return _run_plan(plan, config, config.potential, snapshot_every)
 
 
 @dataclass(frozen=True)
@@ -389,8 +382,7 @@ def loglog_slope(vs, es) -> float:
 
 def _study_run(task) -> RunReport:
     """Pool task: one run of a study, main (under V) or floor (V = 0)."""
-    plan, config, spec, admissibility = task
-    return _run_plan(plan, config, spec, admissibility)
+    return _run_plan(*task)
 
 
 def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
@@ -414,19 +406,17 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
         raise ConfigError(f"scaling study needs >= 4 velocities, got {len(vs)}")
     if vs[-1] < 8.0 * vs[0] - 1e-9:
         raise ConfigError("velocities must span at least a factor of 8")
-    if config.x0 is not None or config.dt is not None:
-        raise ConfigError("'x0' and 'dt' apply to a single run, not to a study")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    admissibility = _admissibility_gate(config)
+    _admissibility_gate(config)
     tasks = []
     for plan in (plan_run(config, v) for v in vs):
-        tasks.append((plan, config, config.potential, admissibility))
-        tasks.append((plan, config, None, None))
+        tasks.append((plan, config, config.potential))
+        tasks.append((plan, config, None))
     # longest first by grid points x steps; the sort is stable, so a
     # velocity's main run stays ahead of its equal-cost floor run
     tasks.sort(key=lambda task: -task[0].grid.n * task[0].t_end / task[0].dt)
-    keys = [(plan.v, "floor" if spec is None else "main") for plan, _, spec, _ in tasks]
+    keys = [(plan.v, "floor" if spec is None else "main") for plan, _, spec in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = dict(zip(keys, pool.map(_study_run, tasks)))

@@ -133,11 +133,12 @@ def from_fourier(fhat: Field) -> Field:
     return Field(fhat.grid, np.fft.ifft(fhat.values) * np.sqrt(fhat.grid.n))
 
 
-def edge_mass_fraction(f: Field) -> float:
+def edge_mass_fraction(f: Field | np.ndarray) -> float:
     """Mass inside the two windows covering ``EDGE_WINDOW`` of each domain end,
-    as a fraction of the total mass. Returns 0 for the zero field."""
-    w = max(1, int(round(EDGE_WINDOW * f.grid.n)))
-    dens = np.abs(f.values) ** 2
+    as a fraction of the total mass, of a field or of its density |u|^2 given
+    as a real array. Returns 0 for the zero field."""
+    dens = np.abs(f.values) ** 2 if isinstance(f, Field) else f
+    w = max(1, int(round(EDGE_WINDOW * dens.size)))
     total = dens.sum()
     if total == 0.0:
         return 0.0

@@ -304,7 +304,7 @@ def test_c12_delta_stand_in_resolution():
         velocities=(32.0,),
     )
     v = 32.0
-    ell = resolution_length(config.potential, config.mu)
+    ell = resolution_length(config.potential)
     plan = plan_run(config, v)
     base = _run_plan(plan, config, config.potential).sup_error
     half, fine = _refined(plan, config, config.potential)

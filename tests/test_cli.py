@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from solitonlab import scattering
+from solitonlab import cli, scattering
 from solitonlab.cli import _potential_from_args, build_parser, main
+from solitonlab.errors import InvalidRunError
 from solitonlab.experiments import ExperimentConfig, _admissibility_gate
 from solitonlab.grid import make_grid
 from solitonlab.potentials import KINDS, PotentialSpec, sample_potential
@@ -69,9 +70,11 @@ class TestSimulate:
         cfg = write_config(tmp_path / "c.json", delta=0.4)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
-    def test_dt_over_cap_exits_1(self, tmp_path):
+    def test_dt_over_cap_exits_1(self, tmp_path, capsys):
+        # the dt rule is the only owner of dt: a config cannot set one
         cfg = write_config(tmp_path / "c.json", dt=0.05)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['dt']" in capsys.readouterr().err
 
     def test_inadmissible_without_override_exits_1(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", potential={"kind": "sech2_scaled", "beta": 1.0})
@@ -110,24 +113,46 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "unknown config keys: ['edge_mass_tol']" in capsys.readouterr().err
 
-    def test_explicit_zero_dt_exits_1(self, tmp_path):
+    def test_explicit_zero_dt_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", dt=0)
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "unknown config keys: ['dt']" in capsys.readouterr().err
 
-    def test_explicit_x0_and_dt(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", x0=-6, dt=0.001)
-        out = tmp_path / "o"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert (report["x0"], report["dt"]) == (-6.0, 0.001)
+    @pytest.mark.parametrize("key, value", [
+        ("x0", -6.0), ("dt_safety", 2.0), ("margin", 10.0), ("obs_points", 800), ("mu", 0.9),
+    ])
+    def test_removed_key_exits_1(self, tmp_path, capsys, key, value):
+        # x0_factor and the run rules set these, and the soliton has mu = 1;
+        # dt is covered by the two tests above
+        cfg = write_config(tmp_path / "c.json", **{key: value})
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
 
-    def test_unworkable_geometry_exits_4(self, tmp_path):
-        # margin too small for the soliton tail: the run geometry is invalid
-        cfg = write_config(tmp_path / "c.json", margin=10.0)
+    def test_unworkable_geometry_exits_4(self, tmp_path, monkeypatch):
+        # the run rules size every domain to hold the soliton, so no config
+        # reaches this; the InvalidRunError a soliton tail at the domain edge
+        # raises must still exit 4 with the manifest status "invalid"
+        def tail_at_edge(config, v):
+            raise InvalidRunError("soliton tail 3.38e-12 exceeds 1e-12 at the domain edge")
+
+        monkeypatch.setattr(cli, "transmission_run", tail_at_edge)
+        cfg = write_config(tmp_path / "c.json")
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "invalid"
+        assert "soliton tail" in manifest["flags"]["error"]
+
+    @pytest.mark.slow
+    def test_fast_run_stays_clear_of_the_edges(self, tmp_path):
+        # a fixed 30-unit clearance put 1.8e-8 of the mass in the edge
+        # windows at v = 128; the derived clearance keeps the run valid
+        cfg = write_config(tmp_path / "c.json", v=128.0)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["valid"] is True
+        assert np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 5].max() <= 1e-10
 
     def test_bad_json_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 """JSON config reading: every object yields a valid config or a ConfigError."""
 
+import dataclasses
 import json
 import math
 
@@ -39,17 +40,33 @@ class TestExperimentConfigTypes:
         with_(kmax_factor=-1.0),
         with_(potential={"kind": "algebraic", "q": 0.5, "s": -1.0}),
         with_(edge_mass_tol=0.0),  # a module constant, not a key
+        # x0_factor and the run rules set these; mu = 1 is the paper's soliton
+        with_(x0=-5.0),
+        with_(dt=0.001),
+        with_(dt_safety=2.0),
+        with_(margin=40.0),
+        with_(obs_points=800),
+        with_(mu=1.0),
     ])
     def test_rejected(self, raw):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
+    def test_accepted_keys(self):
+        # the whole config surface: what the experiment varies, and out_dir
+        full = with_(x0_factor=1.5, override_admissibility=True, out_dir="o")
+        assert set(full) == {"potential", "delta", "v", "x0_factor", "override_admissibility",
+                             "out_dir"}
+        cfg = ExperimentConfig.from_dict(full)
+        assert {f.name for f in dataclasses.fields(cfg)} == {
+            "potential", "delta", "velocities", "x0_factor", "override_admissibility"}
+        listed = {**{k: v for k, v in full.items() if k != "v"}, "velocities": [8.0, 16.0]}
+        assert ExperimentConfig.from_dict(listed).velocities == (8.0, 16.0)
+
     def test_single_run_values_read_once(self):
-        cfg = ExperimentConfig.from_dict(with_(x0=-5, dt=0.001, override_admissibility=True))
+        cfg = ExperimentConfig.from_dict(with_(override_admissibility=True))
         assert cfg.velocities == (8.0,)
-        assert (cfg.x0, cfg.dt) == (-5.0, 0.001)
         assert cfg.override_admissibility is True
-        assert ExperimentConfig.from_dict(BASE).x0 is None
 
 
 class TestPotentialSpecTypes:
@@ -100,16 +117,13 @@ _valid_configs = st.fixed_dictionaries(
     {"potential": _potentials, "delta": st.floats(0.51, 0.6),
      "v": _speeds},
     optional={
-        "x0_factor": st.floats(1, 4), "mu": st.floats(0.5, 2), "margin": st.floats(10, 50),
-        "dt_safety": st.floats(1, 4), "x0": st.floats(-50, -1),
-        "dt": st.floats(1e-4, 1e-2), "obs_points": st.integers(16, 2000),
-        "override_admissibility": st.booleans(), "out_dir": st.text(max_size=4),
+        "x0_factor": st.floats(1, 4), "override_admissibility": st.booleans(),
+        "out_dir": st.text(max_size=4),
     },
 )
-_NUMERIC_KEYS = ("delta", "v", "x0_factor", "mu", "margin", "dt_safety", "x0", "dt")
+_NUMERIC_KEYS = ("delta", "v", "x0_factor")
 _configs = _mutated(_valid_configs, (
-    "potential", "delta", "velocities", "v", "x0_factor", "mu", "margin", "dt_safety",
-    "obs_points", "override_admissibility", "out_dir", "x0", "dt",
+    "potential", "delta", "velocities", "v", "x0_factor", "override_admissibility", "out_dir",
 )) | st.fixed_dictionaries(
     {"potential": _potentials, "delta": st.floats(0.51, 0.6),
      "velocities": st.lists(_speeds, min_size=1, max_size=5) | _json})
@@ -132,11 +146,9 @@ def test_any_json_experiment_config(raw):
         assert 0.5 < cfg.delta < 1.0
         assert cfg.velocities and all(math.isfinite(v) and v > 1 for v in cfg.velocities)
         assert isinstance(cfg.override_admissibility, bool)
-        assert type(cfg.obs_points) is int
         # nothing was coerced: every numeric value read was a JSON number
         assert all(type(raw[k]) in (int, float) for k in _NUMERIC_KEYS if k in raw)
-        for name in ("x0_factor", "mu", "margin", "dt_safety"):
-            assert math.isfinite(getattr(cfg, name))
+        assert math.isfinite(cfg.x0_factor)
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,17 +178,15 @@ _catalog = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(spec=_catalog, delta=st.floats(0.51, 0.7), v=st.floats(6, 64),
-       x0_factor=st.floats(1, 3), mu=st.floats(0.5, 2), margin=st.floats(10, 50),
-       dt_safety=st.floats(1, 4))
-def test_every_plan_passes_the_step_rules(spec, delta, v, x0_factor, mu, margin, dt_safety):
+@given(spec=_catalog, delta=st.floats(0.51, 0.7), v=st.floats(6, 64), x0_factor=st.floats(1, 3))
+def test_every_plan_passes_the_step_rules(spec, delta, v, x0_factor):
     # plan_run and validate_step_rules read one owner per rule, so whatever
     # plan_run sizes, the run (under V, and its V = 0 floor) accepts
     try:
         config = ExperimentConfig(potential=spec, delta=delta, velocities=(v,),
-                                  x0_factor=x0_factor, mu=mu, margin=margin, dt_safety=dt_safety)
+                                  x0_factor=x0_factor)
         plan = plan_run(config, v)
     except ConfigError:  # a launch geometry the phase rules reject
         hypothesis.reject()
-    validate_step_rules(plan.grid, plan.dt, plan.v, spec, mu)
-    validate_step_rules(plan.grid, plan.dt, plan.v, None, mu)
+    validate_step_rules(plan.grid, plan.dt, plan.v, spec)
+    validate_step_rules(plan.grid, plan.dt, plan.v, None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from solitonlab.errors import ConfigError, InvalidRunError, NumericalBreakdownError
-from solitonlab.grid import Field, l2_norm, make_grid
+from solitonlab.grid import Field, edge_mass_fraction, l2_norm, make_grid
 from solitonlab.potentials import PotentialSpec, sample_potential
 from solitonlab.propagation import (
     SolitonParams,
@@ -263,6 +263,14 @@ class TestObserver:
         ])
         assert len(expected) == len(res.series.err_l2) and expected.min() > 0.1
         assert np.max(np.abs(res.series.err_l2 - expected) / expected) <= 1e-12
+
+    @pytest.mark.parametrize("with_potential", [False, True])
+    @pytest.mark.parametrize("cadence", [0.01, 0.05])
+    def test_edge_column_matches_edge_mass_fraction(self, cadence, with_potential):
+        _, _, _, res = self._run(cadence, with_potential)
+        expected = np.array([edge_mass_fraction(s) for s in res.snapshots])
+        assert len(expected) == len(res.series.edge_mass) and expected.min() > 0
+        assert np.max(np.abs(res.series.edge_mass - expected) / expected) <= 1e-12
 
     @pytest.mark.parametrize("cadence, k_obs", [(0.01, 1), (0.05, 5)])
     def test_transform_budget(self, monkeypatch, cadence, k_obs):
