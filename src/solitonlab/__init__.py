@@ -30,7 +30,6 @@ from .scattering import (
     detect_resonance,
     jost,
     project,
-    scattering_coefficients,
     scattering_table,
     wronskian,
 )
@@ -53,7 +52,7 @@ __all__ = [
     "Grid", "Field", "make_grid", "l2_norm", "lp_norm", "inner_product",
     "PotentialSpec", "AdmissibilityReport", "sample_potential", "check_admissibility",
     "JostSolution", "ScatteringCoefficients", "BoundState", "jost", "wronskian",
-    "detect_resonance", "scattering_coefficients", "scattering_table", "bound_states",
+    "detect_resonance", "scattering_table", "bound_states",
     "project",
     "SolitonParams", "StepperConfig", "soliton", "step", "evolve", "energy",
     "ExperimentConfig", "PhaseTimes", "RunReport", "ScalingResult", "phase_times",

@@ -189,7 +189,7 @@ def cmd_potential_report(args) -> int:
     out = _out_dir(args, None, "runs/potential")
     path = out / "admissibility.json"
     write_json(path, report.to_dict())
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True, default=str))
+    sys.stdout.write(path.read_text())
     return EXIT_OK
 
 

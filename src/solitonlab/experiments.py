@@ -209,8 +209,9 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
 @dataclass(frozen=True)
 class RunReport:
     """One transmission run: error series against the exact soliton plus
-    per-phase peak errors and validity flags. ``wall_s`` is the run's own
-    wall time; it is telemetry, so :meth:`to_dict` leaves it out."""
+    per-phase peak errors and validity flags. The run took ``steps`` steps
+    of t_end/steps, at most ``plan.dt``. ``wall_s`` is the run's own wall
+    time; it is telemetry, so :meth:`to_dict` leaves it out."""
 
     plan: RunPlan
     potential: PotentialSpec
@@ -225,6 +226,7 @@ class RunReport:
     valid: bool
     invalid_reason: str | None
     admissibility_overridden: bool
+    steps: int
     wall_s: float
     snapshot_times: tuple[float, ...] = ()
     snapshots: tuple[Field, ...] = ()
@@ -243,7 +245,8 @@ class RunReport:
             },
             "grid": {"x_min": self.plan.grid.x_min, "x_max": self.plan.grid.x_max,
                      "n": self.plan.grid.n},
-            "dt": self.plan.dt,
+            "dt": self.plan.t_end / self.steps,
+            "steps": self.steps,
             "potential": self.potential.to_dict(),
             "sup_error": self.sup_error,
             "peak_phase1": self.peak_phase1,
@@ -309,7 +312,8 @@ def _run_plan(
         peak_phase1=p1, peak_phase2=p2, peak_phase3=p3,
         valid=result.valid, invalid_reason=result.invalid_reason,
         admissibility_overridden=potential_spec is None or config.override_admissibility,
-        wall_s=wall_s, snapshot_times=result.snapshot_times, snapshots=result.snapshots,
+        steps=result.steps, wall_s=wall_s, snapshot_times=result.snapshot_times,
+        snapshots=result.snapshots,
     )
 
 

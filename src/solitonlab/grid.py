@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -175,11 +174,3 @@ def load_field(path: str | Path) -> Field:
     grid = make_grid(x_min, x_max, int(n))
     return Field(grid, data[0::2] + 1j * data[1::2])
 
-
-def field_to_csv(f: Field, path: str | Path) -> None:
-    """Plot-friendly CSV with columns x, re, im (full double precision)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "re", "im"])
-        for xj, vj in zip(f.grid.x, f.values):
-            w.writerow([f"{xj:.17g}", f"{vj.real:.17g}", f"{vj.imag:.17g}"])

@@ -38,8 +38,11 @@ ADMISSIBILITY_MAX_N = 1 << 16
 #: log-log slopes steeper than this are reported as the super-algebraic sentinel
 SLOPE_CAP = 15.0
 
-#: catalog kinds, and the numeric parameters of a PotentialSpec
-KINDS = ("zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller")
+#: catalog kinds and the parameters each reads besides ``center``, the only
+#: ones outside input may set; and the numeric parameters of a PotentialSpec
+KIND_PARAMS = {"zero": (), "algebraic": ("q", "s"), "gaussian": ("q", "sigma"),
+               "sech2_scaled": ("beta",), "poschl_teller": ("ell",)}
+KINDS = tuple(KIND_PARAMS)
 PARAMS = ("q", "s", "sigma", "beta", "ell", "center")
 
 
@@ -88,10 +91,12 @@ class PotentialSpec:
             return self.q * (1.0 + y * y) ** (-self.s / 2.0)
         if self.kind == "gaussian":
             return self.q * np.exp(-y * y / (2.0 * self.sigma**2))
-        if self.kind == "sech2_scaled":
-            return -self.beta * _sech(y) ** 2
-        # poschl_teller
-        return -(self.ell * (self.ell + 1.0) / 2.0) * _sech(y) ** 2
+        return -self.depth * _sech(y) ** 2
+
+    @property
+    def depth(self) -> float:
+        """The sech^2 kinds' well depth: poschl_teller is sech2_scaled at beta = ell(ell+1)/2."""
+        return self.beta if self.kind == "sech2_scaled" else self.ell * (self.ell + 1.0) / 2.0
 
     @property
     def sup_norm(self) -> float:
@@ -138,31 +143,25 @@ class PotentialSpec:
         if self.kind == "gaussian":
             return float(abs(self.q) * self.sigma * math.sqrt(2 * math.pi)
                          * math.erfc(r / (math.sqrt(2) * self.sigma)))
-        beta = self.beta if self.kind == "sech2_scaled" else self.ell * (self.ell + 1) / 2
         # integral of sech^2 tail = 1 - tanh(r), both sides
-        return float(2.0 * beta * (1.0 - math.tanh(r)))
+        return float(2.0 * self.depth * (1.0 - math.tanh(r)))
 
     def to_dict(self) -> dict:
-        d = {"kind": self.kind, "center": self.center}
-        if self.kind == "algebraic":
-            d.update(q=self.q, s=self.s)
-        elif self.kind == "gaussian":
-            d.update(q=self.q, sigma=self.sigma)
-        elif self.kind == "sech2_scaled":
-            d.update(beta=self.beta)
-        elif self.kind == "poschl_teller":
-            d.update(ell=self.ell)
-        return d
+        return {"kind": self.kind, "center": self.center,
+                **{name: getattr(self, name) for name in KIND_PARAMS[self.kind]}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PotentialSpec":
+        """Read outside input; a key the kind does not read is a ConfigError."""
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigError("potential config must be an object with a 'kind' key")
-        unknown = set(d) - {"kind", *PARAMS}
-        if unknown:
-            raise ConfigError(f"unknown potential keys: {sorted(unknown)}")
-        if not isinstance(d["kind"], str):
-            raise ConfigError(f"potential kind must be a string, got {d['kind']!r}")
+        kind = d["kind"]
+        if kind not in KINDS:
+            raise ConfigError(f"unknown potential kind {kind!r}; choose from {KINDS}")
+        allowed = ("kind", *KIND_PARAMS[kind], "center")
+        if foreign := set(d) - set(allowed):
+            raise ConfigError(f"potential kind {kind!r} takes only {list(allowed)}; "
+                              f"foreign keys: {sorted(foreign)}")
         return cls(**{k: (v if k == "kind" else json_number(v, k)) for k, v in d.items()})
 
 

@@ -179,8 +179,11 @@ class ObserverSeries:
 
 @dataclass(frozen=True)
 class EvolveResult:
+    """The run's outcome; it took ``steps`` steps of (t1 - t0)/steps each."""
+
     final: Field
     series: ObserverSeries
+    steps: int
     valid: bool
     invalid_reason: str | None = None
     snapshot_times: tuple[float, ...] = ()
@@ -342,6 +345,7 @@ def evolve(
     return EvolveResult(
         final=Field(grid, u),
         series=series,
+        steps=n_seg * k_obs,
         valid=valid,
         invalid_reason=reason,
         snapshot_times=tuple(snap_times),

@@ -316,10 +316,6 @@ def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoeffi
     return _coeffs_from_batch(grid, lams, fp_f, fp_g, fm_f, fm_g)
 
 
-def scattering_coefficients(potential: SampledPotential, lam: float) -> ScatteringCoefficients:
-    return scattering_table(potential, [lam])[0]
-
-
 def bound_states(
     potential: SampledPotential, refine_tol: float | None = None
 ) -> list[BoundState]:

@@ -1,7 +1,8 @@
 """What the benchmark in perfbench/ needs from the program.
 
-The tracer wraps functions by name and reads evolve's arguments, and the
-oracles parse the CSV the observer writes. A change to any of these fails
+The tracer wraps functions by name and reads evolve's arguments, the
+oracles parse the CSV the observer writes, and every input the workloads
+give the command line must pass its readers. A change to any of these fails
 here, not only in a traced benchmark run.
 """
 
@@ -9,6 +10,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
+import sys
 import typing
 from pathlib import Path
 
@@ -16,6 +19,9 @@ import numpy as np
 import pytest
 
 from solitonlab import propagation
+from solitonlab.cli import _potential_from_args, build_parser
+from solitonlab.experiments import ExperimentConfig
+from solitonlab.potentials import PotentialSpec
 from solitonlab.propagation import ObserverSeries
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -66,3 +72,38 @@ def test_series_csv_passes_the_oracle_reader(tmp_path, oracles):
     assert list(read) == ["t", "err_l2", "mass", "energy", "a_abs", "edge_mass"]
     for (name, expected), got in zip(columns.items(), read.values()):
         assert np.array_equal(got, expected), name
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its sibling oracles.py by plain name
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_workload_potentials_pass_the_reader(workloads):
+    specs = [workloads.STUDY_POTENTIAL, *workloads.SIMULATE_POTENTIALS,
+             workloads.KNOWN_FAULT["potential"], *workloads.SPECTRAL_POTENTIALS]
+    for spec in specs:
+        assert PotentialSpec.from_dict(spec).to_dict() == {"center": 0.0, **spec}
+
+
+@pytest.mark.parametrize("name", ["study", "simulate"])
+def test_workload_configs_pass_the_reader(workloads, tmp_path, name):
+    ops = workloads.Workload(name, tmp_path, seed=0).ops
+    assert ops
+    for op in ops:
+        config = json.loads(Path(op.argv[op.argv.index("--config") + 1]).read_text())
+        ExperimentConfig.from_dict(config)
+
+
+def test_spectral_argv_parses(workloads, tmp_path):
+    workload = workloads.Workload("spectral", tmp_path, seed=0)
+    ops = workload.ops + workload.warmup()
+    assert len(ops) == 2 * len(workloads.SPECTRAL_POTENTIALS)
+    for op in ops:
+        args = build_parser().parse_args(op.argv)
+        assert _potential_from_args(args).kind == args.kind

@@ -9,11 +9,11 @@ import pytest
 
 from solitonlab import cli, scattering
 from solitonlab.cli import _potential_from_args, build_parser, main
-from solitonlab.errors import InvalidRunError
+from solitonlab.errors import ConfigError, InvalidRunError
 from solitonlab.experiments import ExperimentConfig, _admissibility_gate
 from solitonlab.grid import make_grid
-from solitonlab.potentials import KINDS, PotentialSpec, sample_potential
-from solitonlab.propagation import SolitonParams, soliton
+from solitonlab.potentials import KIND_PARAMS, KINDS, PARAMS, PotentialSpec, sample_potential
+from solitonlab.propagation import SolitonParams, soliton, suggested_dt
 from solitonlab.reporting import config_hash
 
 
@@ -50,6 +50,21 @@ class TestSimulate:
         assert produced <= listed | {"manifest.json"} and "series.csv" in listed
         assert (out / "final_field.bin").exists()
         assert (out / "summary.svg").read_text().startswith("<svg")
+
+    def test_report_states_the_step_taken(self, tmp_path):
+        # at v = 8 the observer cadence t_end/800 is finer than the step, so
+        # every step is observed and the series is spaced by the step taken
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        dt, steps = report["dt"], report["steps"]
+        assert isinstance(steps, int) and steps > 0
+        assert dt * steps == pytest.approx(report["t_end"], rel=1e-12, abs=0)
+        assert dt <= suggested_dt(8.0, PotentialSpec("algebraic", q=0.5, s=3.0))
+        times = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 0]
+        assert times.size == steps + 1
+        assert np.allclose(np.diff(times), dt, rtol=1e-12, atol=0)
 
     def test_bound_mode_amplitude(self, tmp_path):
         spec = {"kind": "sech2_scaled", "beta": 0.5}
@@ -280,10 +295,37 @@ class TestSpectral:
         assert payload["admissibility"]["conclusive"] is False
 
 
+#: a value of each potential parameter that every kind reading it runs with
+OWN_VALUES = {"q": 0.5, "s": 3.0, "sigma": 1.0, "beta": 0.5, "ell": 2.0, "center": 1.0}
+FOREIGN = [(kind, key) for kind in KINDS for key in PARAMS
+           if key not in (*KIND_PARAMS[kind], "center")]
+
+
 @pytest.mark.parametrize("kind", KINDS)
-def test_kind_flag_accepts_every_catalog_kind(kind):
-    args = build_parser().parse_args(["potential-report", "--kind", kind, "--q", "0.5"])
-    assert _potential_from_args(args) == PotentialSpec(kind, q=0.5)
+def test_kind_flag_accepts_every_catalog_kind(kind, tmp_path):
+    own = {key: OWN_VALUES[key] for key in (*KIND_PARAMS[kind], "center")}
+    flags = ["--kind", kind, *(f"--{key}={value:g}" for key, value in own.items())]
+    args = build_parser().parse_args(["potential-report", *flags])
+    assert _potential_from_args(args) == PotentialSpec(kind, **own)
+    assert main(["potential-report", *flags, "--out", str(tmp_path / "pot")]) == 0
+
+
+@pytest.mark.parametrize("kind, key", FOREIGN)
+def test_foreign_potential_parameter_exits_1(kind, key, tmp_path, capsys):
+    # a parameter the kind does not read would be dropped from the run but
+    # kept in the manifest; it is rejected on both input surfaces
+    spec = {"kind": kind, **{k: OWN_VALUES[k] for k in KIND_PARAMS[kind]}, key: OWN_VALUES[key]}
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"potential": spec, "delta": 0.6, "v": 8.0})
+    cfg = write_config(tmp_path / "c.json", potential=spec)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"potential kind {kind!r}" in err and f"foreign keys: [{key!r}]" in err
+    pot = tmp_path / "pot"
+    assert main(["potential-report", "--kind", kind, f"--{key}", "0.5", "--out", str(pot)]) == 1
+    assert not pot.exists()
 
 
 class TestPotentialReport:
@@ -308,6 +350,20 @@ class TestPotentialReport:
         d = json.loads((out / "admissibility.json").read_text())
         assert d["admissible"] is True and d["conclusive"] is True
         assert d["domain"] == {"x_min": -80.0, "x_max": 80.0, "n": 4096}
+
+    def test_stdout_is_the_file_as_strict_json(self, tmp_path, capsys):
+        # inconclusive: the Wronskian at zero is never computed (NaN -> null)
+        out = tmp_path / "pot"
+        assert main(["potential-report", "--kind", "algebraic", "--q", "2", "--s", "1.2",
+                     "--out", str(out)]) == 0
+        text = capsys.readouterr().out
+        assert text == (out / "admissibility.json").read_text()
+
+        def reject(constant):
+            raise ValueError(f"non-strict JSON constant {constant}")
+
+        d = json.loads(text, parse_constant=reject)
+        assert d["conclusive"] is False and d["wronskian_at_zero_abs"] is None
 
     def test_no_grid_flags(self, tmp_path):
         with pytest.raises(SystemExit) as info:

@@ -8,7 +8,7 @@ import pytest
 
 from solitonlab.errors import ConfigError
 from solitonlab.experiments import ExperimentConfig, plan_run
-from solitonlab.potentials import PotentialSpec
+from solitonlab.potentials import KIND_PARAMS, KINDS, PARAMS, PotentialSpec
 from solitonlab.propagation import validate_step_rules
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -76,10 +76,19 @@ class TestPotentialSpecTypes:
         {"kind": "gaussian", "center": None},
         {"kind": ["gaussian"]},
         {"kind": "algebraic", "s": math.inf},
+        # keys the kind does not read (every single one: test_cli FOREIGN)
+        {"kind": "gaussian", "q": 2.0, "sigma": 1.0, "s": 5.0, "beta": 7.0},
+        {"kind": "sech2_scaled", "q": 9.0, "sigma": 3.0, "beta": 0.5},
     ])
     def test_rejected(self, raw):
         with pytest.raises(ConfigError):
             PotentialSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_to_dict_holds_the_kinds_own_keys(self, kind):
+        d = PotentialSpec(kind).to_dict()
+        assert list(d) == ["kind", "center", *KIND_PARAMS[kind]]
+        assert PotentialSpec.from_dict(d) == PotentialSpec(kind)
 
     def test_integers_are_numbers(self):
         assert PotentialSpec.from_dict({"kind": "algebraic", "q": 1, "s": 3}).s == 3.0
@@ -93,7 +102,6 @@ _json = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
-_kinds = st.sampled_from(["zero", "algebraic", "gaussian", "sech2_scaled", "poschl_teller"])
 
 
 def _mutated(base, keys):
@@ -106,11 +114,16 @@ def _mutated(base, keys):
     ).map(lambda t: {**{k: v for k, v in t[0].items() if k not in t[1]}, **t[2]})
 
 
+_param_values = {"q": st.floats(-3, 3), "s": st.floats(1.5, 6), "sigma": st.floats(0.1, 3),
+                 "beta": st.floats(0, 0.9), "ell": st.floats(0.1, 3),
+                 "center": st.integers(-5, 5)}
+# each kind draws only its own keys, so accepted specs stay common; the
+# mutations still set foreign keys
 _potentials = _mutated(
-    st.fixed_dictionaries({"kind": _kinds}, optional={
-        "q": st.floats(-3, 3), "s": st.floats(1.5, 6), "sigma": st.floats(0.1, 3),
-        "beta": st.floats(0, 0.9), "ell": st.floats(0.1, 3), "center": st.integers(-5, 5)}),
-    ("kind", "q", "s", "sigma", "beta", "ell", "center"),
+    st.sampled_from(KINDS).flatmap(lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)},
+        optional={k: _param_values[k] for k in (*KIND_PARAMS[kind], "center")})),
+    ("kind", *PARAMS),
 )
 _speeds = st.floats(1.5, 64) | st.integers(2, 64)
 _valid_configs = st.fixed_dictionaries(
@@ -157,6 +170,7 @@ def test_any_json_potential(raw):
     spec = _outcome(PotentialSpec.from_dict, raw)
     if spec is not None:
         assert all(type(v) in (int, float) for k, v in raw.items() if k != "kind")
+        assert set(raw) <= {"kind", "center", *KIND_PARAMS[spec.kind]}
         echo = spec.to_dict()
         assert PotentialSpec.from_dict(json.loads(json.dumps(echo))).to_dict() == echo
 

@@ -9,7 +9,6 @@ from solitonlab.errors import ConfigError, NumericalBreakdownError
 from solitonlab.grid import (
     Field,
     edge_mass_fraction,
-    field_to_csv,
     from_fourier,
     inner_product,
     l2_norm,
@@ -214,15 +213,3 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             load_field(path)
 
-    def test_csv_columns(self, tmp_path):
-        g = make_grid(-1.0, 1.0, 16)
-        f = Field(g, np.exp(1j * g.x))
-        path = tmp_path / "f.csv"
-        field_to_csv(f, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "x,re,im"
-        assert len(lines) == 17
-        x0, re0, im0 = map(float, lines[1].split(","))
-        assert x0 == -1.0
-        assert re0 == pytest.approx(math.cos(-1.0), abs=1e-15)
-        assert im0 == pytest.approx(math.sin(-1.0), abs=1e-15)

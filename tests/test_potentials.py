@@ -34,11 +34,13 @@ class TestSampling:
         assert spec(np.array([0.0]))[0] == pytest.approx(-1.0)
 
     def test_poschl_teller_matches_sech2(self):
-        # ell = 1 is the depth-1 well
+        # poschl_teller is sech2_scaled at beta = ell(ell+1)/2, sample for sample
         g = make_grid(-20.0, 20.0, 256)
-        a = sample_potential(PotentialSpec("poschl_teller", ell=1.0), g)
-        b = sample_potential(PotentialSpec("sech2_scaled", beta=1.0), g)
-        assert np.allclose(a.values, b.values, atol=1e-15)
+        for ell in (1.0, 2.0):
+            a = PotentialSpec("poschl_teller", ell=ell)
+            b = PotentialSpec("sech2_scaled", beta=ell * (ell + 1.0) / 2.0)
+            assert np.array_equal(sample_potential(a, g).values, sample_potential(b, g).values)
+            assert a.tail_integral(5.0) == b.tail_integral(5.0)
 
     def test_center_offset(self):
         spec = PotentialSpec("gaussian", q=2.0, sigma=1.0, center=3.0)

@@ -21,7 +21,6 @@ from solitonlab.scattering import (
     jost,
     ode_residual,
     project,
-    scattering_coefficients,
     scattering_table,
     wronskian,
 )
@@ -117,7 +116,7 @@ class TestResonance:
 
 class TestScatteringCoefficients:
     def test_free_identity(self, free):
-        c = scattering_coefficients(free, 1.5)
+        (c,) = scattering_table(free, [1.5])
         assert abs(c.T - 1.0) <= 1e-12
         assert abs(c.R) <= 1e-12
 
@@ -150,9 +149,9 @@ class TestScatteringCoefficients:
 
     def test_rejects_nonpositive_lam(self, free):
         with pytest.raises(ConfigError):
-            scattering_coefficients(free, 0.0)
+            scattering_table(free, [0.0])
         with pytest.raises(ConfigError):
-            scattering_coefficients(free, -1.0)
+            scattering_table(free, [-1.0])
 
 
 class TestIntegratorOrder:
@@ -163,11 +162,11 @@ class TestIntegratorOrder:
 
         g = make_grid(-30.0, 30.0, 512)
         pot = sample_potential(PotentialSpec("gaussian", q=2.0, sigma=1.0), g)
-        ref = scattering_coefficients(pot, 1.0).T
+        ref = scattering_table(pot, [1.0])[0].T
         errs = []
         for theta in (0.28, 0.14, 0.07):
             monkeypatch.setattr(sc, "SUBSTEP_PHASE", theta)
-            errs.append(abs(scattering_coefficients(pot, 1.0).T - ref))
+            errs.append(abs(scattering_table(pot, [1.0])[0].T - ref))
         for i in range(2):
             assert 12.0 <= errs[i] / errs[i + 1] <= 20.0  # ~2^4 per halving
 
