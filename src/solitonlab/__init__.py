@@ -38,7 +38,6 @@ from .experiments import (
     PhaseTimes,
     RunReport,
     ScalingResult,
-    forcing_profile,
     lemma_error_check,
     phase_times,
     scaling_study,
@@ -56,5 +55,5 @@ __all__ = [
     "project",
     "SolitonParams", "StepperConfig", "soliton", "step", "evolve", "energy",
     "ExperimentConfig", "PhaseTimes", "RunReport", "ScalingResult", "phase_times",
-    "forcing_profile", "lemma_error_check", "transmission_run", "scaling_study",
+    "lemma_error_check", "transmission_run", "scaling_study",
 ]

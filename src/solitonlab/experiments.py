@@ -29,7 +29,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ConfigError
-from .grid import EDGE_WINDOW, Field, Grid, l2_norm, make_grid
+from .grid import EDGE_WINDOW, Field, Grid, make_grid
 from .potentials import (
     AdmissibilityReport, PotentialSpec, check_admissibility, json_number, sample_potential,
 )
@@ -197,9 +197,11 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     clearance = max(MARGIN, window_clear)
     x_min, x_max = lo - clearance, hi + clearance
     dx_max = math.pi / required_kmax(v, config.potential)
-    n = max(16, 1 << math.ceil(math.log2((x_max - x_min) / dx_max)))
-    if n > 1 << 22:
-        raise ConfigError(f"required grid size n={n} is unreasonably large")
+    log2_points = math.log2((x_max - x_min) / dx_max)
+    if not log2_points <= 22:  # inf at a huge v, too
+        raise ConfigError(f"required grid size 2^{log2_points:.4g} points is unreasonably large "
+                          "(at most 2^22)")
+    n = max(16, 1 << math.ceil(log2_points))
     grid = make_grid(x_min, x_max, n)
     cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
     return RunPlan(v=float(v), x0=float(x0), grid=grid, dt=suggested_dt(v, config.potential),
@@ -459,56 +461,6 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
         runs=runs,
         floor_runs=floor_runs,
     )
-
-
-# --- soliton-potential forcing diagnostics -----------------------------------
-
-
-@dataclass(frozen=True)
-class ForcingProfile:
-    """Discrete L2 norm of V u1(t) over sampled times, with the algebraic
-    envelope C <x0 + v t - center>^{-s} (C measured as the sup of the ratio)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    envelope_constant: float
-    envelope: np.ndarray | None
-
-    def __post_init__(self):
-        for name in ("times", "values"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-def forcing_profile(potential, params: SolitonParams, times) -> ForcingProfile:
-    """Evaluate t -> ||V u1(t)||_L2 on the potential's grid.
-
-    For an algebraically decaying potential the profile is dominated by a
-    single algebraic envelope in the soliton position; the constant is the
-    measured sup of the ratio. Super-algebraic kinds carry no envelope.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    grid = potential.grid
-    # support at the extreme sampled times implies support throughout
-    for t in (float(times.min()), float(times.max())):
-        soliton(params, t, grid)
-    vals = np.empty(times.size)
-    for i, t in enumerate(times):
-        u1 = soliton(params, float(t), grid, check_support=False)
-        vals[i] = l2_norm(Field(grid, potential.values * u1.values))
-    s = potential.spec.decay_parameter
-    if math.isfinite(s):
-        pos = params.x0 + params.v * times - potential.spec.center
-        decay = (1.0 + pos**2) ** (-s / 2.0)
-        with np.errstate(divide="ignore"):
-            const = float(np.max(vals / decay))
-        env = const * decay
-        env.flags.writeable = False
-    else:
-        const = math.nan
-        env = None
-    return ForcingProfile(times=times, values=vals, envelope_constant=const, envelope=env)
 
 
 # --- exponential-window tail bound -------------------------------------------

@@ -77,8 +77,10 @@ class PotentialSpec:
         for name in PARAMS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"potential parameter {name} must be finite")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ConfigError("gaussian width sigma must be positive")
+        # sigma**2 underflows to 0 below about 1.5e-162, and V(center) is 0/0
+        if self.kind == "gaussian" and not (self.sigma > 0 and self.sigma**2 > 0):
+            raise ConfigError(f"gaussian width sigma must be positive with sigma**2 > 0, "
+                              f"got {self.sigma:g}")
         if self.kind == "poschl_teller" and self.ell <= 0:
             raise ConfigError("poschl_teller ell must be positive")
 

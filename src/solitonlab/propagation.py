@@ -15,16 +15,16 @@ samples at its end, in 2k+1 transforms, so the next segment needs no
 forward transform and the observer takes the kinetic energy from that
 spectrum by Parseval. ``step`` and ``evolve`` share this one kernel.
 
-Resolution rules for a boosted soliton with carrier velocity v and width
-parameter mu, under V. Both are Galilean invariant: the carrier phase
-e^{ivx} is integrated exactly by the kinetic substep, so neither rule pays
-for v^2. The length ell is the shorter of the soliton width 1/mu and the
-potential's feature length max|V|/max|V'|:
+Resolution rules for a boosted soliton of width 1 (mu = 1) with carrier
+velocity v, under V. Both are Galilean invariant: the carrier phase e^{ivx}
+is integrated exactly by the kinetic substep, so neither rule pays for v^2.
+The length ell is the shorter of the soliton width 1 and the potential's
+feature length max|V|/max|V'|:
 
     k_max >= |v| + (2/(pi ell)) ln(2/SOLITON_TAIL_TOL)
              (the Fourier envelope sech(pi (k - v) ell/2) is below
              SOLITON_TAIL_TOL at Nyquist; about |v| + 18/ell)
-    dt    <= PHASE_CAP / (max|V| + mu^2 + 2|v|/ell)
+    dt    <= PHASE_CAP / (max|V| + 1 + 2|v|/ell)
              (<= 0.1 rad pointwise phase per substep, and the soliton
              moves at most 0.05 ell per step)
 """
@@ -90,38 +90,38 @@ def soliton(
     return Field(grid, p.mu * np.exp(1j * phase) * _sech(p.mu * (grid.x - p.center(t))))
 
 
-def resolution_length(potential: PotentialSpec | None = None, mu: float = 1.0) -> float:
-    """ell of the resolution rules: the shorter of the soliton width 1/mu and
+def resolution_length(potential: PotentialSpec | None = None) -> float:
+    """ell of the resolution rules: the shorter of the soliton width 1 and
     the feature length max|V|/max|V'| of ``potential`` (None is V = 0)."""
     slope = potential.slope_norm if potential is not None else 0.0
-    return min(1.0 / mu, potential.sup_norm / slope) if slope > 0 else 1.0 / mu
+    return min(1.0, potential.sup_norm / slope) if slope > 0 else 1.0
 
 
-def required_kmax(v: float, potential: PotentialSpec | None = None, mu: float = 1.0) -> float:
+def required_kmax(v: float, potential: PotentialSpec | None = None) -> float:
     """The k rule: the smallest grid k_max for carrier v (see the module docstring)."""
-    ell = resolution_length(potential, mu)
+    ell = resolution_length(potential)
     return abs(v) + 2.0 / (math.pi * ell) * math.log(2.0 / SOLITON_TAIL_TOL)
 
 
-def suggested_dt(v: float, potential: PotentialSpec | None = None, mu: float = 1.0) -> float:
+def suggested_dt(v: float, potential: PotentialSpec | None = None) -> float:
     """The dt rule: the largest step for carrier v (see the module docstring)."""
     sup_v = potential.sup_norm if potential is not None else 0.0
-    budget = sup_v + mu * mu + 2.0 * abs(v) / resolution_length(potential, mu)
+    budget = sup_v + 1.0 + 2.0 * abs(v) / resolution_length(potential)
     return PHASE_CAP / budget
 
 
 def validate_step_rules(
-    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None, mu: float = 1.0
+    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None
 ) -> None:
     """Raise ConfigError when dt or the grid violate the resolution rules."""
     if dt <= 0 or not math.isfinite(dt):
         raise ConfigError("dt must be positive")
-    cap = suggested_dt(v, potential, mu)
+    cap = suggested_dt(v, potential)
     if dt > cap * (1 + 1e-9):
         raise ConfigError(
-            f"dt={dt:g} exceeds the resolution cap {PHASE_CAP}/(max|V|+mu^2+2|v|/ell) = {cap:g}"
+            f"dt={dt:g} exceeds the resolution cap {PHASE_CAP}/(max|V|+1+2|v|/ell) = {cap:g}"
         )
-    kmax = required_kmax(v, potential, mu)
+    kmax = required_kmax(v, potential)
     if grid.k_max < kmax:
         raise ConfigError(
             f"grid k_max={grid.k_max:.3g} below the resolution rule "

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import AccuracyError, ConfigError
-from .grid import Field, Grid, inner_product, l2_norm, make_grid
+from .grid import Field, Grid, inner_product, make_grid
 from .potentials import (
     EDGE_TOL,
     AdmissibilityReport,
@@ -363,19 +363,6 @@ def _tridiag_eig(v: np.ndarray, dx: float):
     return energies[order], vectors[:, order]
 
 
-def eigen_residual(potential: SampledPotential, state: BoundState) -> float:
-    """l2 norm of (H phi - E phi) under the defining finite-difference H."""
-    grid = potential.grid
-    phi = state.field.values.real
-    hphi = np.empty_like(phi)
-    inv = 0.5 / grid.dx**2
-    hphi[1:-1] = -inv * (phi[2:] - 2 * phi[1:-1] + phi[:-2])
-    hphi[0] = -inv * (phi[1] - 2 * phi[0])
-    hphi[-1] = -inv * (phi[-2] - 2 * phi[-1])
-    hphi += potential.values * phi
-    return float(np.sqrt(grid.dx * np.sum((hphi - state.energy * phi) ** 2)))
-
-
 def project(f: Field, bound_state: BoundState | None) -> tuple[complex, Field]:
     """Split f into its bound-mode amplitude and the rest:
     a = <f, phi>, continuum = f - a*phi. Without a bound state a = 0."""
@@ -388,45 +375,11 @@ def project(f: Field, bound_state: BoundState | None) -> tuple[complex, Field]:
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    residual: float
-    floor: float
-
-
-def ode_residual(sol: JostSolution, potential: SampledPotential) -> ResidualReport:
-    """Central-difference residual of the frequency ODE over the interior,
-    together with the finite-difference truncation floor it must be judged
-    against (the second difference of an oscillatory f carries an intrinsic
-    dx^2 * f'''' error that is not an integration defect)."""
-    grid = potential.grid
-    if grid != sol.grid:
-        raise ConfigError("solution and potential live on different grids")
-    dx = grid.dx
-    f = sol.f
-    fxx = (f[2:] - 2 * f[1:-1] + f[:-2]) / dx**2
-    r = -0.5 * fxx + (potential.values[1:-1] - 0.5 * sol.lam**2) * f[1:-1]
-    sl = _interior(grid.n)
-    res = float(np.sqrt(np.mean(np.abs(r[sl]) ** 2)))
-    fnorm = float(np.sqrt(np.mean(np.abs(f[sl]) ** 2))) or 1.0
-    gnorm = float(np.sqrt(np.mean(np.abs(sol.fprime[sl]) ** 2)))
-    q = 2.0 * potential.values - sol.lam**2
-    dq = np.diff(q) / dx
-    d2q = np.diff(q, 2) / dx**2
-    f4 = (
-        float(np.max(np.abs(d2q), initial=0.0)) * fnorm
-        + 2.0 * float(np.max(np.abs(dq), initial=0.0)) * gnorm
-        + float(np.max(np.abs(q)) ** 2) * fnorm
-    )
-    return ResidualReport(residual=res, floor=dx**2 / 24.0 * f4)
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     """T/R table and admissibility report (bound states, resonance) for one
     potential; the admissibility report is judged on its own domain, not on
     the table's."""
 
-    lams: tuple[float, ...]
     coefficients: tuple[ScatteringCoefficients, ...]
     admissibility: AdmissibilityReport
     truncation_estimate: float
@@ -478,7 +431,6 @@ def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralRepo
     lam_min = min(c.lam for c in coeffs)
     truncation = spec.tail_integral(half) / max(lam_min, 1.0)
     return SpectralReport(
-        lams=tuple(float(c.lam) for c in coeffs),
         coefficients=tuple(coeffs),
         admissibility=admissibility,
         truncation_estimate=float(truncation),

@@ -100,6 +100,24 @@ class TestSimulate:
         assert "not admissible" in manifest["flags"]["error"]
         assert manifest["finished_utc"] is not None
 
+    def test_huge_velocity_is_rejected(self, tmp_path, capsys):
+        # the grid's point count overflows to inf before its log is taken
+        cfg = write_config(tmp_path / "c.json", v=1e160)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "unreasonably large" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+
+    def test_underflowing_gaussian_width_exits_1(self, tmp_path, capsys):
+        # sigma**2 == 0 would make V(center) = 0/0
+        cfg = write_config(tmp_path / "c.json", potential={"kind": "gaussian", "q": 1,
+                                                           "sigma": 1e-200})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_delta_stand_in_runs_without_override(self, tmp_path):
         # the narrow gaussian's decay-fit window underflows; it is admissible
         cfg = write_config(tmp_path / "c.json", potential={"kind": "gaussian", "q": 1.0,
@@ -273,6 +291,15 @@ class TestSpectral:
         assert err.startswith(f"error: {named} must be finite")
         assert not out.exists()
 
+    def test_underflowing_gaussian_width_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "spec"
+        assert main(["spectral", "--kind", "gaussian", "--q", "1", "--sigma", "1e-200",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert main(["potential-report", "--kind", "gaussian", "--q", "1", "--sigma", "1e-200",
+                     "--out", str(tmp_path / "pot")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_algebraic_admissible(self, tmp_path):
         out = tmp_path / "speca"
         code = main(
@@ -429,6 +456,15 @@ class TestStudy:
         assert manifest["status"] == "rejected"
         assert "before the crossing" in manifest["flags"]["error"]
         assert not (out / "runs").exists()
+
+    def test_huge_velocities_are_rejected(self, tmp_path):
+        cfg = self._study_config(tmp_path / "c.json", delta=0.6,
+                                 velocities=[1e160, 2e160, 4e160, 8e160])
+        out = tmp_path / "o"
+        assert main(["study", "--config", str(cfg), "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+        assert "unreasonably large" in manifest["flags"]["error"]
 
     def test_repeated_velocity_exits_1(self, tmp_path, capsys):
         cfg = self._study_config(tmp_path / "c.json", delta=0.6, x0_factor=1.0,

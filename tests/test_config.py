@@ -76,6 +76,9 @@ class TestPotentialSpecTypes:
         {"kind": "gaussian", "center": None},
         {"kind": ["gaussian"]},
         {"kind": "algebraic", "s": math.inf},
+        # sigma**2 underflows to 0, so V(center) would be 0/0
+        {"kind": "gaussian", "sigma": 1e-200},
+        {"kind": "gaussian", "sigma": 1e-320},
         # keys the kind does not read (every single one: test_cli FOREIGN)
         {"kind": "gaussian", "q": 2.0, "sigma": 1.0, "s": 5.0, "beta": 7.0},
         {"kind": "sech2_scaled", "q": 9.0, "sigma": 3.0, "beta": 0.5},

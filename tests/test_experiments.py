@@ -1,4 +1,4 @@
-"""Phase timing, forcing diagnostics, tail bound and the scaling machinery."""
+"""Phase timing, tail bound and the scaling machinery."""
 
 import math
 from dataclasses import replace
@@ -9,12 +9,11 @@ import pytest
 
 from solitonlab import experiments
 from solitonlab.errors import ConfigError
-from solitonlab.grid import edge_mass_fraction, make_grid
-from solitonlab.potentials import PotentialSpec, sample_potential
+from solitonlab.grid import edge_mass_fraction
+from solitonlab.potentials import PotentialSpec
 from solitonlab.propagation import SolitonParams, required_kmax, soliton
 from solitonlab.experiments import (
     ExperimentConfig,
-    forcing_profile,
     lemma_error_check,
     loglog_slope,
     phase_times,
@@ -165,55 +164,6 @@ class TestRunPlan:
         for v in cfg.velocities:
             plan = plan_run(cfg, v)
             assert plan.grid.x_max == plan.x0 + v * plan.t_end + experiments.MARGIN
-
-
-class TestForcingProfile:
-    def test_zero_potential(self):
-        g = make_grid(-60.0, 60.0, 1024)
-        pot = sample_potential(PotentialSpec("zero"), g)
-        fp = forcing_profile(pot, SolitonParams(v=8.0, x0=-20.0), np.linspace(1.0, 4.0, 31))
-        assert np.all(fp.values == 0.0)
-
-    def test_peak_at_crossing(self):
-        g = make_grid(-60.0, 60.0, 2048)
-        pot = sample_potential(PotentialSpec("algebraic", q=1.0, s=3.0), g)
-        params = SolitonParams(v=8.0, x0=-20.0)
-        ts = np.linspace(0.5, 4.5, 801)
-        fp = forcing_profile(pot, params, ts)
-        t_star = 20.0 / 8.0
-        assert abs(ts[np.argmax(fp.values)] - t_star) <= 2.0 / 8.0
-
-    def test_envelope_dominates_uniformly(self):
-        g = make_grid(-60.0, 60.0, 2048)
-        pot = sample_potential(PotentialSpec("algebraic", q=1.0, s=3.0), g)
-        params = SolitonParams(v=8.0, x0=-20.0)
-        fp = forcing_profile(pot, params, np.linspace(0.5, 4.5, 401))
-        assert math.isfinite(fp.envelope_constant)
-        assert np.all(fp.values <= fp.envelope * (1.0 + 1e-12))
-        # a denser sampling stays under the same constant (small slack)
-        dense = forcing_profile(pot, params, np.linspace(0.5, 4.5, 1601))
-        assert dense.envelope_constant <= fp.envelope_constant * 1.05
-
-    def test_off_center_potential_shifts_peak(self):
-        g = make_grid(-60.0, 60.0, 2048)
-        pot = sample_potential(PotentialSpec("algebraic", q=1.0, s=3.0, center=5.0), g)
-        params = SolitonParams(v=8.0, x0=-20.0)
-        ts = np.linspace(1.0, 5.0, 801)
-        fp = forcing_profile(pot, params, ts)
-        t_star = (5.0 + 20.0) / 8.0
-        assert abs(ts[np.argmax(fp.values)] - t_star) <= 2.0 / 8.0
-        assert np.all(fp.values <= fp.envelope * (1.0 + 1e-12))
-
-    def test_post_interaction_decay_monotone(self):
-        g = make_grid(-60.0, 60.0, 2048)
-        pot = sample_potential(PotentialSpec("algebraic", q=1.0, s=3.0), g)
-        params = SolitonParams(v=8.0, x0=-20.0)
-        t2 = 20.0 / 8.0 + 8.0**-0.6
-        sups = []
-        for k in range(3):
-            ts = np.linspace(t2 + k, t2 + k + 1.0, 101)
-            sups.append(forcing_profile(pot, params, ts).values.max())
-        assert sups[0] > sups[1] > sups[2]
 
 
 class TestLemmaCheck:
