@@ -17,7 +17,6 @@ variable SOLITONLAB_OUT_DIR overrides the default output directory when no
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -32,7 +31,7 @@ from .errors import AccuracyError, ConfigError, InvalidRunError, NumericalBreakd
 from .experiments import ExperimentConfig, RunReport, scaling_study, transmission_run
 from .grid import make_grid, save_field
 from .potentials import KINDS, PARAMS, PotentialSpec, check_admissibility
-from .reporting import RunManifest, svg_line_plot, write_json
+from .reporting import RunManifest, svg_line_plot, write_csv, write_json
 from .scattering import build_spectral_report
 from . import checks
 
@@ -64,7 +63,10 @@ def _out_dir(args, config: dict | None, default: str) -> Path:
         path = Path(config["out_dir"])
     else:
         path = Path(default)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {path}: {exc}") from exc
     return path
 
 
@@ -163,12 +165,9 @@ def cmd_spectral(args) -> int:
     with _manifest(out, config) as manifest:
         report = build_spectral_report(spec, grid, lams)
         csv_path = out / "coefficients.csv"
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["lambda", "re_T", "im_T", "re_R", "im_R", "unitarity_defect"])
-            for c in report.coefficients:
-                w.writerow([f"{x:.17g}" for x in
-                            (c.lam, c.T.real, c.T.imag, c.R.real, c.R.imag, c.unitarity_defect)])
+        write_csv(csv_path, ("lambda", "re_T", "im_T", "re_R", "im_R", "unitarity_defect"),
+                  [(c.lam, c.T.real, c.T.imag, c.R.real, c.R.imag, c.unitarity_defect)
+                   for c in report.coefficients])
         manifest.add_output(csv_path)
         json_path = out / "spectral_report.json"
         write_json(json_path, report.to_dict())
@@ -197,12 +196,13 @@ def cmd_study(args) -> int:
     raw = _load_config(args.config)
     config = ExperimentConfig.from_dict(raw)
     out = _out_dir(args, raw, "runs/study")
+    single = {key: value for key, value in raw.items() if key != "velocities"}
     with _manifest(out, raw) as manifest:
         result = scaling_study(config, jobs=args.jobs)
         for run, floor in zip(result.runs, result.floor_runs):
             run_dir = out / "runs" / f"v{run.plan.v:g}"
             run_dir.mkdir(parents=True, exist_ok=True)
-            with _manifest(run_dir, {**raw, "v": run.plan.v}) as sub:
+            with _manifest(run_dir, {**single, "v": run.plan.v}) as sub:
                 _write_run_outputs(run, run_dir, sub)
                 floor_path = run_dir / "floor_series.csv"
                 floor.series.to_csv(floor_path)
@@ -214,11 +214,8 @@ def cmd_study(args) -> int:
         write_json(study_path, result.to_dict())
         manifest.add_output(study_path)
         csv_path = out / "scaling.csv"
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["log_v", "log_err"])
-            for v, e in zip(result.velocities, result.errors):
-                w.writerow([f"{math.log(v):.17g}", f"{math.log(e):.17g}"])
+        write_csv(csv_path, ("log_v", "log_err"),
+                  [(math.log(v), math.log(e)) for v, e in zip(result.velocities, result.errors)])
         manifest.add_output(csv_path)
         svg_path = out / "scaling.svg"
         vs = np.asarray(result.velocities)

@@ -14,16 +14,18 @@ phases are
 The scaling study fits log sup_t ||u - u1||_L2 against log v and passes when
 the error is strictly decreasing and the fitted slope is at most
 -(2 delta - 1) + 0.1; faster decay than the theoretical envelope passes.
-Each velocity also gets a V = 0 companion run at matched resolution whose
-sup error is the discretization floor; scaling points must sit at least
-10x above their floor to count as physics rather than numerics.
+Each velocity also gets a V = 0 companion run, the same plan with a zero
+potential, whose sup error is the discretization floor; scaling points must
+sit at least 10x above their floor to count as physics rather than numerics.
+A run's only input is its plan, and the study's figures are read from its
+runs.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
@@ -162,8 +164,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunPlan:
-    """Grid, step and timing derived from the run rules for one velocity."""
+    """Grid, step and timing derived from the run rules for one velocity of
+    ``config``: everything a run needs. The V = 0 floor of a study is the
+    same plan with a config whose potential is ``PotentialSpec("zero")``."""
 
+    config: ExperimentConfig
     v: float
     x0: float
     grid: Grid
@@ -204,41 +209,57 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     n = max(16, 1 << math.ceil(log2_points))
     grid = make_grid(x_min, x_max, n)
     cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
-    return RunPlan(v=float(v), x0=float(x0), grid=grid, dt=suggested_dt(v, config.potential),
-                   cadence=cadence, phases=phases)
+    return RunPlan(config=config, v=float(v), x0=float(x0), grid=grid,
+                   dt=suggested_dt(v, config.potential), cadence=cadence, phases=phases)
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """One transmission run: error series against the exact soliton plus
-    per-phase peak errors and validity flags. The run took ``steps`` steps
-    of t_end/steps, at most ``plan.dt``. ``wall_s`` is the run's own wall
-    time; it is telemetry, so :meth:`to_dict` leaves it out."""
+    """One transmission run of ``plan``: error series against the exact
+    soliton and validity flags; the sup error and per-phase peak errors are
+    read from the series. The run took ``steps`` steps of t_end/steps, at
+    most ``plan.dt``. ``wall_s`` is the run's own wall time; it is
+    telemetry, so :meth:`to_dict` leaves it out."""
 
     plan: RunPlan
-    potential: PotentialSpec
-    delta: float
-    mu: float
     series: ObserverSeries
     final: Field
-    sup_error: float
-    peak_phase1: float | None
-    peak_phase2: float | None
-    peak_phase3: float | None
     valid: bool
     invalid_reason: str | None
-    admissibility_overridden: bool
     steps: int
     wall_s: float
-    snapshot_times: tuple[float, ...] = ()
-    snapshots: tuple[Field, ...] = ()
+
+    @property
+    def sup_error(self) -> float:
+        return float(self.series.err_l2.max())
+
+    def _peak(self, lo: float, hi: float) -> float | None:
+        t = self.series.times
+        mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+        return float(self.series.err_l2[mask].max()) if mask.any() else None
+
+    @property
+    def peak_phase1(self) -> float | None:
+        return self._peak(0.0, self.plan.phases.t1)
+
+    @property
+    def peak_phase2(self) -> float | None:
+        return self._peak(self.plan.phases.t1, self.plan.phases.t2)
+
+    @property
+    def peak_phase3(self) -> float | None:
+        return self._peak(self.plan.phases.t2, self.plan.t_end)
+
+    @property
+    def admissibility_overridden(self) -> bool:
+        return self.plan.config.override_admissibility
 
     def to_dict(self) -> dict:
         return {
             "v": self.plan.v,
             "x0": self.plan.x0,
-            "delta": self.delta,
-            "mu": self.mu,
+            "delta": self.plan.config.delta,
+            "mu": SolitonParams.mu,
             "t_end": self.plan.t_end,
             "phases": {
                 "t1": self.plan.phases.t1,
@@ -249,7 +270,7 @@ class RunReport:
                      "n": self.plan.grid.n},
             "dt": self.plan.t_end / self.steps,
             "steps": self.steps,
-            "potential": self.potential.to_dict(),
+            "potential": self.plan.config.potential.to_dict(),
             "sup_error": self.sup_error,
             "peak_phase1": self.peak_phase1,
             "peak_phase2": self.peak_phase2,
@@ -258,17 +279,6 @@ class RunReport:
             "invalid_reason": self.invalid_reason,
             "admissibility_overridden": self.admissibility_overridden,
         }
-
-
-def _phase_peaks(series: ObserverSeries, phases: PhaseTimes):
-    t = series.times
-    e = series.err_l2
-
-    def peak(lo, hi):
-        mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-        return float(e[mask].max()) if mask.any() else None
-
-    return peak(0.0, phases.t1), peak(phases.t1, phases.t2), peak(phases.t2, phases.t_end)
 
 
 def _admissibility_gate(config: ExperimentConfig) -> AdmissibilityReport | None:
@@ -284,44 +294,30 @@ def _admissibility_gate(config: ExperimentConfig) -> AdmissibilityReport | None:
     return report
 
 
-def _run_plan(
-    plan: RunPlan,
-    config: ExperimentConfig,
-    potential_spec: PotentialSpec | None,
-    snapshot_every: int | None = None,
-) -> RunReport:
-    """Evolve the boosted soliton on ``plan`` under ``potential_spec`` (None
-    is V = 0, the matched-resolution floor) and assemble the report. Under a
-    V with a bound state on the run grid, a_abs tracks the amplitude on its
-    ground state. No admissibility gate: callers judge the potential first."""
+def _run_plan(plan: RunPlan) -> RunReport:
+    """Evolve the boosted soliton on ``plan`` under its config's potential
+    and assemble the report. A zero potential is handed to ``evolve`` as no
+    potential at all, as for a study's V = 0 floor. Under a V with a bound
+    state on the run grid, a_abs tracks the amplitude on its ground state.
+    No admissibility gate: callers judge the potential first."""
     start = perf_counter()
+    spec = plan.config.potential if plan.config.potential.kind != "zero" else None
     params = SolitonParams(v=plan.v, x0=plan.x0)
     grid = plan.grid
-    validate_step_rules(grid, plan.dt, plan.v, potential_spec)
-    pot = sample_potential(potential_spec, grid) if potential_spec is not None else None
+    validate_step_rules(grid, plan.dt, plan.v, spec)
+    pot = sample_potential(spec, grid) if spec is not None else None
     states = bound_states(pot) if pot is not None else []
     u0 = soliton(params, 0.0, grid)
     soliton(params, plan.t_end, grid)  # final support must fit as well
-    stepper = StepperConfig(dt=plan.dt, obs_cadence=plan.cadence, snapshot_every=snapshot_every)
-    result = evolve(u0, pot, (0.0, plan.t_end), stepper, reference=params,
+    result = evolve(u0, pot, (0.0, plan.t_end),
+                    StepperConfig(dt=plan.dt, obs_cadence=plan.cadence), reference=params,
                     bound_state=states[0] if states else None)
-    p1, p2, p3 = _phase_peaks(result.series, plan.phases)
-    wall_s = perf_counter() - start
-    return RunReport(
-        plan=plan, potential=potential_spec or PotentialSpec("zero"), delta=config.delta,
-        mu=params.mu, series=result.series, final=result.final,
-        sup_error=float(result.series.err_l2.max()),
-        peak_phase1=p1, peak_phase2=p2, peak_phase3=p3,
-        valid=result.valid, invalid_reason=result.invalid_reason,
-        admissibility_overridden=potential_spec is None or config.override_admissibility,
-        steps=result.steps, wall_s=wall_s, snapshot_times=result.snapshot_times,
-        snapshots=result.snapshots,
-    )
+    return RunReport(plan=plan, series=result.series, final=result.final, valid=result.valid,
+                     invalid_reason=result.invalid_reason, steps=result.steps,
+                     wall_s=perf_counter() - start)
 
 
-def transmission_run(
-    config: ExperimentConfig, v: float, snapshot_every: int | None = None
-) -> RunReport:
+def transmission_run(config: ExperimentConfig, v: float) -> RunReport:
     """Evolve the boosted soliton under V and record ||u - u1|| over the
     horizon, on the plan of :func:`plan_run`.
 
@@ -330,30 +326,67 @@ def transmission_run(
     """
     plan = plan_run(config, v)
     _admissibility_gate(config)
-    return _run_plan(plan, config, config.potential, snapshot_every)
+    return _run_plan(plan)
 
 
 @dataclass(frozen=True)
 class ScalingResult:
-    """Velocity sweep against the theoretical decay exponent. :meth:`to_dict`
-    also reports each velocity's headroom, error / floor (the floor gate
-    asks for at least ``FLOOR_FACTOR``)."""
+    """Velocity sweep against the theoretical decay exponent: each
+    velocity's run and its V = 0 floor run, in increasing v; every figure is
+    read from them. :meth:`to_dict` also reports each velocity's headroom,
+    error / floor (the floor gate asks for at least ``FLOOR_FACTOR``)."""
 
-    velocities: tuple[float, ...]
-    errors: tuple[float, ...]
-    floors: tuple[float, ...]
-    slope: float
-    bound_slope: float
-    strictly_decreasing: bool
-    floor_gate_ok: bool
-    runs_valid: bool
-    passed: bool
     runs: tuple[RunReport, ...]
     floor_runs: tuple[RunReport, ...]
 
     @property
+    def velocities(self) -> tuple[float, ...]:
+        return tuple(r.plan.v for r in self.runs)
+
+    @property
+    def errors(self) -> tuple[float, ...]:
+        return tuple(r.sup_error for r in self.runs)
+
+    @property
+    def floors(self) -> tuple[float, ...]:
+        return tuple(r.sup_error for r in self.floor_runs)
+
+    @property
+    def bound_slope(self) -> float:
+        return -(2.0 * self.runs[0].plan.config.delta - 1.0)
+
+    @property
     def slope_limit(self) -> float:
         return self.bound_slope + SLOPE_SLACK
+
+    @property
+    def slope(self) -> float:
+        """The fitted exponent over the velocities that pass the floor gate
+        (nan when fewer than two do)."""
+        usable = [(v, e) for v, e, f in zip(self.velocities, self.errors, self.floors)
+                  if e >= FLOOR_FACTOR * f]
+        if len(usable) < 2:
+            return math.nan
+        return loglog_slope([u[0] for u in usable], [u[1] for u in usable])
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        errors = self.errors
+        return all(later < earlier for earlier, later in zip(errors, errors[1:]))
+
+    @property
+    def floor_gate_ok(self) -> bool:
+        return all(e >= FLOOR_FACTOR * f for e, f in zip(self.errors, self.floors))
+
+    @property
+    def runs_valid(self) -> bool:
+        return all(r.valid for r in self.runs + self.floor_runs)
+
+    @property
+    def passed(self) -> bool:
+        slope = self.slope
+        return (self.runs_valid and self.floor_gate_ok and self.strictly_decreasing
+                and math.isfinite(slope) and slope <= self.slope_limit)
 
     def to_dict(self) -> dict:
         return {
@@ -386,21 +419,16 @@ def loglog_slope(vs, es) -> float:
     return float(np.polyfit(np.log(vs), np.log(es), 1)[0])
 
 
-def _study_run(task) -> RunReport:
-    """Pool task: one run of a study, main (under V) or floor (V = 0)."""
-    return _run_plan(*task)
-
-
 def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     """Run every velocity (plus its matched V=0 floor) and fit the exponent.
 
     Needs >= 4 distinct velocities spanning at least a factor 8.
     Admissibility is judged once and every run is planned, before any run
-    starts. Each main and each floor run is its own task, and the tasks run
+    starts. Each main and each floor plan is its own run, and the runs go
     longest first (grid points times steps, a velocity's main run before its
     floor run), so that with ``jobs`` > 1 no worker is left with the two
     longest runs back to back while the others idle (Graham's LPT rule).
-    Results are keyed by (v, "main" | "floor"), so the aggregation does not
+    Reports are put back at their plans' positions, so the result does not
     depend on the order the runs finish in.
     """
     vs = sorted(config.velocities)
@@ -415,52 +443,21 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     _admissibility_gate(config)
-    tasks = []
+    floor_config = replace(config, potential=PotentialSpec("zero"), override_admissibility=True)
+    plans = []
     for plan in (plan_run(config, v) for v in vs):
-        tasks.append((plan, config, config.potential))
-        tasks.append((plan, config, None))
+        plans += [plan, replace(plan, config=floor_config)]
     # longest first by grid points x steps; the sort is stable, so a
     # velocity's main run stays ahead of its equal-cost floor run
-    tasks.sort(key=lambda task: -task[0].grid.n * task[0].t_end / task[0].dt)
-    keys = [(plan.v, "floor" if spec is None else "main") for plan, _, spec in tasks]
+    order = sorted(range(len(plans)),
+                   key=lambda i: -plans[i].grid.n * plans[i].t_end / plans[i].dt)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = dict(zip(keys, pool.map(_study_run, tasks)))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(plans))) as pool:
+            done = list(pool.map(_run_plan, [plans[i] for i in order]))
     else:
-        results = dict(zip(keys, map(_study_run, tasks)))
-    runs = tuple(results[v, "main"] for v in vs)
-    floor_runs = tuple(results[v, "floor"] for v in vs)
-    errors = tuple(r.sup_error for r in runs)
-    floors = tuple(r.sup_error for r in floor_runs)
-    runs_valid = all(r.valid for r in runs) and all(r.valid for r in floor_runs)
-    floor_gate_ok = all(e >= FLOOR_FACTOR * f for e, f in zip(errors, floors))
-    usable = [(v, e) for v, e, f in zip(vs, errors, floors) if e >= FLOOR_FACTOR * f]
-    if len(usable) >= 2:
-        slope = loglog_slope([u[0] for u in usable], [u[1] for u in usable])
-    else:
-        slope = math.nan
-    bound_slope = -(2.0 * config.delta - 1.0)
-    decreasing = all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
-    passed = (
-        runs_valid
-        and floor_gate_ok
-        and decreasing
-        and math.isfinite(slope)
-        and slope <= bound_slope + SLOPE_SLACK
-    )
-    return ScalingResult(
-        velocities=tuple(vs),
-        errors=errors,
-        floors=floors,
-        slope=slope,
-        bound_slope=bound_slope,
-        strictly_decreasing=decreasing,
-        floor_gate_ok=floor_gate_ok,
-        runs_valid=runs_valid,
-        passed=bool(passed),
-        runs=runs,
-        floor_runs=floor_runs,
-    )
+        done = [_run_plan(plans[i]) for i in order]
+    reports = [report for _, report in sorted(zip(order, done), key=lambda pair: pair[0])]
+    return ScalingResult(runs=tuple(reports[0::2]), floor_runs=tuple(reports[1::2]))
 
 
 # --- exponential-window tail bound -------------------------------------------

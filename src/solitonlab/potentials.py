@@ -92,7 +92,8 @@ class PotentialSpec:
         if self.kind == "algebraic":
             return self.q * (1.0 + y * y) ** (-self.s / 2.0)
         if self.kind == "gaussian":
-            return self.q * np.exp(-y * y / (2.0 * self.sigma**2))
+            with np.errstate(over="ignore"):  # a tiny sigma gives exp(-inf) = 0, exactly
+                return self.q * np.exp(-y * y / (2.0 * self.sigma**2))
         return -self.depth * _sech(y) ** 2
 
     @property

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import ConfigError, InvalidRunError, NumericalBreakdownError
 from .grid import Field, Grid, edge_mass_fraction
 from .potentials import PotentialSpec, SampledPotential, _sech
+from .reporting import write_csv
 from .scattering import BoundState
 
 #: pointwise phase cap per substep (radians)
@@ -170,11 +171,9 @@ class ObserverSeries:
                 raise NumericalBreakdownError(f"observer series {name} contains non-finite entries")
 
     def to_csv(self, path) -> None:
-        header = "t,err_l2,mass,energy,a_abs,edge_mass"
-        data = np.column_stack(
-            [self.times, self.err_l2, self.mass, self.energy, self.a_abs, self.edge_mass]
-        )
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        columns = (self.times, self.err_l2, self.mass, self.energy, self.a_abs, self.edge_mass)
+        write_csv(path, ("t", "err_l2", "mass", "energy", "a_abs", "edge_mass"),
+                  np.column_stack(columns).tolist())
 
 
 @dataclass(frozen=True)

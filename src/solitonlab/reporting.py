@@ -47,6 +47,13 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
+def write_csv(path: str | Path, header, rows) -> None:
+    """A header line, then one line of ``%.17g`` numbers (they read back
+    bit for bit) per row; every line ends in LF."""
+    lines = [",".join(header)] + [",".join("%.17g" % x for x in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
 @dataclass
 class RunManifest:
     """Inventory of one CLI invocation: config echo + hash, outputs, flags."""

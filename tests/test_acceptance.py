@@ -29,7 +29,6 @@ from solitonlab.experiments import (
     lemma_error_check,
     plan_run,
     scaling_study,
-    transmission_run,
 )
 
 KAPPA = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,11 +52,11 @@ TWO_N_FLOORS = 1e-3
 MIN_HEADROOM = 1000.0
 
 
-def _refined(plan, config, spec):
+def _refined(plan):
     """Sup errors of ``plan`` rerun at dt/2 and at 2n on the same domain."""
     g = plan.grid
-    half = _run_plan(replace(plan, dt=plan.dt / 2.0), config, spec)
-    fine = _run_plan(replace(plan, grid=make_grid(g.x_min, g.x_max, 2 * g.n)), config, spec)
+    half = _run_plan(replace(plan, dt=plan.dt / 2.0))
+    fine = _run_plan(replace(plan, grid=make_grid(g.x_min, g.x_max, 2 * g.n)))
     return half.sup_error, fine.sup_error
 
 
@@ -272,15 +271,10 @@ def test_c09_phase_structure(velocity_study):
 @pytest.mark.slow
 def test_c11_self_convergence(velocity_study):
     result, _ = velocity_study
-    config = ExperimentConfig(
-        potential=PotentialSpec("algebraic", q=0.5, s=DECAY_S),
-        delta=DELTA,
-        velocities=result.velocities,
-    )
     details = []
     ok = True
     for run, floor in zip(result.runs, result.floors):
-        half, fine = _refined(run.plan, config, config.potential)
+        half, fine = _refined(run.plan)
         d_half = abs(half - run.sup_error) / floor
         d_fine = abs(fine - run.sup_error) / floor
         headroom = run.sup_error / floor
@@ -306,8 +300,8 @@ def test_c12_delta_stand_in_resolution():
     v = 32.0
     ell = resolution_length(config.potential)
     plan = plan_run(config, v)
-    base = _run_plan(plan, config, config.potential).sup_error
-    half, fine = _refined(plan, config, config.potential)
+    base = _run_plan(plan).sup_error
+    half, fine = _refined(plan)
     # the V = 0 floor misses the splitting error of the narrow potential
     # itself, so agreement is relative (measured 1.5e-7 at dt/2, 3e-11 at 2n)
     ok = (
@@ -334,11 +328,15 @@ def test_c10_bound_mode_consistency():
         delta=DELTA,
         velocities=(16.0,),
     )
-    report = transmission_run(config, 16.0, snapshot_every=4)
-    assert report.valid
-    pot = sample_potential(config.potential, report.plan.grid)
+    plan = plan_run(config, 16.0)
+    pot = sample_potential(config.potential, plan.grid)
     state = bound_states(pot)[0]
-    res = bound_mode_residual(report.snapshot_times, report.snapshots, state)
+    params = SolitonParams(v=plan.v, x0=plan.x0)
+    run = evolve(soliton(params, 0.0, plan.grid), pot, (0.0, plan.t_end),
+                 StepperConfig(dt=plan.dt, obs_cadence=plan.cadence, snapshot_every=4),
+                 reference=params, bound_state=state)
+    assert run.valid
+    res = bound_mode_residual(run.snapshot_times, run.snapshots, state)
     _report(
         10, "bound-mode amplitude equation",
         res.ratio <= 10.0,

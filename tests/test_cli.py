@@ -202,6 +202,13 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 0
         assert (target / "series.csv").exists()
 
+    def test_out_is_an_existing_file_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", "--config", str(cfg), "--out", str(taken)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot use output directory")
+
     def test_single_entry_velocity_list(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
@@ -392,6 +399,21 @@ class TestPotentialReport:
         d = json.loads(text, parse_constant=reject)
         assert d["conclusive"] is False and d["wronskian_at_zero_abs"] is None
 
+    def test_env_out_dir_under_a_file_exits_1(self, tmp_path, monkeypatch, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setenv("SOLITONLAB_OUT_DIR", str(taken / "sub"))
+        assert main(["potential-report", "--kind", "gaussian", "--q", "2", "--sigma", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot use output directory")
+
+    def test_tiny_gaussian_width_warns_nothing(self, tmp_path):
+        # sigma**2 = 1e-320 is subnormal: y*y/(2 sigma**2) overflows to inf
+        # and exp(-inf) = 0 is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["potential-report", "--kind", "gaussian", "--q", "1",
+                         "--sigma", "1e-160", "--out", str(tmp_path / "pot")]) == 0
+
     def test_no_grid_flags(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             main(["potential-report", "--kind", "gaussian", "--half-width", "40",
@@ -502,6 +524,37 @@ class TestStudy:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "complete"
         assert manifest["flags"]["passed"] is True
+
+
+@pytest.fixture(scope="module")
+def benchmark_study(tmp_path_factory):
+    """Output directory of the benchmark's study (v = 4..32, x0_factor 1)."""
+    work = tmp_path_factory.mktemp("study")
+    cfg = work / "c.json"
+    cfg.write_text(json.dumps({"potential": {"kind": "algebraic", "q": 0.5, "s": 3.0},
+                               "delta": 0.6, "velocities": [16.0, 4.0, 32.0, 8.0],
+                               "x0_factor": 1.0}))
+    out = work / "study"
+    assert main(["study", "--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
+    return out
+
+
+def test_each_velocity_manifest_holds_its_simulate_config(benchmark_study):
+    for v in (4.0, 8.0, 16.0, 32.0):
+        manifest = json.loads((benchmark_study / "runs" / f"v{v:g}" / "manifest.json").read_text())
+        assert ExperimentConfig.from_dict(manifest["config"]).velocities == (v,)
+
+
+def test_csv_lines_end_in_lf(tmp_path, benchmark_study):
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    assert main(["spectral", "--kind", "gaussian", "--q", "2", "--sigma", "1",
+                 "--lambda-points", "4", "--out", str(tmp_path / "spec")]) == 0
+    paths = [*tmp_path.rglob("*.csv"), *benchmark_study.rglob("*.csv")]
+    names = {p.name for p in paths}
+    assert names == {"series.csv", "coefficients.csv", "floor_series.csv", "scaling.csv"}
+    for path in paths:
+        assert b"\r" not in path.read_bytes(), path
 
 
 class TestCheck:

@@ -1,7 +1,6 @@
 """Phase timing, tail bound and the scaling machinery."""
 
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -344,6 +343,11 @@ class TestAdmissibilityDomain:
             transmission_run(cfg, 8.0)
 
 
+def _is_floor(plan):
+    """A study's V = 0 floor plan: zero potential, admissibility overridden."""
+    return plan.config.potential.kind == "zero" and plan.config.override_admissibility
+
+
 class TestStudyGate:
     def _config(self, **kw):
         return ExperimentConfig(delta=0.6, velocities=(8.0, 16.0, 32.0, 64.0), **kw)
@@ -355,15 +359,16 @@ class TestStudyGate:
                             lambda *a, **k: calls.append(a) or real(*a, **k))
         runs = []
 
-        def fake_run(plan, config, spec, snapshot_every=None):
-            runs.append((plan.v, spec))
-            return SimpleNamespace(plan=plan, valid=True, sup_error=plan.v ** -0.5 if spec else 1e-9)
+        def fake_run(plan):
+            runs.append((plan.v, plan.config.potential))
+            return SimpleNamespace(plan=plan, valid=True, sup_error=1e-9 if _is_floor(plan)
+                                   else plan.v ** -0.5)
 
         monkeypatch.setattr(experiments, "_run_plan", fake_run)
         result = scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)))
         assert len(calls) == 1
         assert len(runs) == 8
-        mains = [r for r in runs if r[1] is not None]
+        mains = [r for r in runs if r[1].kind != "zero"]
         assert len(mains) == 4
         assert result.passed
 
@@ -405,8 +410,10 @@ class TestStudyGate:
                 task_lists.append(list(tasks))
                 return map(fn, task_lists[-1])
 
-        def fake_run(plan, config, spec, snapshot_every=None):
-            return SimpleNamespace(plan=plan, valid=True, sup_error=plan.v ** -0.5 if spec else 1e-9)
+        def fake_run(plan):
+            return SimpleNamespace(plan=plan, valid=True, sup_error=1e-9 if _is_floor(plan)
+                                   else plan.v ** -0.5, peak_phase1=None, peak_phase2=None,
+                                   peak_phase3=None)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments, "_run_plan", fake_run)
@@ -425,13 +432,13 @@ class TestStudyGate:
         [tasks] = task_lists
         assert len(tasks) == 8
         for v in (8.0, 16.0, 32.0, 64.0):
-            assert sorted(t[2] is None for t in tasks if t[0].v == v) == [False, True]
-        costs = [t[0].grid.n * t[0].t_end / t[0].dt for t in tasks]
+            assert sorted(_is_floor(t) for t in tasks if t.v == v) == [False, True]
+        costs = [t.grid.n * t.t_end / t.dt for t in tasks]
         assert costs == sorted(costs, reverse=True)
         for a, b in zip(tasks, tasks[1:]):
-            if a[0].v == b[0].v:  # same plan, equal cost: main first
-                assert a[2] is spec and b[2] is None
-        assert tasks[0][0].v == 64.0 and tasks[0][2] is spec
+            if a.v == b.v:  # same plan, equal cost: main first
+                assert a.config.potential is spec and _is_floor(b)
+        assert tasks[0].v == 64.0 and tasks[0].config.potential is spec
 
     def test_velocity_order_does_not_change_the_result(self, monkeypatch):
         self._fake_pool_and_runs(monkeypatch)
@@ -448,7 +455,7 @@ class TestStudyGate:
     def test_headroom_is_error_over_floor(self, monkeypatch):
         self._fake_pool_and_runs(monkeypatch)
         result = scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)))
-        d = replace(result, runs=()).to_dict()  # the fake runs carry no phase peaks
+        d = result.to_dict()
         assert d["per_v_headroom"] == [e / f for e, f in zip(result.errors, result.floors)]
         assert d["per_v_headroom"] == [v ** -0.5 / 1e-9 for v in (8.0, 16.0, 32.0, 64.0)]
 
