@@ -18,7 +18,8 @@ Each velocity also gets a V = 0 companion run, the same plan with a zero
 potential, whose sup error is the discretization floor; scaling points must
 sit at least 10x above their floor to count as physics rather than numerics.
 A run's only input is its plan, and the study's figures are read from its
-runs.
+runs. Every run is carried in the frame co-moving with its soliton (see
+:mod:`propagation`); its series and final field are lab-frame quantities.
 """
 
 from __future__ import annotations
@@ -165,8 +166,9 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class RunPlan:
     """Grid, step and timing derived from the run rules for one velocity of
-    ``config``: everything a run needs. The V = 0 floor of a study is the
-    same plan with a config whose potential is ``PotentialSpec("zero")``."""
+    ``config``: everything a run needs. ``grid`` co-moves with the soliton;
+    it is the lab grid at t = 0. The V = 0 floor of a study is the same
+    plan with a config whose potential is ``PotentialSpec("zero")``."""
 
     config: ExperimentConfig
     v: float
@@ -184,24 +186,27 @@ class RunPlan:
 def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     """Size domain, grid and time step for one velocity from the run rules.
 
-    The launch offset from the center is -x0_factor v^(1-delta). The core of
-    the domain spans the soliton path and the leftward excursion of the
-    reflected component (speed ~ -v from the potential after the crossing).
-    Each end adds a clearance of at least ``MARGIN``, widened so that a
-    soliton at either end of the core stays ``_WINDOW_DISTANCE`` clear of the
-    edge window, which covers ``EDGE_WINDOW`` of the whole domain.
+    The run co-moves with the soliton (see :mod:`propagation`), so the grid
+    is the lab grid at t = 0 and moves at v. The launch offset from the
+    center is -x0_factor v^(1-delta). In the co-moving frame the soliton
+    stays at x0, the potential sweeps left from its center c to
+    c - v t_end, crossing x0 at t_cross, and the reflected component leaves
+    x0 at -2v after the crossing, so the core of the domain is
+    [x0 - 2v (t_end - t_cross), c]. Each end adds a clearance of at least
+    ``MARGIN``, widened so that a soliton at either end of the core stays
+    ``_WINDOW_DISTANCE`` clear of the edge window, which covers
+    ``EDGE_WINDOW`` of the whole domain.
     """
     center = config.potential.center
     launch = -config.x0_factor * v ** (1.0 - config.delta)
     x0 = center + launch
     phases = phase_times(v, launch, config.delta)
     t_cross = abs(launch) / v  # the crossing time of phase_times
-    left_reach = center - v * max(0.0, phases.t_end - t_cross)
-    lo, hi = min(x0, left_reach), x0 + v * phases.t_end
+    lo, hi = x0 - 2.0 * v * (phases.t_end - t_cross), center
     window_clear = (_WINDOW_DISTANCE + EDGE_WINDOW * (hi - lo)) / (1.0 - 2.0 * EDGE_WINDOW)
     clearance = max(MARGIN, window_clear)
     x_min, x_max = lo - clearance, hi + clearance
-    dx_max = math.pi / required_kmax(v, config.potential)
+    dx_max = math.pi / required_kmax(0.0, config.potential)
     log2_points = math.log2((x_max - x_min) / dx_max)
     if not log2_points <= 22:  # inf at a huge v, too
         raise ConfigError(f"required grid size 2^{log2_points:.4g} points is unreasonably large "
@@ -217,9 +222,11 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
 class RunReport:
     """One transmission run of ``plan``: error series against the exact
     soliton and validity flags; the sup error and per-phase peak errors are
-    read from the series. The run took ``steps`` steps of t_end/steps, at
-    most ``plan.dt``. ``wall_s`` is the run's own wall time; it is
-    telemetry, so :meth:`to_dict` leaves it out."""
+    read from the series. ``final`` holds the lab samples at t_end, on the
+    plan's grid shifted by v t_end. The run took ``steps`` steps of
+    t_end/steps, at most ``plan.dt``, in ``transforms`` FFTs. ``wall_s``
+    (the run's wall time, in the manifest) and ``loop_s`` (its step loop's,
+    in :attr:`timing`) are telemetry."""
 
     plan: RunPlan
     series: ObserverSeries
@@ -228,6 +235,8 @@ class RunReport:
     invalid_reason: str | None
     steps: int
     wall_s: float
+    loop_s: float
+    transforms: int
 
     @property
     def sup_error(self) -> float:
@@ -254,6 +263,19 @@ class RunReport:
     def admissibility_overridden(self) -> bool:
         return self.plan.config.override_admissibility
 
+    @property
+    def dt(self) -> float:
+        """The step taken."""
+        return self.plan.t_end / self.steps
+
+    @property
+    def timing(self) -> dict:
+        """Step-loop telemetry: wall time, steps per second, grid points,
+        step taken and FFT count."""
+        return {"loop_s": self.loop_s,
+                "steps_per_s": self.steps / self.loop_s if self.loop_s > 0 else math.inf,
+                "n": self.plan.grid.n, "dt": self.dt, "transforms": self.transforms}
+
     def to_dict(self) -> dict:
         return {
             "v": self.plan.v,
@@ -266,9 +288,9 @@ class RunReport:
                 "t2": self.plan.phases.t2,
                 "t3": self.plan.phases.t3,
             },
-            "grid": {"x_min": self.plan.grid.x_min, "x_max": self.plan.grid.x_max,
-                     "n": self.plan.grid.n},
-            "dt": self.plan.t_end / self.steps,
+            "grid": {"x_min": self.final.grid.x_min, "x_max": self.final.grid.x_max,
+                     "n": self.final.grid.n},
+            "dt": self.dt,
             "steps": self.steps,
             "potential": self.plan.config.potential.to_dict(),
             "sup_error": self.sup_error,
@@ -278,6 +300,7 @@ class RunReport:
             "valid": self.valid,
             "invalid_reason": self.invalid_reason,
             "admissibility_overridden": self.admissibility_overridden,
+            "timing": self.timing,
         }
 
 
@@ -295,26 +318,26 @@ def _admissibility_gate(config: ExperimentConfig) -> AdmissibilityReport | None:
 
 
 def _run_plan(plan: RunPlan) -> RunReport:
-    """Evolve the boosted soliton on ``plan`` under its config's potential
-    and assemble the report. A zero potential is handed to ``evolve`` as no
-    potential at all, as for a study's V = 0 floor. Under a V with a bound
-    state on the run grid, a_abs tracks the amplitude on its ground state.
-    No admissibility gate: callers judge the potential first."""
+    """Evolve the boosted soliton on ``plan`` under its config's potential,
+    in the frame co-moving at the plan's v, and assemble the report. A zero
+    potential is handed to ``evolve`` as no potential at all, as for a
+    study's V = 0 floor. Under a V with a bound state on the run grid, a_abs
+    tracks the amplitude on its ground state. No admissibility gate:
+    callers judge the potential first."""
     start = perf_counter()
     spec = plan.config.potential if plan.config.potential.kind != "zero" else None
     params = SolitonParams(v=plan.v, x0=plan.x0)
     grid = plan.grid
-    validate_step_rules(grid, plan.dt, plan.v, spec)
+    validate_step_rules(grid, plan.dt, plan.v, spec, frame_velocity=plan.v)
     pot = sample_potential(spec, grid) if spec is not None else None
     states = bound_states(pot) if pot is not None else []
-    u0 = soliton(params, 0.0, grid)
-    soliton(params, plan.t_end, grid)  # final support must fit as well
-    result = evolve(u0, pot, (0.0, plan.t_end),
+    result = evolve(soliton(params, 0.0, grid), pot, (0.0, plan.t_end),
                     StepperConfig(dt=plan.dt, obs_cadence=plan.cadence), reference=params,
-                    bound_state=states[0] if states else None)
+                    bound_state=states[0] if states else None, frame_velocity=plan.v)
     return RunReport(plan=plan, series=result.series, final=result.final, valid=result.valid,
                      invalid_reason=result.invalid_reason, steps=result.steps,
-                     wall_s=perf_counter() - start)
+                     wall_s=perf_counter() - start, loop_s=result.loop_s,
+                     transforms=result.transforms)
 
 
 def transmission_run(config: ExperimentConfig, v: float) -> RunReport:

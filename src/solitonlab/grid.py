@@ -68,6 +68,10 @@ class Grid:
     def k_max(self) -> float:
         return np.pi / self.dx
 
+    def shifted(self, d: float) -> "Grid":
+        """The same grid translated by ``d``."""
+        return Grid(self.x_min + d, self.x_max + d, self.n)
+
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
     """Build a grid, rejecting non-power-of-two n (< 16) and empty domains."""

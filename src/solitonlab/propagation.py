@@ -15,24 +15,48 @@ samples at its end, in 2k+1 transforms, so the next segment needs no
 forward transform and the observer takes the kinetic energy from that
 spectrum by Parseval. ``step`` and ``evolve`` share this one kernel.
 
-Resolution rules for a boosted soliton of width 1 (mu = 1) with carrier
-velocity v, under V. Both are Galilean invariant: the carrier phase e^{ivx}
-is integrated exactly by the kinetic substep, so neither rule pays for v^2.
-The length ell is the shorter of the soliton width 1 and the potential's
-feature length max|V|/max|V'|:
+Co-moving frame. A run may be carried in the frame y = x - f (t - t0) of a
+velocity f. With u = e^{i(f x - f^2 (t - t0)/2)} w(y, t) the field w obeys
 
-    k_max >= |v| + (2/(pi ell)) ln(2/SOLITON_TAIL_TOL)
-             (the Fourier envelope sech(pi (k - v) ell/2) is below
-             SOLITON_TAIL_TOL at Nyquist; about |v| + 18/ell)
+    i w_t = -1/2 w_yy + V(y + f (t - t0)) w - |w|^2 w,
+
+the same equation under a moving potential. The lab kinetic multiplier
+e^{-i (dt/2) (k + f)^2/2} is the frame's e^{-i (dt/2) k^2/2} times a
+translation by f dt/2 and a phase, so a frame step that takes V at its
+midpoint time, V(y + f (t_j + dt/2 - t0)), is the lab Strang step exactly.
+At f = 0 V is evaluated once. The observer reports lab quantities, and the
+final field comes back as lab samples on the grid shifted by f (t1 - t0).
+
+Resolution rules for a soliton of width 1 (mu = 1) moving at v relative to
+the potential. Both are Galilean invariant: the carrier phase is integrated
+exactly by the kinetic substep, so neither rule pays for v^2. The length
+ell is the shorter of the soliton width 1 and the potential's feature
+length max|V|/max|V'|:
+
+    k_max >= |v - f| + (2/(pi ell)) ln(2/SOLITON_TAIL_TOL)
+             (the Fourier envelope sech(pi (k - v + f) ell/2) is below
+             SOLITON_TAIL_TOL at Nyquist; about |v - f| + 18/ell)
     dt    <= PHASE_CAP / (max|V| + 1 + 2|v|/ell)
              (<= 0.1 rad pointwise phase per substep, and the soliton
-             moves at most 0.05 ell per step)
+             moves at most 0.05 ell per step across the potential)
+
+The k rule pays for the soliton's velocity relative to the grid, v - f,
+which the co-moving frame (f = v) makes 0: k_max >= 18/ell. The dt rule
+keeps 2|v|/ell, because the soliton and the potential still move at v
+relative to each other. What the frame grid drops: the lab band
+[-v - 18/ell, v + 18/ell] maps to [-2v - 18/ell, 18/ell] in the frame, and
+the frame grid keeps [-18/ell, 18/ell]. The part it drops holds near-field
+and reflected content of size about |V^(k)| for |k| > 18/ell; the lab rule
+already neglects content of that size on its right side, past
+v + 18/ell. Where 18/ell > 2v (a narrow gaussian at moderate v) the
+reflected band lies on the frame grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -99,22 +123,26 @@ def resolution_length(potential: PotentialSpec | None = None) -> float:
 
 
 def required_kmax(v: float, potential: PotentialSpec | None = None) -> float:
-    """The k rule: the smallest grid k_max for carrier v (see the module docstring)."""
+    """The k rule: the smallest grid k_max for a soliton moving at v relative
+    to the grid, 0 in the co-moving frame (see the module docstring)."""
     ell = resolution_length(potential)
     return abs(v) + 2.0 / (math.pi * ell) * math.log(2.0 / SOLITON_TAIL_TOL)
 
 
 def suggested_dt(v: float, potential: PotentialSpec | None = None) -> float:
-    """The dt rule: the largest step for carrier v (see the module docstring)."""
+    """The dt rule: the largest step for a soliton moving at v relative to
+    the potential, in any frame (see the module docstring)."""
     sup_v = potential.sup_norm if potential is not None else 0.0
     budget = sup_v + 1.0 + 2.0 * abs(v) / resolution_length(potential)
     return PHASE_CAP / budget
 
 
 def validate_step_rules(
-    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None
+    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None,
+    frame_velocity: float = 0.0,
 ) -> None:
-    """Raise ConfigError when dt or the grid violate the resolution rules."""
+    """Raise ConfigError when dt or the grid violate the resolution rules for
+    a soliton at v on a grid co-moving at ``frame_velocity``."""
     if dt <= 0 or not math.isfinite(dt):
         raise ConfigError("dt must be positive")
     cap = suggested_dt(v, potential)
@@ -122,11 +150,11 @@ def validate_step_rules(
         raise ConfigError(
             f"dt={dt:g} exceeds the resolution cap {PHASE_CAP}/(max|V|+1+2|v|/ell) = {cap:g}"
         )
-    kmax = required_kmax(v, potential)
+    kmax = required_kmax(v - frame_velocity, potential)
     if grid.k_max < kmax:
         raise ConfigError(
             f"grid k_max={grid.k_max:.3g} below the resolution rule "
-            f"|v|+(2/(pi ell)) ln(2/{SOLITON_TAIL_TOL:g})={kmax:.3g}; refine dx"
+            f"|v-f|+(2/(pi ell)) ln(2/{SOLITON_TAIL_TOL:g})={kmax:.3g}; refine dx"
         )
 
 
@@ -178,12 +206,16 @@ class ObserverSeries:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """The run's outcome; it took ``steps`` steps of (t1 - t0)/steps each."""
+    """The run's outcome; it took ``steps`` steps of (t1 - t0)/steps each,
+    in ``loop_s`` seconds of step loop (observations included) and
+    ``transforms`` FFTs."""
 
     final: Field
     series: ObserverSeries
     steps: int
     valid: bool
+    loop_s: float
+    transforms: int
     invalid_reason: str | None = None
     snapshot_times: tuple[float, ...] = ()
     snapshots: tuple[Field, ...] = field(default=(), repr=False)
@@ -193,30 +225,41 @@ class _StrangFlow:
     """k Strang steps of size dt on the Fourier state, fused as
     K_half (P K_full)^{k-1} P K_half: the spectrum times K_half, then
     (ifft, P, fft, times K_full) per step with the last K_full replaced by
-    K_half, and one closing ifft for the samples; 2k+1 transforms. A
+    K_half, and one closing ifft for the samples; 2k+1 transforms. In the
+    frame co-moving at ``frame_velocity`` f, P of step j takes V at the
+    step's midpoint, V(y + f (j + 1/2) dt); at f = 0 V is evaluated once. A
     non-finite sample spreads to every Fourier coefficient, so w[0] after
     each step's forward transform shows whether that step broke down."""
 
-    def __init__(self, grid: Grid, potential: SampledPotential | None, dt: float):
-        if potential is not None and potential.grid != grid:
-            raise ConfigError("field and potential live on different grids")
+    def __init__(self, grid: Grid, potential: PotentialSpec | None, dt: float,
+                 frame_velocity: float = 0.0):
         self.dt = dt
-        self.vpot = potential.values if potential is not None else None
+        self.spec = potential
+        self.frame_velocity = frame_velocity
+        self.x = grid.x
+        self.vpot = potential(grid.x) if potential is not None and not frame_velocity else None
         self.kin_half = np.exp(-0.25j * dt * grid.k**2)
         self.kin_full = self.kin_half * self.kin_half
         self._phase = np.empty(grid.n, dtype=np.complex128)
+
+    def potential_at(self, s: float) -> np.ndarray | None:
+        """V on the grid a time ``s`` after the start (None for no potential)."""
+        if self.spec is None or not self.frame_velocity:
+            return self.vpot
+        return self.spec(self.x + self.frame_velocity * s)
 
     def __call__(
         self, uhat: np.ndarray, k: int, first_step: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
         """(spectrum, samples) after k steps from the spectrum ``uhat`` (left
         unchanged, numpy's unnormalized ``fft``); steps are numbered from
-        ``first_step`` in a breakdown error."""
-        dt, vpot, phase = self.dt, self.vpot, self._phase
+        ``first_step``, which also sets the potential's time."""
+        dt, phase = self.dt, self._phase
         w = uhat * self.kin_half
         for j in range(k):
             u = np.fft.ifft(w)
             theta = u.real * u.real + u.imag * u.imag
+            vpot = self.potential_at((first_step + j + 0.5) * dt)
             if vpot is not None:
                 theta -= vpot
             theta *= dt
@@ -233,7 +276,10 @@ class _StrangFlow:
 
 def step(u: Field, potential: SampledPotential | None, dt: float) -> Field:
     """One Strang step. Mass-preserving to roundoff; local error O(dt^3)."""
-    return Field(u.grid, _StrangFlow(u.grid, potential, dt)(np.fft.fft(u.values), 1)[1])
+    if potential is not None and potential.grid != u.grid:
+        raise ConfigError("field and potential live on different grids")
+    flow = _StrangFlow(u.grid, potential.spec if potential is not None else None, dt)
+    return Field(u.grid, flow(np.fft.fft(u.values), 1)[1])
 
 
 def _energy(
@@ -261,6 +307,15 @@ def energy(u: Field, potential: SampledPotential | None = None) -> float:
     return _energy(grid.dx, grid.k**2, np.fft.fft(vals), absu2, vpot)
 
 
+def _lab_field(grid: Grid, w: np.ndarray, f: float, s: float) -> Field:
+    """The lab samples e^{i(f x - f^2 s/2)} w of the frame samples ``w`` a
+    time ``s`` after the start, on the frame grid shifted by f s."""
+    if not f:
+        return Field(grid, w)
+    lab = grid.shifted(f * s)
+    return Field(lab, np.exp(1j * (f * lab.x - 0.5 * f * f * s)) * w)
+
+
 def evolve(
     u0: Field,
     potential: SampledPotential | None,
@@ -268,6 +323,7 @@ def evolve(
     config: StepperConfig,
     reference: SolitonParams | None = None,
     bound_state: BoundState | None = None,
+    frame_velocity: float = 0.0,
 ) -> EvolveResult:
     """Iterate Strang steps over ``t_span`` with observer sampling.
 
@@ -275,31 +331,52 @@ def evolve(
     and the step never exceeds config.dt. Observations are spaced by
     <= obs_cadence when config.dt <= obs_cadence; otherwise every step is
     observed, so they are spaced by the step (<= config.dt) instead.
+
+    With ``frame_velocity`` f the run is carried in the frame co-moving at
+    f (see the module docstring): ``u0``, ``potential`` and ``bound_state``
+    are given on the lab grid at t0, which the frame grid matches then, and
+    the final field and the snapshots are lab samples on that grid shifted
+    by f (t - t0). The observer reports lab quantities at every f.
+
     The spectrum is carried from segment to segment: one forward transform
     of ``u0``, then 2k+1 transforms per segment of k steps. Each observation
     takes mass and the potential and quartic energy terms from one |u|^2
-    array and the kinetic energy from the segment's spectrum (Parseval), so
-    it makes no transform; the edge mass comes from the same array, and a
-    Field is built only for a snapshot and for the final samples. err_l2
-    tracks the exact soliton when ``reference`` is given (else 0), built
-    from a carrier mu e^{ivx} made once, a scalar phase and a real sech;
-    a_abs tracks |<u, phi>| when ``bound_state`` is given.
+    array and the kinetic energy from the segment's spectrum by Parseval,
+    on the lab wavenumbers k + f, so it makes no transform; the edge mass
+    comes from the same array. err_l2 tracks the exact soliton when
+    ``reference`` is given (else 0): its carrier is built once, and its
+    profile too when it co-moves with the frame. a_abs tracks |<u, phi>|
+    when ``bound_state`` is given, on the Fourier side:
+    (dx/n) sum_j uhat_j conj(phihat(k_j + f)) e^{-i (k_j + f) f (t - t0)}
+    over the j with |k_j + f| <= k_max, where phihat(k_j + f) is the
+    transform of phi e^{-i f y}; a physical-space sum would alias once f
+    nears k_max.
     """
     t0, t1 = map(float, t_span)
     if not t1 > t0:
         raise ConfigError("t_span must satisfy t1 > t0")
     grid = u0.grid
+    if potential is not None and potential.grid != grid:
+        raise ConfigError("field and potential live on different grids")
     if bound_state is not None and bound_state.field.grid != grid:
         raise ConfigError("bound state lives on a different grid")
     span = t1 - t0
     k_obs = max(1, int(math.floor(config.obs_cadence / config.dt + 1e-12)))
     n_seg = max(1, int(math.ceil(span / (k_obs * config.dt) - 1e-12)))
     dt = span / (n_seg * k_obs)
-    flow = _StrangFlow(grid, potential, dt)
-    conj_phi = np.conj(bound_state.field.values) if bound_state is not None else None
-    dx, k2, vpot = grid.dx, grid.k**2, flow.vpot
+    f = float(frame_velocity)
+    flow = _StrangFlow(grid, potential.spec if potential is not None else None, dt, f)
+    dx, x = grid.dx, grid.x
+    lab_k = grid.k + f
+    k2 = lab_k * lab_k
     if reference is not None:
-        carrier = reference.mu * np.exp(1j * reference.v * grid.x)
+        p = reference
+        carrier = p.mu * np.exp(1j * (p.v - f) * x)
+        # a reference that co-moves with the frame keeps one profile
+        profile = carrier * _sech(p.mu * (x - p.center(t0))) if p.v == f else None
+    if bound_state is not None:
+        phihat = np.fft.fft(bound_state.field.values * np.exp(-1j * f * x))
+        conj_phihat = np.where(np.abs(lab_k) <= grid.k_max, np.conj(phihat), 0.0)
 
     times = np.empty(n_seg + 1)
     err = np.zeros(n_seg + 1)
@@ -314,38 +391,46 @@ def evolve(
 
     def observe(i_obs: int, t: float, uhat: np.ndarray, u: np.ndarray) -> None:
         nonlocal valid, reason
+        s = t - t0
         absu2 = u.real * u.real + u.imag * u.imag
         times[i_obs] = t
         mass[i_obs] = dx * float(np.sum(absu2))
-        en[i_obs] = _energy(dx, k2, uhat, absu2, vpot)
+        en[i_obs] = _energy(dx, k2, uhat, absu2, flow.potential_at(s))
         if reference is not None:
-            p = reference
-            phase = np.exp(0.5j * (p.mu**2 - p.v**2) * t)
-            d = u - carrier * (phase * _sech(p.mu * (grid.x - p.center(t))))
+            phase = np.exp(1j * (0.5 * (p.mu**2 - p.v**2) * t + f * (p.v - 0.5 * f) * s))
+            if profile is not None:
+                d = u - phase * profile
+            else:
+                d = u - carrier * (phase * _sech(p.mu * (x - (p.center(t) - f * s))))
             err[i_obs] = math.sqrt(dx * float(np.sum(d.real * d.real + d.imag * d.imag)))
-        if conj_phi is not None:
-            a_abs[i_obs] = abs(dx * np.sum(u * conj_phi))
+        if bound_state is not None:
+            shift = np.exp(-1j * (lab_k * (f * s)))
+            a_abs[i_obs] = abs(dx / grid.n * np.sum(uhat * conj_phihat * shift))
         edge[i_obs] = edge_mass_fraction(absu2)
         if valid and edge[i_obs] > EDGE_MASS_TOL:
             valid = False
             reason = f"edge mass fraction {edge[i_obs]:.3g} exceeded {EDGE_MASS_TOL:g} at t={t:g}"
         if config.snapshot_every is not None and i_obs % config.snapshot_every == 0:
             snap_times.append(t)
-            snaps.append(Field(grid, u))
+            snaps.append(_lab_field(grid, u, f, s))
 
-    u = u0.values
+    u = u0.values * np.exp(-1j * f * x) if f else u0.values
     uhat = np.fft.fft(u)
     observe(0, t0, uhat, u)
+    start = perf_counter()
     for seg in range(n_seg):
         uhat, u = flow(uhat, k_obs, seg * k_obs)
         observe(seg + 1, t0 + (seg + 1) * k_obs * dt, uhat, u)
+    loop_s = perf_counter() - start
 
     series = ObserverSeries(times, err, mass, en, a_abs, edge)
     return EvolveResult(
-        final=Field(grid, u),
+        final=_lab_field(grid, u, f, times[-1] - t0),
         series=series,
         steps=n_seg * k_obs,
         valid=valid,
+        loop_s=loop_s,
+        transforms=1 + n_seg * (2 * k_obs + 1),
         invalid_reason=reason,
         snapshot_times=tuple(snap_times),
         snapshots=tuple(snaps),

@@ -66,15 +66,34 @@ class TestSimulate:
         assert times.size == steps + 1
         assert np.allclose(np.diff(times), dt, rtol=1e-12, atol=0)
 
+    def test_report_times_the_step_loop(self, tmp_path):
+        cfg = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        timing = report["timing"]
+        assert set(timing) == {"loop_s", "steps_per_s", "n", "dt", "transforms"}
+        assert timing["n"] == report["grid"]["n"] and timing["dt"] == report["dt"]
+        assert timing["loop_s"] > 0
+        assert timing["steps_per_s"] == pytest.approx(report["steps"] / timing["loop_s"])
+        # every step is observed at v = 8: one forward transform, then 3 a step
+        assert timing["transforms"] == 1 + 3 * report["steps"]
+        # telemetry stays out of the config and so out of its hash
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "timing" not in json.dumps(manifest["config"])
+
     def test_bound_mode_amplitude(self, tmp_path):
         spec = {"kind": "sech2_scaled", "beta": 0.5}
         cfg = write_config(tmp_path / "c.json", potential=spec)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        a_abs = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)[:, 4]
+        series = np.loadtxt(out / "series.csv", delimiter=",", skiprows=1)
+        a_abs, t_end = series[:, 4], series[-1, 0]
         report = json.loads((out / "report.json").read_text())
+        # the report's grid is that of final_field.bin at t_end; the run's
+        # grid co-moves at v = 8, so at t = 0 it lay 8 t_end to the left
         g = report["grid"]
-        grid = make_grid(g["x_min"], g["x_max"], g["n"])
+        grid = make_grid(g["x_min"], g["x_max"], g["n"]).shifted(-8.0 * t_end)
         (state,) = scattering.bound_states(sample_potential(PotentialSpec.from_dict(spec), grid))
         u0 = soliton(SolitonParams(v=8.0, x0=report["x0"]), 0.0, grid).values
         expected = abs(grid.dx * np.sum(u0 * np.conj(state.field.values)))

@@ -198,12 +198,13 @@ _catalog = st.one_of(
 @given(spec=_catalog, delta=st.floats(0.51, 0.7), v=st.floats(6, 64), x0_factor=st.floats(1, 3))
 def test_every_plan_passes_the_step_rules(spec, delta, v, x0_factor):
     # plan_run and validate_step_rules read one owner per rule, so whatever
-    # plan_run sizes, the run (under V, and its V = 0 floor) accepts
+    # plan_run sizes, the run (under V, and its V = 0 floor) accepts on its
+    # grid, which co-moves with the soliton
     try:
         config = ExperimentConfig(potential=spec, delta=delta, velocities=(v,),
                                   x0_factor=x0_factor)
         plan = plan_run(config, v)
     except ConfigError:  # a launch geometry the phase rules reject
         hypothesis.reject()
-    validate_step_rules(plan.grid, plan.dt, plan.v, spec)
-    validate_step_rules(plan.grid, plan.dt, plan.v, None)
+    validate_step_rules(plan.grid, plan.dt, plan.v, spec, frame_velocity=plan.v)
+    validate_step_rules(plan.grid, plan.dt, plan.v, None, frame_velocity=plan.v)

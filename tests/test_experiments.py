@@ -111,15 +111,17 @@ class TestRunPlan:
         for v in cfg.velocities:
             plan = plan_run(cfg, v)
             # the potential's feature length max|V|/max|V'| = 1.16 exceeds the
-            # soliton width 1, so ell = 1
-            assert plan.grid.k_max >= required_kmax(v, cfg.potential)
-            assert plan.grid.k_max >= v + 18.0
+            # soliton width 1, so ell = 1; the grid co-moves with the soliton,
+            # so the k rule does not pay for v
+            assert plan.grid.k_max >= required_kmax(0.0, cfg.potential)
+            assert plan.grid.k_max >= 18.0
             assert plan.dt * (cfg.potential.sup_norm + 1.0 + 2.0 * v) <= 0.1 * (1 + 1e-12)
             assert plan.x0 == pytest.approx(-2.0 * v**0.4)
-            # domain holds the soliton path and the leftward reflected excursion
-            assert plan.grid.x_max >= plan.x0 + v * plan.t_end + 25.0
+            # the co-moving domain holds the potential's start at the center 0
+            # and the reflected part's excursion at -2v after the crossing
+            assert plan.grid.x_max >= 0.0 + 25.0
             t_cross = -plan.x0 / v
-            assert plan.grid.x_min <= -v * max(0.0, plan.t_end - t_cross) - 25.0
+            assert plan.grid.x_min <= plan.x0 - 2.0 * v * (plan.t_end - t_cross) - 25.0
 
     def test_launch_measured_from_center(self):
         cfg = ExperimentConfig(
@@ -152,8 +154,8 @@ class TestRunPlan:
                                velocities=(v,), x0_factor=x0_factor)
         plan = plan_run(cfg, v)
         params = SolitonParams(v=v, x0=plan.x0)
-        for t in (0.0, plan.t_end):
-            assert edge_mass_fraction(soliton(params, t, plan.grid)) <= 1e-11
+        for t in (0.0, plan.t_end):  # the grid co-moves: at t it is shifted by v t
+            assert edge_mass_fraction(soliton(params, t, plan.grid.shifted(v * t))) <= 1e-11
 
     def test_clearance_is_margin_at_moderate_v(self):
         # the acceptance ladder keeps its grids: the derived clearance only
@@ -162,7 +164,8 @@ class TestRunPlan:
                                velocities=(8.0, 16.0, 32.0, 64.0))
         for v in cfg.velocities:
             plan = plan_run(cfg, v)
-            assert plan.grid.x_max == plan.x0 + v * plan.t_end + experiments.MARGIN
+            # the co-moving core ends at the potential's center 0
+            assert plan.grid.x_max == 0.0 + experiments.MARGIN
 
 
 class TestLemmaCheck:

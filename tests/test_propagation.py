@@ -227,6 +227,17 @@ class TestEvolve:
         assert required_kmax(4.0) == pytest.approx(4.0 + 2.0 / math.pi * math.log(2e12))
         assert required_kmax(4.0) == pytest.approx(22.03, abs=0.01)
 
+    def test_rules_in_the_co_moving_frame(self):
+        # the k rule pays for the soliton's velocity relative to the grid and
+        # the dt rule for its velocity relative to the potential
+        g = make_grid(-40.0, 40.0, 512)
+        assert required_kmax(0.0) == pytest.approx(2.0 / math.pi * math.log(2e12))
+        validate_step_rules(g, 1e-4, 50.0, frame_velocity=50.0)
+        with pytest.raises(ConfigError):
+            validate_step_rules(g, 1e-4, 50.0)  # the same grid at rest
+        with pytest.raises(ConfigError):
+            validate_step_rules(g, 1e-3, 50.0, frame_velocity=50.0)  # dt over cap
+
 
 class TestObserver:
     """evolve's observer reuses the kernel's spectrum and a carrier built once;
@@ -293,10 +304,57 @@ class TestObserver:
         res = evolve(u0, pot, (0.0, 0.2), StepperConfig(dt=0.01, obs_cadence=cadence), reference=p)
         n_seg = len(res.series.times) - 1
         assert n_seg * k_obs == 20
-        assert len(calls) == 1 + n_seg * (2 * k_obs + 1)
+        assert len(calls) == 1 + n_seg * (2 * k_obs + 1) == res.transforms
         calls.clear()
         step(u0, pot, 0.01)
         assert len(calls) == 4
+
+
+class TestFrame:
+    """A run in the frame co-moving at f is the lab run: on one grid, wide
+    enough for both, the observer columns agree, and the final field is the
+    lab samples on the grid shifted by f (t1 - t0)."""
+
+    #: 200 grid spacings at f = 2, so the shifted grid falls on grid points
+    T = 7.8125
+
+    @classmethod
+    def _run(cls, frame_velocity):
+        g = make_grid(-40.0, 40.0, 1024)  # k_max = 40 > v + 18: the lab rule holds
+        pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), g)
+        state = bound_states(pot)[0]
+        # the soliton crosses the well at t = 5
+        p = SolitonParams(v=2.0, x0=-10.0)
+        return p, evolve(soliton(p, 0.0, g), pot, (0.0, cls.T),
+                         StepperConfig(dt=0.01, obs_cadence=0.05), reference=p,
+                         bound_state=state, frame_velocity=frame_velocity)
+
+    @pytest.mark.parametrize("f", [1.0, 2.0])  # the reference moves in the frame, or not
+    def test_observer_columns_match_the_lab(self, f):
+        _, lab = self._run(0.0)
+        _, frame = self._run(f)
+        a, b = lab.series, frame.series
+        assert np.array_equal(a.times, b.times)
+        assert np.max(np.abs(a.err_l2 - b.err_l2)) <= 1e-11
+        assert np.max(np.abs(a.mass - b.mass)) <= 1e-12
+        assert np.max(np.abs(a.energy - b.energy)) <= 1e-11 * np.max(np.abs(a.energy))
+        assert a.a_abs.max() > 0.1
+        assert np.max(np.abs(a.a_abs - b.a_abs)) <= 1e-11
+
+    @pytest.mark.parametrize("f", [1.0, 2.0])
+    def test_final_field_is_lab_samples_on_the_shifted_grid(self, f):
+        p, lab = self._run(0.0)
+        _, frame = self._run(f)
+        g, t_end = lab.final.grid, frame.series.times[-1]
+        assert frame.final.grid == g.shifted(f * t_end)
+        exact = soliton(p, t_end, frame.final.grid, check_support=False)
+        dist = l2_norm(Field(frame.final.grid, frame.final.values - exact.values))
+        assert dist == pytest.approx(frame.series.err_l2[-1], rel=1e-12)
+        # on the grid points the two domains share, the samples agree up to
+        # the splitting error's dispersive tail (1.7e-7 at the edges), which
+        # wraps round the two periodic domains differently (measured 7.5e-8)
+        m = round(f * t_end / g.dx)  # the shift in grid points
+        assert np.max(np.abs(frame.final.values[:-m] - lab.final.values[m:])) <= 1e-6
 
 
 @pytest.fixture(scope="module")
