@@ -24,32 +24,33 @@ the same equation under a moving potential. The lab kinetic multiplier
 e^{-i (dt/2) (k + f)^2/2} is the frame's e^{-i (dt/2) k^2/2} times a
 translation by f dt/2 and a phase, so a frame step that takes V at its
 midpoint time, V(y + f (t_j + dt/2 - t0)), is the lab Strang step exactly.
-At f = 0 V is evaluated once. The observer reports lab quantities, and the
-final field comes back as lab samples on the grid shifted by f (t1 - t0).
+At f = 0 the step takes the potential's samples. The observer reports lab
+quantities, and the final field comes back as lab samples on the grid
+shifted by f (t1 - t0).
 
-Resolution rules for a soliton of width 1 (mu = 1) moving at v relative to
-the potential. Both are Galilean invariant: the carrier phase is integrated
+Resolution rules for a soliton of width 1 (mu = 1) moving at v relative
+to the potential, for a run carried in the frame co-moving with the
+soliton. Both are Galilean invariant: the carrier phase is integrated
 exactly by the kinetic substep, so neither rule pays for v^2. The length
 ell is the shorter of the soliton width 1 and the potential's feature
 length max|V|/max|V'|:
 
-    k_max >= |v - f| + (2/(pi ell)) ln(2/SOLITON_TAIL_TOL)
-             (the Fourier envelope sech(pi (k - v + f) ell/2) is below
-             SOLITON_TAIL_TOL at Nyquist; about |v - f| + 18/ell)
+    k_max >= (2/(pi ell)) ln(2/SOLITON_TAIL_TOL)
+             (the Fourier envelope sech(pi k ell/2) of the soliton at rest
+             in the frame is below SOLITON_TAIL_TOL at Nyquist; about 18/ell)
     dt    <= PHASE_CAP / (max|V| + 1 + 2|v|/ell)
              (<= 0.1 rad pointwise phase per substep, and the soliton
              moves at most 0.05 ell per step across the potential)
 
-The k rule pays for the soliton's velocity relative to the grid, v - f,
-which the co-moving frame (f = v) makes 0: k_max >= 18/ell. The dt rule
-keeps 2|v|/ell, because the soliton and the potential still move at v
-relative to each other. What the frame grid drops: the lab band
-[-v - 18/ell, v + 18/ell] maps to [-2v - 18/ell, 18/ell] in the frame, and
-the frame grid keeps [-18/ell, 18/ell]. The part it drops holds near-field
-and reflected content of size about |V^(k)| for |k| > 18/ell; the lab rule
-already neglects content of that size on its right side, past
-v + 18/ell. Where 18/ell > 2v (a narrow gaussian at moderate v) the
-reflected band lies on the frame grid.
+The dt rule keeps 2|v|/ell, because the soliton and the potential still
+move at v relative to each other. A grid at rest would need k_max v higher,
+as the soliton's envelope is centered at k = v there. What the frame grid
+drops: the lab band [-v - 18/ell, v + 18/ell] maps to [-2v - 18/ell, 18/ell]
+in the frame, and the frame grid keeps [-18/ell, 18/ell]. The part it drops
+holds near-field and reflected content of size about |V^(k)| for
+|k| > 18/ell; a grid at rest sized for v already neglects content of that
+size on its right side, past v + 18/ell. Where 18/ell > 2v (a narrow
+gaussian at moderate v) the reflected band lies on the frame grid.
 """
 
 from __future__ import annotations
@@ -122,11 +123,11 @@ def resolution_length(potential: PotentialSpec | None = None) -> float:
     return min(1.0, potential.sup_norm / slope) if slope > 0 else 1.0
 
 
-def required_kmax(v: float, potential: PotentialSpec | None = None) -> float:
-    """The k rule: the smallest grid k_max for a soliton moving at v relative
-    to the grid, 0 in the co-moving frame (see the module docstring)."""
+def required_kmax(potential: PotentialSpec | None = None) -> float:
+    """The k rule: the smallest k_max of a grid co-moving with the soliton
+    (see the module docstring)."""
     ell = resolution_length(potential)
-    return abs(v) + 2.0 / (math.pi * ell) * math.log(2.0 / SOLITON_TAIL_TOL)
+    return 2.0 / (math.pi * ell) * math.log(2.0 / SOLITON_TAIL_TOL)
 
 
 def suggested_dt(v: float, potential: PotentialSpec | None = None) -> float:
@@ -138,11 +139,10 @@ def suggested_dt(v: float, potential: PotentialSpec | None = None) -> float:
 
 
 def validate_step_rules(
-    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None,
-    frame_velocity: float = 0.0,
+    grid: Grid, dt: float, v: float, potential: PotentialSpec | None = None
 ) -> None:
-    """Raise ConfigError when dt or the grid violate the resolution rules for
-    a soliton at v on a grid co-moving at ``frame_velocity``."""
+    """Raise ConfigError when dt or the grid co-moving with a soliton at v
+    violate the resolution rules."""
     if dt <= 0 or not math.isfinite(dt):
         raise ConfigError("dt must be positive")
     cap = suggested_dt(v, potential)
@@ -150,11 +150,11 @@ def validate_step_rules(
         raise ConfigError(
             f"dt={dt:g} exceeds the resolution cap {PHASE_CAP}/(max|V|+1+2|v|/ell) = {cap:g}"
         )
-    kmax = required_kmax(v - frame_velocity, potential)
+    kmax = required_kmax(potential)
     if grid.k_max < kmax:
         raise ConfigError(
             f"grid k_max={grid.k_max:.3g} below the resolution rule "
-            f"|v-f|+(2/(pi ell)) ln(2/{SOLITON_TAIL_TOL:g})={kmax:.3g}; refine dx"
+            f"(2/(pi ell)) ln(2/{SOLITON_TAIL_TOL:g})={kmax:.3g}; refine dx"
         )
 
 
@@ -227,26 +227,31 @@ class _StrangFlow:
     (ifft, P, fft, times K_full) per step with the last K_full replaced by
     K_half, and one closing ifft for the samples; 2k+1 transforms. In the
     frame co-moving at ``frame_velocity`` f, P of step j takes V at the
-    step's midpoint, V(y + f (j + 1/2) dt); at f = 0 V is evaluated once. A
-    non-finite sample spreads to every Fourier coefficient, so w[0] after
-    each step's forward transform shows whether that step broke down."""
+    step's midpoint, V(y + f (j + 1/2) dt); at f = 0 it takes the
+    potential's samples. A non-finite sample spreads to every Fourier
+    coefficient, so w[0] after each step's forward transform shows whether
+    that step broke down."""
 
-    def __init__(self, grid: Grid, potential: PotentialSpec | None, dt: float,
+    def __init__(self, grid: Grid, potential: SampledPotential | None, dt: float,
                  frame_velocity: float = 0.0):
+        if potential is not None and potential.grid != grid:
+            raise ConfigError("field and potential live on different grids")
         self.dt = dt
-        self.spec = potential
         self.frame_velocity = frame_velocity
         self.x = grid.x
-        self.vpot = potential(grid.x) if potential is not None and not frame_velocity else None
+        self.potential = potential
         self.kin_half = np.exp(-0.25j * dt * grid.k**2)
         self.kin_full = self.kin_half * self.kin_half
         self._phase = np.empty(grid.n, dtype=np.complex128)
 
     def potential_at(self, s: float) -> np.ndarray | None:
-        """V on the grid a time ``s`` after the start (None for no potential)."""
-        if self.spec is None or not self.frame_velocity:
-            return self.vpot
-        return self.spec(self.x + self.frame_velocity * s)
+        """V on the grid a time ``s`` after the start (None for no potential):
+        the samples at rest, V(y + f s) of the analytic potential otherwise."""
+        if self.potential is None:
+            return None
+        if not self.frame_velocity:
+            return self.potential.values
+        return self.potential.spec(self.x + self.frame_velocity * s)
 
     def __call__(
         self, uhat: np.ndarray, k: int, first_step: int = 0
@@ -276,9 +281,7 @@ class _StrangFlow:
 
 def step(u: Field, potential: SampledPotential | None, dt: float) -> Field:
     """One Strang step. Mass-preserving to roundoff; local error O(dt^3)."""
-    if potential is not None and potential.grid != u.grid:
-        raise ConfigError("field and potential live on different grids")
-    flow = _StrangFlow(u.grid, potential.spec if potential is not None else None, dt)
+    flow = _StrangFlow(u.grid, potential, dt)
     return Field(u.grid, flow(np.fft.fft(u.values), 1)[1])
 
 
@@ -350,22 +353,20 @@ def evolve(
     (dx/n) sum_j uhat_j conj(phihat(k_j + f)) e^{-i (k_j + f) f (t - t0)}
     over the j with |k_j + f| <= k_max, where phihat(k_j + f) is the
     transform of phi e^{-i f y}; a physical-space sum would alias once f
-    nears k_max.
+    nears k_max. ``bound_state`` may live on a finer grid of the same
+    domain (n a multiple of the run's), whose transform holds the run's
+    wavenumbers: a finite-difference eigenvector is more accurate there.
     """
     t0, t1 = map(float, t_span)
     if not t1 > t0:
         raise ConfigError("t_span must satisfy t1 > t0")
     grid = u0.grid
-    if potential is not None and potential.grid != grid:
-        raise ConfigError("field and potential live on different grids")
-    if bound_state is not None and bound_state.field.grid != grid:
-        raise ConfigError("bound state lives on a different grid")
     span = t1 - t0
     k_obs = max(1, int(math.floor(config.obs_cadence / config.dt + 1e-12)))
     n_seg = max(1, int(math.ceil(span / (k_obs * config.dt) - 1e-12)))
     dt = span / (n_seg * k_obs)
     f = float(frame_velocity)
-    flow = _StrangFlow(grid, potential.spec if potential is not None else None, dt, f)
+    flow = _StrangFlow(grid, potential, dt, f)
     dx, x = grid.dx, grid.x
     lab_k = grid.k + f
     k2 = lab_k * lab_k
@@ -375,7 +376,13 @@ def evolve(
         # a reference that co-moves with the frame keeps one profile
         profile = carrier * _sech(p.mu * (x - p.center(t0))) if p.v == f else None
     if bound_state is not None:
-        phihat = np.fft.fft(bound_state.field.values * np.exp(-1j * f * x))
+        bg = bound_state.field.grid
+        if (bg.x_min, bg.x_max) != (grid.x_min, grid.x_max) or bg.n % grid.n:
+            raise ConfigError("bound state lives on another domain or a coarser grid")
+        # phi's transform at the run's wavenumbers, which the finer grid shares
+        modes = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.intp)
+        phihat = np.fft.fft(bound_state.field.values * np.exp(-1j * f * bg.x))[modes]
+        phihat *= bg.dx / dx
         conj_phihat = np.where(np.abs(lab_k) <= grid.k_max, np.conj(phihat), 0.0)
 
     times = np.empty(n_seg + 1)

@@ -206,5 +206,5 @@ def test_every_plan_passes_the_step_rules(spec, delta, v, x0_factor):
         plan = plan_run(config, v)
     except ConfigError:  # a launch geometry the phase rules reject
         hypothesis.reject()
-    validate_step_rules(plan.grid, plan.dt, plan.v, spec, frame_velocity=plan.v)
-    validate_step_rules(plan.grid, plan.dt, plan.v, None, frame_velocity=plan.v)
+    validate_step_rules(plan.grid, plan.dt, plan.v, spec)
+    validate_step_rules(plan.grid, plan.dt, plan.v, None)

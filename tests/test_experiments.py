@@ -113,7 +113,7 @@ class TestRunPlan:
             # the potential's feature length max|V|/max|V'| = 1.16 exceeds the
             # soliton width 1, so ell = 1; the grid co-moves with the soliton,
             # so the k rule does not pay for v
-            assert plan.grid.k_max >= required_kmax(0.0, cfg.potential)
+            assert plan.grid.k_max >= required_kmax(cfg.potential)
             assert plan.grid.k_max >= 18.0
             assert plan.dt * (cfg.potential.sup_norm + 1.0 + 2.0 * v) <= 0.1 * (1 + 1e-12)
             assert plan.x0 == pytest.approx(-2.0 * v**0.4)

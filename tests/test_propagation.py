@@ -223,20 +223,17 @@ class TestEvolve:
         with pytest.raises(ConfigError):
             validate_step_rules(g, 1.0, 4.0)  # dt over cap
         with pytest.raises(ConfigError):
-            validate_step_rules(g, 1e-4, 50.0)  # k_max too small for v=50
-        assert required_kmax(4.0) == pytest.approx(4.0 + 2.0 / math.pi * math.log(2e12))
-        assert required_kmax(4.0) == pytest.approx(22.03, abs=0.01)
+            validate_step_rules(make_grid(-40.0, 40.0, 256), 1e-4, 4.0)  # k_max 10 < 18
+        assert required_kmax() == pytest.approx(2.0 / math.pi * math.log(2e12))
+        assert required_kmax() == pytest.approx(18.03, abs=0.01)
 
     def test_rules_in_the_co_moving_frame(self):
-        # the k rule pays for the soliton's velocity relative to the grid and
-        # the dt rule for its velocity relative to the potential
-        g = make_grid(-40.0, 40.0, 512)
-        assert required_kmax(0.0) == pytest.approx(2.0 / math.pi * math.log(2e12))
-        validate_step_rules(g, 1e-4, 50.0, frame_velocity=50.0)
+        # the grid co-moves with the soliton, so the k rule does not pay for
+        # v; the dt rule does, as the potential still moves at v
+        g = make_grid(-40.0, 40.0, 512)  # k_max = 20.1
+        validate_step_rules(g, 1e-4, 50.0)
         with pytest.raises(ConfigError):
-            validate_step_rules(g, 1e-4, 50.0)  # the same grid at rest
-        with pytest.raises(ConfigError):
-            validate_step_rules(g, 1e-3, 50.0, frame_velocity=50.0)  # dt over cap
+            validate_step_rules(g, 1e-3, 50.0)  # dt over the cap 0.1/101
 
 
 class TestObserver:
@@ -355,6 +352,33 @@ class TestFrame:
         # wraps round the two periodic domains differently (measured 7.5e-8)
         m = round(f * t_end / g.dx)  # the shift in grid points
         assert np.max(np.abs(frame.final.values[:-m] - lab.final.values[m:])) <= 1e-6
+
+    def test_bound_state_on_a_finer_grid(self):
+        # a_abs reads the bound state's transform at the run's wavenumbers,
+        # which a finer grid of the same domain holds; the finite-difference
+        # ground state on 4x the points is nearer the converged one (16384
+        # points): measured 3.8e-3 of the peak on the run grid, 2.3e-4 at 4x
+        g = make_grid(-40.0, 40.0, 512)
+        spec = PotentialSpec("sech2_scaled", beta=0.5)
+        pot = sample_potential(spec, g)
+        p = SolitonParams(v=2.0, x0=-10.0)
+
+        def a_abs(state_grid, f=0.0):
+            state = bound_states(sample_potential(spec, state_grid))[0]
+            return evolve(soliton(p, 0.0, g), pot, (0.0, self.T),
+                          StepperConfig(dt=0.01, obs_cadence=0.05), bound_state=state,
+                          frame_velocity=f).series.a_abs
+
+        fine_grid = make_grid(-40.0, 40.0, 2048)
+        coarse, fine = a_abs(g), a_abs(fine_grid)
+        converged = a_abs(make_grid(-40.0, 40.0, 16384))
+        peak = converged.max()
+        assert np.max(np.abs(fine - converged)) <= 5e-4 * peak
+        assert np.max(np.abs(coarse - converged)) >= 2e-3 * peak
+        assert np.max(np.abs(a_abs(fine_grid, 2.0) - fine)) <= 1e-11
+        for other in (make_grid(-40.0, 40.0, 256), make_grid(-40.0, 41.0, 2048)):
+            with pytest.raises(ConfigError):
+                a_abs(other)
 
 
 @pytest.fixture(scope="module")
