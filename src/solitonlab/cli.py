@@ -173,7 +173,8 @@ def cmd_spectral(args) -> int:
         write_json(json_path, report.to_dict())
         manifest.add_output(json_path)
         adm = report.admissibility
-        manifest.flags["admissible"] = adm.admissible
+        manifest.flags.update(admissible=adm.admissible, table_s=report.table_s,
+                              admissibility_s=report.admissibility_s)
     print(
         f"{spec.kind}: {adm.bound_state_count} bound state(s) "
         f"{list(adm.bound_state_energies)}, resonance={adm.resonance_detected}, "

@@ -231,8 +231,10 @@ class RunReport:
     read from the series. ``final`` holds the lab samples at t_end, on the
     plan's grid shifted by v t_end. The run took ``steps`` steps of
     t_end/steps, at most ``plan.dt``, in ``transforms`` FFTs. ``wall_s``
-    (the run's wall time, in the manifest) and ``loop_s`` (its step loop's,
-    in :attr:`timing`) are telemetry."""
+    (the run's wall time, in the manifest), ``loop_s`` (its step loop's, in
+    :attr:`timing`) and ``admissibility_s`` (the wall time of the gate in
+    :func:`transmission_run`; None for a study's runs, which share one gate)
+    are telemetry."""
 
     plan: RunPlan
     series: ObserverSeries
@@ -243,6 +245,7 @@ class RunReport:
     wall_s: float
     loop_s: float
     transforms: int
+    admissibility_s: float | None = None
 
     @property
     def sup_error(self) -> float:
@@ -277,10 +280,11 @@ class RunReport:
     @property
     def timing(self) -> dict:
         """Step-loop telemetry: wall time, steps per second, grid points,
-        step taken and FFT count."""
+        step taken and FFT count; and the admissibility gate's wall time."""
         return {"loop_s": self.loop_s,
                 "steps_per_s": self.steps / self.loop_s if self.loop_s > 0 else math.inf,
-                "n": self.plan.grid.n, "dt": self.dt, "transforms": self.transforms}
+                "n": self.plan.grid.n, "dt": self.dt, "transforms": self.transforms,
+                "admissibility_s": self.admissibility_s}
 
     def to_dict(self) -> dict:
         return {
@@ -356,8 +360,10 @@ def transmission_run(config: ExperimentConfig, v: float) -> RunReport:
     set; the override is recorded in the report.
     """
     plan = plan_run(config, v)
+    start = perf_counter()
     _admissibility_gate(config)
-    return _run_plan(plan)
+    admissibility_s = perf_counter() - start
+    return replace(_run_plan(plan), admissibility_s=admissibility_s)
 
 
 @dataclass(frozen=True)

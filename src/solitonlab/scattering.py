@@ -16,13 +16,26 @@ fourth-order two-point Gauss-Magnus exponential for the linear system
 y' = [[0,1],[Q,0]] y. The matrix is the exact propagator for locally
 constant Q, so free regions are integrated exactly and the step error is
 governed by the variation of V alone. Cells of width dx are subdivided so
-that (local wave number) * (substep) stays below SUBSTEP_PHASE radians.
+that (local wave number) * (substep) stays below SUBSTEP_PHASE radians,
+with the wave number sqrt(lam^2 + 2 sup|V|) of each lam on its own: lam
+values with equal substep counts share one pass over the cells, so a table
+entry does not depend on which other lam share its batch. V is sampled one
+substep at a time, so memory does not grow with the largest lam.
+
+The node values follow from the cell matrices by a blocked walk: prefix
+products inside blocks of isqrt(n) cells, taken for all blocks at once; the
+vectors at the block starts, one block after another; then every node as a
+prefix product times its block's start vector. That is about 2 sqrt(n)
+numpy passes instead of n. A node's value passes through at most
+2 sqrt(n) rounded matrix products, against one per cell before it in a
+cell-by-cell walk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from time import perf_counter
 
 import numpy as np
 import scipy.linalg
@@ -98,8 +111,10 @@ class BoundState:
     field: Field
 
 
-def _substeps(grid: Grid, lam_max: float, sup_v: float) -> int:
-    rate = math.sqrt(lam_max * lam_max + 2.0 * sup_v)
+def _substeps(grid: Grid, lam: float, sup_v: float) -> int:
+    """Substeps per cell at frequency ``lam``: the local wave number
+    sqrt(lam^2 + 2 sup|V|) times the substep stays below SUBSTEP_PHASE."""
+    rate = math.sqrt(lam * lam + 2.0 * sup_v)
     return max(1, math.ceil(grid.dx * rate / SUBSTEP_PHASE))
 
 
@@ -112,76 +127,114 @@ def _require_small_edges(potential: SampledPotential) -> None:
         )
 
 
-def _propagate_batch(
-    spec: PotentialSpec, grid: Grid, lams: np.ndarray, sign: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the frequency ODE inward from one edge for a batch of lam.
+def _cell_matrices(
+    spec: PotentialSpec, starts: np.ndarray, h: float, m: int, lam2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Transfer matrix of every cell for each lam^2 in ``lam2``: the product
+    of ``m`` substep exponentials of length ``h`` from the cell ``starts``.
 
-    Returns (f, fprime), each of shape (len(lams), n), sampled on grid nodes.
+    Returns its entries (c00, c01, c10, c11), each of shape (len(lam2),
+    len(starts)). V is sampled one substep at a time, so memory does not grow
+    with ``m``.
     """
-    n = grid.n
-    dx = grid.dx
-    lams = np.asarray(lams, dtype=np.float64)
-    m = _substeps(grid, float(np.max(np.abs(lams))), spec.sup_norm)
-    h = -dx / m if sign > 0 else dx / m
-
-    # starting node and node sequence in integration order
-    if sign > 0:
-        starts = grid.x[n - 1 : 0 : -1]  # cell i propagates node n-1-i -> n-2-i
-    else:
-        starts = grid.x[0 : n - 1]
-    offsets = h * (np.arange(m)[:, None] + np.asarray(_GAUSS_OFFSETS)[None, :])
-    v_gauss = spec(starts[:, None, None] + offsets[None, :, :])  # (n-1, m, 2)
-
-    # accumulate the per-cell transfer matrix as a product of substep exponentials
-    lam2 = lams * lams  # (K,)
-    c00 = np.ones((n - 1, lams.size))
+    c00 = np.ones((lam2.size, starts.size))
     c01 = np.zeros_like(c00)
     c10 = np.zeros_like(c00)
     c11 = np.ones_like(c00)
-    sqrt3_h2_12 = math.sqrt(3.0) * h * h / 12.0
+    lam2 = lam2[:, None]
+    h2 = h * h
+    sqrt3_h2_6 = math.sqrt(3.0) * h2 / 6.0
     for step in range(m):
-        q1 = 2.0 * v_gauss[:, step, 0][:, None] - lam2[None, :]
-        q2 = 2.0 * v_gauss[:, step, 1][:, None] - lam2[None, :]
-        qbar = 0.5 * (q1 + q2)
-        c = sqrt3_h2_12 * (q1 - q2)
-        musq = c * c + h * h * qbar
+        v1 = spec(starts + h * (step + _GAUSS_OFFSETS[0]))
+        v2 = spec(starts + h * (step + _GAUSS_OFFSETS[1]))
+        c = sqrt3_h2_6 * (v1 - v2)  # (q1 - q2) h^2 sqrt(3)/12 with q = 2V - lam^2
+        qbar = (v1 + v2) - lam2
+        musq = c * c + h2 * qbar
         omega = np.sqrt(np.abs(musq))
         positive = musq >= 0.0
-        cosm = np.where(positive, np.cosh(omega), np.cos(omega))
+        cosm = np.cos(omega)
+        np.cosh(omega, out=cosm, where=positive)
+        sinhc = np.sin(omega)
+        np.sinh(omega, out=sinhc, where=positive)
         small = omega < 1e-8
-        den = np.where(small, 1.0, omega)
-        sinhc = np.where(
-            small,
-            1.0 + musq / 6.0,
-            np.where(positive, np.sinh(den) / den, np.sin(den) / den),
-        )
-        m00 = cosm + sinhc * c
+        np.divide(sinhc, omega, out=sinhc, where=~small)
+        sinhc[small] = 1.0 + musq[small] / 6.0
+        sc = sinhc * c
+        m00 = cosm + sc
         m01 = sinhc * h
-        m10 = sinhc * h * qbar
-        m11 = cosm - sinhc * c
+        m10 = m01 * qbar
+        m11 = cosm - sc
         c00, c01, c10, c11 = (
             m00 * c00 + m01 * c10,
             m00 * c01 + m01 * c11,
             m10 * c00 + m11 * c10,
             m10 * c01 + m11 * c11,
         )
+    return c00, c01, c10, c11
 
-    f = np.empty((lams.size, n), dtype=np.complex128)
-    fp = np.empty_like(f)
-    start_idx = n - 1 if sign > 0 else 0
-    y_f = np.exp(1j * sign * lams * grid.x[start_idx])
-    y_g = 1j * sign * lams * y_f
-    f[:, start_idx] = y_f
-    fp[:, start_idx] = y_g
-    idx = start_idx
-    stride = -1 if sign > 0 else 1
-    for i in range(n - 1):
-        y_f, y_g = c00[i] * y_f + c01[i] * y_g, c10[i] * y_f + c11[i] * y_g
-        idx += stride
-        f[:, idx] = y_f
-        fp[:, idx] = y_g
-    return f, fp
+
+def _walk(
+    c: np.ndarray, y_f: np.ndarray, y_g: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """All nodes of y_{i+1} = C_i y_i from y_0 = (y_f, y_g), for every row,
+    by the blocked walk (see the module docstring).
+
+    ``c`` holds the entries (c00, c01, c10, c11) of the C_i, shape (4, K, N);
+    the result is (f, f'), each (K, N+1), in walk order.
+    """
+    _, k, cells = c.shape
+    b = math.isqrt(cells)
+    blocks = -(-cells // b)
+    # the last block is padded past the last node; no result reads the padding
+    p = np.zeros((4, k, blocks * b))
+    p[..., :cells] = c
+    p00, p01, p10, p11 = p.reshape(4, k, blocks, b)
+    for j in range(1, b):
+        m00, m01, m10, m11 = p00[..., j], p01[..., j], p10[..., j], p11[..., j]
+        q00, q01, q10, q11 = p00[..., j - 1], p01[..., j - 1], p10[..., j - 1], p11[..., j - 1]
+        p00[..., j], p01[..., j], p10[..., j], p11[..., j] = (
+            m00 * q00 + m01 * q10,
+            m00 * q01 + m01 * q11,
+            m10 * q00 + m11 * q10,
+            m10 * q01 + m11 * q11,
+        )
+    s_f = np.empty((k, blocks), dtype=np.complex128)
+    s_g = np.empty_like(s_f)
+    s_f[:, 0], s_g[:, 0] = y_f, y_g
+    for j in range(blocks - 1):
+        s_f[:, j + 1] = p00[:, j, -1] * s_f[:, j] + p01[:, j, -1] * s_g[:, j]
+        s_g[:, j + 1] = p10[:, j, -1] * s_f[:, j] + p11[:, j, -1] * s_g[:, j]
+    f = np.empty((k, cells + 1), dtype=np.complex128)
+    g = np.empty_like(f)
+    f[:, 0], g[:, 0] = y_f, y_g
+    s_f, s_g = s_f[..., None], s_g[..., None]
+    f[:, 1:] = (p00 * s_f + p01 * s_g).reshape(k, blocks * b)[:, :cells]
+    g[:, 1:] = (p10 * s_f + p11 * s_g).reshape(k, blocks * b)[:, :cells]
+    return f, g
+
+
+def _propagate_batch(
+    spec: PotentialSpec, grid: Grid, lams: np.ndarray, sign: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the frequency ODE inward from one edge for a batch of lam.
+
+    Returns (f, fprime), each of shape (len(lams), n), sampled on grid nodes.
+    Each row is bitwise what its lam alone gives.
+    """
+    n = grid.n
+    lams = np.asarray(lams, dtype=np.float64)
+    sup_v = spec.sup_norm
+    counts = np.array([_substeps(grid, abs(lam), sup_v) for lam in lams])
+    # cell i propagates node n-1-i -> n-2-i (sign +1) or node i -> i+1 (sign -1)
+    starts = grid.x[n - 1 : 0 : -1] if sign > 0 else grid.x[0 : n - 1]
+    cells = np.empty((4, lams.size, n - 1))
+    for m in map(int, np.unique(counts)):
+        rows = np.flatnonzero(counts == m)
+        cells[:, rows] = _cell_matrices(spec, starts, -sign * grid.dx / m, m,
+                                        lams[rows] * lams[rows])
+    y_f = np.exp(1j * sign * lams * starts[0])
+    f, fp = _walk(cells, y_f, 1j * sign * lams * y_f)
+    return (f[:, ::-1], fp[:, ::-1]) if sign > 0 else (f, fp)
 
 
 def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
@@ -197,7 +250,7 @@ def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
     _require_small_edges(potential)
     grid = potential.grid
     f, fp = _propagate_batch(potential.spec, grid, np.array([lam]), sign)
-    if not (np.all(np.isfinite(f.view(np.float64))) and np.all(np.isfinite(fp.view(np.float64)))):
+    if not (np.isfinite(f).all() and np.isfinite(fp).all()):
         raise AccuracyError(f"non-finite values while integrating lam={lam}")
     return JostSolution(float(lam), sign, grid, f[0], fp[0])
 
@@ -378,11 +431,14 @@ def project(f: Field, bound_state: BoundState | None) -> tuple[complex, Field]:
 class SpectralReport:
     """T/R table and admissibility report (bound states, resonance) for one
     potential; the admissibility report is judged on its own domain, not on
-    the table's."""
+    the table's. ``table_s`` and ``admissibility_s`` (the wall times of the
+    two) are telemetry, left out of :meth:`to_dict`."""
 
     coefficients: tuple[ScatteringCoefficients, ...]
     admissibility: AdmissibilityReport
     truncation_estimate: float
+    table_s: float
+    admissibility_s: float
 
     @property
     def max_unitarity_defect(self) -> float:
@@ -425,8 +481,12 @@ class SpectralReport:
 
 def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralReport:
     """The T/R table on ``grid``, with the admissibility report of ``spec``."""
+    start = perf_counter()
     coeffs = scattering_table(sample_potential(spec, grid), lams)
+    table_s = perf_counter() - start
+    start = perf_counter()
     admissibility = check_admissibility(spec)
+    admissibility_s = perf_counter() - start
     half = min(abs(grid.x_min - spec.center), abs(grid.x[-1] - spec.center))
     lam_min = min(c.lam for c in coeffs)
     truncation = spec.tail_integral(half) / max(lam_min, 1.0)
@@ -434,4 +494,6 @@ def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralRepo
         coefficients=tuple(coeffs),
         admissibility=admissibility,
         truncation_estimate=float(truncation),
+        table_s=table_s,
+        admissibility_s=admissibility_s,
     )

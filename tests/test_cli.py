@@ -72,9 +72,10 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         timing = report["timing"]
-        assert set(timing) == {"loop_s", "steps_per_s", "n", "dt", "transforms"}
+        assert set(timing) == {"loop_s", "steps_per_s", "n", "dt", "transforms",
+                               "admissibility_s"}
         assert timing["n"] == report["grid"]["n"] and timing["dt"] == report["dt"]
-        assert timing["loop_s"] > 0
+        assert timing["loop_s"] > 0 and timing["admissibility_s"] > 0
         assert timing["steps_per_s"] == pytest.approx(report["steps"] / timing["loop_s"])
         # every step is observed at v = 8: one forward transform, then 3 a step
         assert timing["transforms"] == 1 + 3 * report["steps"]
@@ -268,6 +269,18 @@ class TestSpectral:
         assert len(rows) == 7
         worst = max(abs(float(r.split(",")[5])) for r in rows[1:])
         assert worst <= 1e-6
+
+    def test_manifest_times_table_and_admissibility(self, tmp_path):
+        out = tmp_path / "spec"
+        assert main(["spectral", "--kind", "gaussian", "--q", "2", "--sigma", "1",
+                     "--lambda-points", "4", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["flags"]["table_s"] > 0 and manifest["flags"]["admissibility_s"] > 0
+        # telemetry stays out of the config, its hash and the report
+        assert not {"table_s", "admissibility_s"} & set(manifest["config"])
+        assert manifest["config_hash"] == config_hash(manifest["config"])
+        payload = (out / "spectral_report.json").read_text()
+        assert "table_s" not in payload and "admissibility_s" not in payload
 
     def test_zero_kind(self, tmp_path):
         out = tmp_path / "spec0"

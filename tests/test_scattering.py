@@ -7,13 +7,14 @@ with kappa = (sqrt(5)-1)/2), and the Born limit |T-1|*lam -> integral V.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from solitonlab.errors import AccuracyError, ConfigError
 from solitonlab.grid import Field, inner_product, l2_norm, make_grid
-from solitonlab.potentials import PotentialSpec, sample_potential
+from solitonlab.potentials import PotentialSpec, check_admissibility, sample_potential
 from solitonlab.scattering import (
     bound_states,
     detect_resonance,
@@ -162,6 +163,94 @@ class TestIntegratorOrder:
             errs.append(abs(scattering_table(pot, [1.0])[0].T - ref))
         for i in range(2):
             assert 12.0 <= errs[i] / errs[i + 1] <= 20.0  # ~2^4 per halving
+
+
+# W(0) on each potential's admissibility domain as the cell-by-cell walk
+# with one substep count per batch computed it, with the verdicts
+# (admissible, detected, stable); algebraic q=5, s=2.5 needs the n=4096 domain
+PINNED_W0 = [
+    pytest.param(PotentialSpec("algebraic", q=0.5, s=3.0), 2048, 7.672706541522801,
+                 (True, False, True), id="algebraic"),
+    pytest.param(PotentialSpec("gaussian", q=2.0, sigma=1.0), 2048, 384.13857681360196,
+                 (True, False, True), id="gaussian"),
+    pytest.param(PotentialSpec("sech2_scaled", beta=0.5), 2048, 0.5933502691060777,
+                 (True, False, True), id="sech2_half"),
+    pytest.param(PotentialSpec("poschl_teller", ell=2.0), 2048, 1.98680347421092e-10,
+                 (False, True, True), id="poschl_teller"),
+    pytest.param(PotentialSpec("sech2_scaled", beta=1.0), 2048, 7.29953178397532e-11,
+                 (False, True, True), id="sech2_one"),
+    pytest.param(PotentialSpec("algebraic", q=5.0, s=2.5), 4096, 30854228.375089485,
+                 (True, False, True), id="algebraic_wide"),
+]
+
+
+class TestTransferWalk:
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("algebraic", q=0.5, s=3.0),
+        PotentialSpec("sech2_scaled", beta=0.5),
+    ], ids=lambda spec: spec.kind)
+    def test_entry_independent_of_batch(self, spec):
+        # each lam takes its own substep count, so a table entry is bitwise
+        # what that lam alone gives
+        pot = sample_potential(spec, make_grid(-60.0, 60.0, 2048))
+        lams = np.geomspace(0.5, 40.0, 48)
+        table = scattering_table(pot, lams)
+        assert table == [scattering_table(pot, [lam])[0] for lam in lams]
+
+    @pytest.mark.parametrize("spec, n, w0, verdicts", PINNED_W0)
+    def test_zero_frequency_wronskian_pinned(self, spec, n, w0, verdicts):
+        report = check_admissibility(spec)
+        assert report.grid.n == n
+        probe = report.resonance
+        assert abs(probe.w0_abs - w0) <= 1e-12 * max(1.0, w0)
+        assert (report.admissible, probe.detected, probe.stable) == verdicts
+
+    @pytest.mark.parametrize("spec, n, w0, verdicts", PINNED_W0)
+    def test_wronskian_spread_at_roundoff(self, spec, n, w0, verdicts):
+        # a badly conditioned blocked product would spread W over the
+        # interior; at a resonance W(0) ~ 0, so there the spread is bounded
+        # by the pin tolerance instead of relative to |W|
+        pot = sample_potential(spec, check_admissibility(spec).grid)
+        for lam in (0.0, 40.0):
+            w = wronskian(jost(pot, lam, +1), jost(pot, lam, -1))
+            if lam == 0.0 and verdicts[1]:
+                assert w.std <= 1e-12
+            else:
+                assert w.std <= 1e-10 * abs(w.value)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 8, 17, 63, 1000])
+    def test_blocked_walk_matches_cell_by_cell(self, cells):
+        # reference: the recurrence y_{i+1} = C_i y_i one cell at a time.
+        # Rotations keep every product at norm one, so roundoff is absolute.
+        from solitonlab.scattering import _walk
+
+        rng = np.random.default_rng(cells)
+        theta = rng.uniform(-0.5, 0.5, (3, cells))
+        cos, sin = np.cos(theta), np.sin(theta)
+        y_f = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 3))
+        y_g = 1j * y_f
+        f, g = _walk(np.stack([cos, sin, -sin, cos]), y_f, y_g)
+        ref_f, ref_g = [y_f], [y_g]
+        for i in range(cells):
+            a, b = ref_f[-1], ref_g[-1]
+            ref_f.append(cos[:, i] * a + sin[:, i] * b)
+            ref_g.append(-sin[:, i] * a + cos[:, i] * b)
+        assert np.max(np.abs(f - np.stack(ref_f, axis=1))) <= 1e-12
+        assert np.max(np.abs(g - np.stack(ref_g, axis=1))) <= 1e-12
+
+    def test_memory_does_not_grow_with_substeps(self):
+        # lam = 400 takes m = 1172 substeps per cell on this grid; sampling V
+        # for all of them up front took 38 MB (a 154 MB traced peak). Sampled
+        # per substep, the peak measured 0.45 MB: (n-1)-sized arrays only.
+        pot = sample_potential(PotentialSpec("algebraic", q=0.5, s=3.0), make_grid(-60.0, 60.0, 2048))
+        jost(pot, 1.0, +1)
+        tracemalloc.start()
+        try:
+            jost(pot, 400.0, +1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestBoundStates:
