@@ -62,12 +62,6 @@ OBS_POINTS = 800
 #: soliton's share of the mass in the window, e^{-2d}, is EDGE_MASS_TOL/2000
 _WINDOW_DISTANCE = 0.5 * math.log(2000.0 / EDGE_MASS_TOL)
 
-#: the ground state is found on a grid this many times finer than the run's:
-#: it is a second-order finite-difference eigenvector, whose error at the
-#: run's dx would set a_abs's (sech2_scaled beta 0.5, v = 6..16: peak a_abs
-#: 1.7-5.7% above its converged value on the run's grid, <= 0.18% at 4x)
-BOUND_STATE_REFINE = 4
-
 _NUMBER_KEYS = ("delta", "x0_factor")
 
 
@@ -332,17 +326,15 @@ def _run_plan(plan: RunPlan) -> RunReport:
     in the frame co-moving at the plan's v, and assemble the report. A zero
     potential is handed to ``evolve`` as no potential at all, as for a
     study's V = 0 floor. Under a V with a bound state, a_abs tracks the
-    amplitude on its ground state, found on a grid ``BOUND_STATE_REFINE``
-    times finer over the same domain. No admissibility gate: callers judge
-    the potential first."""
+    amplitude on its ground state. No admissibility gate: callers judge the
+    potential first."""
     start = perf_counter()
     spec = plan.config.potential if plan.config.potential.kind != "zero" else None
     params = SolitonParams(v=plan.v, x0=plan.x0)
     grid = plan.grid
     validate_step_rules(grid, plan.dt, plan.v, spec)
     pot = sample_potential(spec, grid) if spec is not None else None
-    fine = make_grid(grid.x_min, grid.x_max, BOUND_STATE_REFINE * grid.n)
-    states = bound_states(sample_potential(spec, fine)) if spec is not None else []
+    states = bound_states(pot) if pot is not None else []
     result = evolve(soliton(params, 0.0, grid), pot, (0.0, plan.t_end),
                     StepperConfig(dt=plan.dt, obs_cadence=plan.cadence), reference=params,
                     bound_state=states[0] if states else None, frame_velocity=plan.v)

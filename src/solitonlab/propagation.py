@@ -353,9 +353,7 @@ def evolve(
     (dx/n) sum_j uhat_j conj(phihat(k_j + f)) e^{-i (k_j + f) f (t - t0)}
     over the j with |k_j + f| <= k_max, where phihat(k_j + f) is the
     transform of phi e^{-i f y}; a physical-space sum would alias once f
-    nears k_max. ``bound_state`` may live on a finer grid of the same
-    domain (n a multiple of the run's), whose transform holds the run's
-    wavenumbers: a finite-difference eigenvector is more accurate there.
+    nears k_max.
     """
     t0, t1 = map(float, t_span)
     if not t1 > t0:
@@ -376,13 +374,9 @@ def evolve(
         # a reference that co-moves with the frame keeps one profile
         profile = carrier * _sech(p.mu * (x - p.center(t0))) if p.v == f else None
     if bound_state is not None:
-        bg = bound_state.field.grid
-        if (bg.x_min, bg.x_max) != (grid.x_min, grid.x_max) or bg.n % grid.n:
-            raise ConfigError("bound state lives on another domain or a coarser grid")
-        # phi's transform at the run's wavenumbers, which the finer grid shares
-        modes = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.intp)
-        phihat = np.fft.fft(bound_state.field.values * np.exp(-1j * f * bg.x))[modes]
-        phihat *= bg.dx / dx
+        if bound_state.field.grid != grid:
+            raise ConfigError("field and bound state live on different grids")
+        phihat = np.fft.fft(bound_state.field.values * np.exp(-1j * f * x))
         conj_phihat = np.where(np.abs(lab_k) <= grid.k_max, np.conj(phihat), 0.0)
 
     times = np.empty(n_seg + 1)

@@ -62,6 +62,11 @@ RESONANCE_EPS = 1e-4
 NEGATIVE_EPS = 1e-6
 #: largest relative interior spread of a Wronskian (see wronskian)
 WRONSKIAN_REL_TOL = 1e-4
+#: largest spacing of the bound-state solve, the admissibility domain's: a
+#: second-order finite-difference eigenvector at a run's dx would set a_abs's
+#: error (sech2_scaled beta 0.5, v = 6..16: peak a_abs 1.7-5.7% above its
+#: converged value at dx 0.12-0.15, <= 0.18% at a quarter of that)
+BOUND_STATE_DX = 80.0 / 2048
 
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -104,8 +109,8 @@ class ScatteringCoefficients:
 
 @dataclass(frozen=True)
 class BoundState:
-    """Normalized eigenfunction of H at negative energy (sign fixed positive
-    at the peak, l2_norm == 1 to roundoff)."""
+    """Eigenfunction of H at negative energy, sign fixed positive at the peak:
+    norm 1 on bound_states' solve grid, to rectangle-rule accuracy on its own."""
 
     energy: float
     field: Field
@@ -219,7 +224,7 @@ def _propagate_batch(
     """Integrate the frequency ODE inward from one edge for a batch of lam.
 
     Returns (f, fprime), each of shape (len(lams), n), sampled on grid nodes.
-    Each row is bitwise what its lam alone gives.
+    Each row is bitwise what its lam alone gives; an overflow raises AccuracyError.
     """
     n = grid.n
     lams = np.asarray(lams, dtype=np.float64)
@@ -228,12 +233,16 @@ def _propagate_batch(
     # cell i propagates node n-1-i -> n-2-i (sign +1) or node i -> i+1 (sign -1)
     starts = grid.x[n - 1 : 0 : -1] if sign > 0 else grid.x[0 : n - 1]
     cells = np.empty((4, lams.size, n - 1))
-    for m in map(int, np.unique(counts)):
-        rows = np.flatnonzero(counts == m)
-        cells[:, rows] = _cell_matrices(spec, starts, -sign * grid.dx / m, m,
-                                        lams[rows] * lams[rows])
-    y_f = np.exp(1j * sign * lams * starts[0])
-    f, fp = _walk(cells, y_f, 1j * sign * lams * y_f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in map(int, np.unique(counts)):
+            rows = np.flatnonzero(counts == m)
+            cells[:, rows] = _cell_matrices(spec, starts, -sign * grid.dx / m, m,
+                                            lams[rows] * lams[rows])
+        y_f = np.exp(1j * sign * lams * starts[0])
+        f, fp = _walk(cells, y_f, 1j * sign * lams * y_f)
+    finite = np.isfinite(f).all(axis=1) & np.isfinite(fp).all(axis=1)
+    if not finite.all():
+        raise AccuracyError(f"non-finite values while integrating lam={lams[~finite].tolist()}")
     return (f[:, ::-1], fp[:, ::-1]) if sign > 0 else (f, fp)
 
 
@@ -250,8 +259,6 @@ def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
     _require_small_edges(potential)
     grid = potential.grid
     f, fp = _propagate_batch(potential.spec, grid, np.array([lam]), sign)
-    if not (np.isfinite(f).all() and np.isfinite(fp).all()):
-        raise AccuracyError(f"non-finite values while integrating lam={lam}")
     return JostSolution(float(lam), sign, grid, f[0], fp[0])
 
 
@@ -376,16 +383,23 @@ def bound_states(
 
     Second-order central differences with Dirichlet walls at the domain edges
     (exponentially localized eigenfunctions make the wall placement
-    irrelevant on adequate domains). With ``refine_tol`` set, the energies
-    are recomputed on a doubled grid and a shift beyond the tolerance raises
-    AccuracyError.
+    irrelevant on adequate domains), on the potential's domain refined by the
+    smallest power of two r with dx / r <= BOUND_STATE_DX; the states are
+    sampled at the potential's nodes, every r-th solve node. With
+    ``refine_tol`` set, the energies are recomputed on a doubled solve grid
+    and a shift beyond the tolerance raises AccuracyError.
     """
     grid = potential.grid
-    energies, vectors = _tridiag_eig(potential.values, grid.dx)
+    if np.min(potential.values) >= 0.0:  # Gershgorin: no eigenvalue below min V
+        return []
+    # the slack absorbs the rounding of a shifted domain's dx
+    r = 2 ** max(0, math.ceil(math.log2(grid.dx / BOUND_STATE_DX) - 1e-12))
+    solve = make_grid(grid.x_min, grid.x_max, r * grid.n)
+    v = potential.values if r == 1 else potential.spec(solve.x)
+    energies, vectors = _tridiag_eig(v, solve.dx)
     if refine_tol is not None:
-        fine_grid = make_grid(grid.x_min, grid.x_max, 2 * grid.n)
-        fine = sample_potential(potential.spec, fine_grid)
-        fine_energies, _ = _tridiag_eig(fine.values, fine_grid.dx)
+        fine_grid = make_grid(grid.x_min, grid.x_max, 2 * solve.n)
+        fine_energies, _ = _tridiag_eig(potential.spec(fine_grid.x), fine_grid.dx)
         if len(fine_energies) != len(energies):
             raise AccuracyError("bound-state count changed under grid doubling")
         if energies.size and np.max(np.abs(fine_energies - energies)) > refine_tol:
@@ -395,22 +409,18 @@ def bound_states(
             )
     states = []
     for j, energy in enumerate(energies):
-        phi = vectors[:, j] / math.sqrt(grid.dx)
+        phi = vectors[:, j] / math.sqrt(solve.dx)
         if phi[int(np.argmax(np.abs(phi)))] < 0:
             phi = -phi
-        states.append(BoundState(float(energy), Field(grid, phi.astype(np.complex128))))
+        states.append(BoundState(float(energy), Field(grid, phi[::r].astype(np.complex128))))
     return states
 
 
 def _tridiag_eig(v: np.ndarray, dx: float):
     diag = 1.0 / dx**2 + v
     off = np.full(v.size - 1, -0.5 / dx**2)
-    lower = float(np.min(v)) - 1.0
-    upper = -NEGATIVE_EPS
-    if lower >= upper:
-        return np.empty(0), np.empty((v.size, 0))
     energies, vectors = scipy.linalg.eigh_tridiagonal(
-        diag, off, select="v", select_range=(lower, upper)
+        diag, off, select="v", select_range=(float(np.min(v)) - 1.0, -NEGATIVE_EPS)
     )
     order = np.argsort(energies)
     return energies[order], vectors[:, order]

@@ -26,7 +26,6 @@ from solitonlab.propagation import (
 )
 from solitonlab.scattering import bound_states, detect_resonance, scattering_table
 from solitonlab.experiments import (
-    BOUND_STATE_REFINE,
     ExperimentConfig,
     _run_plan,
     lemma_error_check,
@@ -80,13 +79,11 @@ def _lab_grid(plan):
 
 def _lab_run(plan, frame_velocity=0.0, snapshot_every=None):
     """``plan``'s run on :func:`_lab_grid` with the plan's dt and cadence,
-    at ``frame_velocity`` (by default in the lab frame, the grid at rest),
-    with the ground state refined as :func:`_run_plan` refines it."""
+    at ``frame_velocity`` (by default in the lab frame, the grid at rest)."""
     grid = _lab_grid(plan)
     spec = plan.config.potential
     pot = sample_potential(spec, grid) if spec.kind != "zero" else None
-    fine = make_grid(grid.x_min, grid.x_max, BOUND_STATE_REFINE * grid.n)
-    states = bound_states(sample_potential(spec, fine)) if pot is not None else []
+    states = bound_states(pot) if pot is not None else []
     params = SolitonParams(v=plan.v, x0=plan.x0)
     return evolve(soliton(params, 0.0, grid), pot, (0.0, plan.t_end),
                   StepperConfig(dt=plan.dt, obs_cadence=plan.cadence,
@@ -452,13 +449,14 @@ def test_frame_bound_mode_amplitude_matches_lab():
     plan = _bound_state_plan(8.0)
     lab = _lab_run(plan).series.a_abs
     peak = lab.max()
-    # on one grid the frame's projection is the lab's (measured 2.8e-11 of
+    # on one grid the frame's projection is the lab's (measured 1.7e-10 of
     # the peak)
     same_grid = _lab_run(plan, frame_velocity=plan.v).series.a_abs
     assert np.max(np.abs(same_grid - lab)) <= 1e-8 * peak
-    # on its own grid (n = 512 against the lab's 1024), with the ground state
-    # on 4x each grid's points; what is left is the finite-difference error
-    # of the two ground states (measured 1.9e-3 of the peak)
+    # on its own grid (n = 512 against the lab's 1024), each ground state
+    # solved at a spacing <= BOUND_STATE_DX (4x the frame grid's points, 2x
+    # the lab's); what is left is the finite-difference error of the two
+    # ground states (measured 1.5e-4 of the peak)
     frame = _run_plan(plan).series.a_abs
     assert np.max(np.abs(frame - lab)) <= 3e-3 * peak
 

@@ -10,7 +10,7 @@ import pytest
 from solitonlab import cli, scattering
 from solitonlab.cli import _potential_from_args, build_parser, main
 from solitonlab.errors import ConfigError, InvalidRunError
-from solitonlab.experiments import BOUND_STATE_REFINE, ExperimentConfig, _admissibility_gate
+from solitonlab.experiments import ExperimentConfig, _admissibility_gate
 from solitonlab.grid import make_grid
 from solitonlab.potentials import KIND_PARAMS, KINDS, PARAMS, PotentialSpec, sample_potential
 from solitonlab.propagation import SolitonParams, soliton, suggested_dt
@@ -92,11 +92,9 @@ class TestSimulate:
         a_abs, t_end = series[:, 4], series[-1, 0]
         report = json.loads((out / "report.json").read_text())
         # the report's grid is that of final_field.bin at t_end; the run's
-        # grid co-moves at v = 8, so at t = 0 it lay 8 t_end to the left; the
-        # ground state is found on BOUND_STATE_REFINE times its points
+        # grid co-moves at v = 8, so at t = 0 it lay 8 t_end to the left
         g = report["grid"]
-        grid = make_grid(g["x_min"] - 8.0 * t_end, g["x_max"] - 8.0 * t_end,
-                         BOUND_STATE_REFINE * g["n"])
+        grid = make_grid(g["x_min"] - 8.0 * t_end, g["x_max"] - 8.0 * t_end, g["n"])
         (state,) = scattering.bound_states(sample_potential(PotentialSpec.from_dict(spec), grid))
         u0 = soliton(SolitonParams(v=8.0, x0=report["x0"]), 0.0, grid).values
         expected = abs(grid.dx * np.sum(u0 * np.conj(state.field.values)))
@@ -340,6 +338,17 @@ class TestSpectral:
         assert main(["potential-report", "--kind", "gaussian", "--q", "1", "--sigma", "1e-200",
                      "--out", str(tmp_path / "pot")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_overflowing_barrier_exits_3_without_warnings(self, tmp_path, capsys):
+        # the Jost walk under q = 1e5 overflows at every lambda
+        out = tmp_path / "spec"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectral", "--kind", "gaussian", "--q", "1e5", "--sigma", "1",
+                         "--lambda-points", "2", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        assert "RuntimeWarning" not in err
 
     def test_algebraic_admissible(self, tmp_path):
         out = tmp_path / "speca"

@@ -19,7 +19,7 @@ from solitonlab.propagation import (
     step,
     validate_step_rules,
 )
-from solitonlab.scattering import bound_states
+from solitonlab.scattering import BoundState, bound_states
 
 
 class TestSoliton:
@@ -353,32 +353,33 @@ class TestFrame:
         m = round(f * t_end / g.dx)  # the shift in grid points
         assert np.max(np.abs(frame.final.values[:-m] - lab.final.values[m:])) <= 1e-6
 
-    def test_bound_state_on_a_finer_grid(self):
-        # a_abs reads the bound state's transform at the run's wavenumbers,
-        # which a finer grid of the same domain holds; the finite-difference
-        # ground state on 4x the points is nearer the converged one (16384
-        # points): measured 3.8e-3 of the peak on the run grid, 2.3e-4 at 4x
+    def test_bound_state_on_the_run_grid(self):
+        # bound_states solves on the run grid refined to BOUND_STATE_DX (4x
+        # its points here) and samples the state at the run's nodes; a_abs
+        # is then near the converged one, from the ground state on 16384
+        # points: measured 2.3e-4 of the peak (3.8e-3 for a solve at the
+        # run's own spacing)
         g = make_grid(-40.0, 40.0, 512)
         spec = PotentialSpec("sech2_scaled", beta=0.5)
         pot = sample_potential(spec, g)
         p = SolitonParams(v=2.0, x0=-10.0)
 
-        def a_abs(state_grid, f=0.0):
-            state = bound_states(sample_potential(spec, state_grid))[0]
+        def a_abs(state, f=0.0):
             return evolve(soliton(p, 0.0, g), pot, (0.0, self.T),
                           StepperConfig(dt=0.01, obs_cadence=0.05), bound_state=state,
                           frame_velocity=f).series.a_abs
 
-        fine_grid = make_grid(-40.0, 40.0, 2048)
-        coarse, fine = a_abs(g), a_abs(fine_grid)
-        converged = a_abs(make_grid(-40.0, 40.0, 16384))
+        state = bound_states(pot)[0]
+        run = a_abs(state)
+        ref = bound_states(sample_potential(spec, make_grid(-40.0, 40.0, 16384)))[0]
+        converged = a_abs(BoundState(ref.energy, Field(g, ref.field.values[::32])))
         peak = converged.max()
-        assert np.max(np.abs(fine - converged)) <= 5e-4 * peak
-        assert np.max(np.abs(coarse - converged)) >= 2e-3 * peak
-        assert np.max(np.abs(a_abs(fine_grid, 2.0) - fine)) <= 1e-11
-        for other in (make_grid(-40.0, 40.0, 256), make_grid(-40.0, 41.0, 2048)):
+        assert np.max(np.abs(run - converged)) <= 5e-4 * peak
+        assert np.max(np.abs(a_abs(state, 2.0) - run)) <= 1e-11
+        for other in (make_grid(-40.0, 40.0, 256), make_grid(-40.0, 41.0, 512),
+                      make_grid(-40.0, 40.0, 2048)):
             with pytest.raises(ConfigError):
-                a_abs(other)
+                a_abs(bound_states(sample_potential(spec, other))[0])
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from solitonlab import scattering
 from solitonlab.errors import AccuracyError, ConfigError
 from solitonlab.grid import Field, inner_product, l2_norm, make_grid
 from solitonlab.potentials import PotentialSpec, check_admissibility, sample_potential
@@ -238,6 +239,16 @@ class TestTransferWalk:
         assert np.max(np.abs(f - np.stack(ref_f, axis=1))) <= 1e-12
         assert np.max(np.abs(g - np.stack(ref_g, axis=1))) <= 1e-12
 
+    def test_overflow_raises_accuracy_error(self):
+        # cosh of the walk under q = 1e5 overflows; Tier-1 turns any
+        # RuntimeWarning into an error, so none may escape either
+        pot = sample_potential(PotentialSpec("gaussian", q=1e5, sigma=1.0),
+                               make_grid(-60.0, 60.0, 2048))
+        with pytest.raises(AccuracyError, match="non-finite"):
+            scattering_table(pot, [0.5, 2.0])
+        with pytest.raises(AccuracyError, match="non-finite"):
+            jost(pot, 0.5, +1)
+
     def test_memory_does_not_grow_with_substeps(self):
         # lam = 400 takes m = 1172 substeps per cell on this grid; sampling V
         # for all of them up front took 38 MB (a 154 MB traced peak). Sampled
@@ -283,6 +294,42 @@ class TestBoundStates:
         assert len(states) == 2
         assert states[0].energy == pytest.approx(-2.0, abs=1e-4)
         assert states[1].energy == pytest.approx(-0.5, abs=1e-4)
+
+    def test_solved_at_bound_state_dx_and_sampled_at_the_nodes(self):
+        # dx = 0.156 on the caller's grid, so the solve takes r = 4
+        spec = PotentialSpec("sech2_scaled", beta=0.5)
+        coarse = bound_states(sample_potential(spec, make_grid(-40.0, 40.0, 512)))
+        direct = bound_states(sample_potential(spec, make_grid(-40.0, 40.0, 2048)))
+        assert len(coarse) == len(direct) == 1
+        assert coarse[0].energy == direct[0].energy
+        assert coarse[0].field.grid == make_grid(-40.0, 40.0, 512)
+        assert np.array_equal(coarse[0].field.values, direct[0].field.values[::4])
+
+    def test_admissibility_grid_is_solved_as_it_is(self, monkeypatch):
+        # a center whose domain edges round dx just above BOUND_STATE_DX
+        spec = PotentialSpec("sech2_scaled", beta=0.5, center=-489.4119198253881)
+        grid = check_admissibility(spec).grid
+        assert grid.dx > scattering.BOUND_STATE_DX
+        sizes = []
+        real = scattering._tridiag_eig
+
+        def recorded(v, dx):
+            sizes.append(v.size)
+            return real(v, dx)
+
+        monkeypatch.setattr(scattering, "_tridiag_eig", recorded)
+        assert len(bound_states(sample_potential(spec, grid))) == 1
+        assert sizes == [grid.n]
+
+    def test_nonnegative_potential_skips_the_solve(self, monkeypatch):
+        def refuse(v, dx):
+            raise AssertionError("solver called for V >= 0")
+
+        monkeypatch.setattr(scattering, "_tridiag_eig", refuse)
+        grid = make_grid(-40.0, 40.0, 512)
+        for spec in (PotentialSpec("zero"), PotentialSpec("algebraic", q=0.5, s=3.0),
+                     PotentialSpec("gaussian", q=2.0, sigma=1.0)):
+            assert bound_states(sample_potential(spec, grid), refine_tol=1e-5) == []
 
     def test_coarse_grid_flagged(self):
         grid = make_grid(-28.0, 28.0, 64)
