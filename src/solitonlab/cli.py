@@ -237,7 +237,8 @@ def cmd_study(args) -> int:
         manifest.status = ("complete" if result.passed
                            else "invalid" if not result.runs_valid else "failed")
         manifest.flags.update(passed=result.passed, slope=result.slope,
-                              slope_limit=result.slope_limit)
+                              slope_limit=result.slope_limit,
+                              admissibility_s=result.admissibility_s)
     print(
         f"slope {result.slope:.4f} (limit {result.slope_limit:.4f}), "
         f"decreasing={result.strictly_decreasing}, floors ok={result.floor_gate_ok}, "

@@ -25,14 +25,13 @@ runs. Every run is carried in the frame co-moving with its soliton (see
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from time import perf_counter
 
 import numpy as np
 
 from .errors import ConfigError
-from .grid import EDGE_WINDOW, Field, Grid, make_grid
+from .grid import EDGE_WINDOW, Field, Grid, make_grid, require_resolved
 from .potentials import (
     AdmissibilityReport, PotentialSpec, check_admissibility, json_number, sample_potential,
 )
@@ -207,11 +206,12 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     clearance = max(MARGIN, window_clear)
     x_min, x_max = lo - clearance, hi + clearance
     dx_max = math.pi / required_kmax(config.potential)
-    log2_points = math.log2((x_max - x_min) / dx_max)
-    if not log2_points <= 22:  # inf at a huge v, too
-        raise ConfigError(f"required grid size 2^{log2_points:.4g} points is unreasonably large "
-                          "(at most 2^22)")
-    n = max(16, 1 << math.ceil(log2_points))
+    points = (x_max - x_min) / dx_max
+    if not points <= 1 << 22:  # inf at a huge v, too
+        raise ConfigError(f"required grid size 2^{math.log2(points):.4g} points is unreasonably "
+                          "large (at most 2^22)")
+    require_resolved(x_min, x_max, dx_max)  # a far center rounds the width, even to 0
+    n = max(16, 1 << math.ceil(math.log2(points)))
     grid = make_grid(x_min, x_max, n)
     cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
     return RunPlan(config=config, v=float(v), x0=float(x0), grid=grid,
@@ -363,10 +363,13 @@ class ScalingResult:
     """Velocity sweep against the theoretical decay exponent: each
     velocity's run and its V = 0 floor run, in increasing v; every figure is
     read from them. :meth:`to_dict` also reports each velocity's headroom,
-    error / floor (the floor gate asks for at least ``FLOOR_FACTOR``)."""
+    error / floor (the floor gate asks for at least ``FLOOR_FACTOR``).
+    ``admissibility_s``, the wall time of the study's one admissibility
+    gate, is telemetry for the manifest."""
 
     runs: tuple[RunReport, ...]
     floor_runs: tuple[RunReport, ...]
+    admissibility_s: float
 
     @property
     def velocities(self) -> tuple[float, ...]:
@@ -448,6 +451,15 @@ def loglog_slope(vs, es) -> float:
     return float(np.polyfit(np.log(vs), np.log(es), 1)[0])
 
 
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures.ProcessPoolExecutor, imported on first use: the
+    import costs every command's start-up, and only a study with jobs > 1
+    starts a pool."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     """Run every velocity (plus its matched V=0 floor) and fit the exponent.
 
@@ -471,7 +483,9 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
         raise ConfigError("velocities must span at least a factor of 8")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    start = perf_counter()
     _admissibility_gate(config)
+    admissibility_s = perf_counter() - start
     floor_config = replace(config, potential=PotentialSpec("zero"), override_admissibility=True)
     plans = []
     for plan in (plan_run(config, v) for v in vs):
@@ -486,7 +500,8 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
     else:
         done = [_run_plan(plans[i]) for i in order]
     reports = [report for _, report in sorted(zip(order, done), key=lambda pair: pair[0])]
-    return ScalingResult(runs=tuple(reports[0::2]), floor_runs=tuple(reports[1::2]))
+    return ScalingResult(runs=tuple(reports[0::2]), floor_runs=tuple(reports[1::2]),
+                         admissibility_s=admissibility_s)
 
 
 # --- exponential-window tail bound -------------------------------------------

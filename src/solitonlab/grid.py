@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +30,11 @@ from .errors import ConfigError, NumericalBreakdownError
 _SUPPORTED_LP = (1, 2, 4, 6, np.inf)
 #: fraction of the grid at each domain end that counts as the edge window
 EDGE_WINDOW = 0.05
+#: largest rounding of a node position, ulp(max |x|), as a fraction of dx. A
+#: far center shifts results through it: at v = 8 the sup error moved by
+#: 1e-8 relative at 8.6e-7 (center 1e9), by 3e-6 at 1.1e-4 (center 1e11),
+#: and the Jost walk's Wronskian broke down at 0.45 (center 3e14)
+POSITION_TOL = 1e-6
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -73,12 +79,26 @@ class Grid:
         return Grid(self.x_min + d, self.x_max + d, self.n)
 
 
+def require_resolved(x_min: float, x_max: float, dx: float) -> None:
+    """Raise ConfigError unless positions on [x_min, x_max] are represented
+    to POSITION_TOL * dx; a domain far from 0 rounds its nodes by up to
+    ulp(max |x|)."""
+    ulp = math.ulp(max(abs(x_min), abs(x_max)))
+    if not ulp <= POSITION_TOL * dx:  # nan, too
+        raise ConfigError(
+            f"spacing {dx:.3g} cannot be resolved on [{x_min:.15g}, {x_max:.15g}]: floats "
+            f"there are {ulp:.3g} apart; move the potential's center nearer 0"
+        )
+
+
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    """Build a grid, rejecting non-power-of-two n (< 16) and empty domains."""
+    """Build a grid, rejecting non-power-of-two n (< 16), empty domains and
+    domains too far from 0 to resolve their spacing (see require_resolved)."""
     if not np.isfinite(x_min) or not np.isfinite(x_max) or x_min >= x_max:
         raise ConfigError(f"need x_min < x_max, got [{x_min}, {x_max}]")
     if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 16:
         raise ConfigError(f"n must be a power of two >= 16, got {n}")
+    require_resolved(x_min, x_max, (x_max - x_min) / n)
     return Grid(float(x_min), float(x_max), int(n))
 
 

@@ -303,8 +303,7 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
             tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}"]),
         )
 
-    states = scattering.bound_states(sample_potential(spec, grid))
-    energies = tuple(s.energy for s in states)
+    energies = tuple(scattering.bound_states(sample_potential(spec, grid), energies_only=True))
 
     probe = scattering.detect_resonance(spec, grid)
     if not probe.stable:
@@ -315,7 +314,7 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
 
     decays_fast = math.isfinite(decay_est) and decay_est > 2.0 or math.isinf(decay_est)
     admissible = (
-        len(states) <= 1 and not probe.detected and decays_fast and probe.stable
+        len(energies) <= 1 and not probe.detected and decays_fast and probe.stable
     )
     return AdmissibilityReport(
         spec,

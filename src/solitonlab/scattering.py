@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AccuracyError, ConfigError
 from .grid import Field, Grid, inner_product, make_grid
@@ -62,6 +61,11 @@ RESONANCE_EPS = 1e-4
 NEGATIVE_EPS = 1e-6
 #: largest relative interior spread of a Wronskian (see wronskian)
 WRONSKIAN_REL_TOL = 1e-4
+#: most substeps per cell a walk may take. One walk over 2048 nodes takes
+#: about 0.16 ms for each substep per cell, so 10 s at this cap; past it a
+#: potential or a lam is rejected rather than walked for hours (sech2_scaled
+#: beta = 1e300 would need 2.8e150 substeps per cell)
+MAX_SUBSTEPS = 1 << 16
 #: largest spacing of the bound-state solve, the admissibility domain's: a
 #: second-order finite-difference eigenvector at a run's dx would set a_abs's
 #: error (sech2_scaled beta 0.5, v = 6..16: peak a_abs 1.7-5.7% above its
@@ -118,9 +122,15 @@ class BoundState:
 
 def _substeps(grid: Grid, lam: float, sup_v: float) -> int:
     """Substeps per cell at frequency ``lam``: the local wave number
-    sqrt(lam^2 + 2 sup|V|) times the substep stays below SUBSTEP_PHASE."""
-    rate = math.sqrt(lam * lam + 2.0 * sup_v)
-    return max(1, math.ceil(grid.dx * rate / SUBSTEP_PHASE))
+    sqrt(lam^2 + 2 sup|V|) times the substep stays below SUBSTEP_PHASE; more
+    than MAX_SUBSTEPS is a ConfigError."""
+    count = grid.dx * math.sqrt(lam * lam + 2.0 * sup_v) / SUBSTEP_PHASE
+    if not count <= MAX_SUBSTEPS:  # inf, too
+        raise ConfigError(
+            f"lam={lam:g} with sup|V|={sup_v:.3g} needs {count:.3g} substeps per cell of "
+            f"dx={grid.dx:.3g}, more than {MAX_SUBSTEPS}: too deep or too fast to walk"
+        )
+    return max(1, math.ceil(count))
 
 
 def _require_small_edges(potential: SampledPotential) -> None:
@@ -377,8 +387,8 @@ def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoeffi
 
 
 def bound_states(
-    potential: SampledPotential, refine_tol: float | None = None
-) -> list[BoundState]:
+    potential: SampledPotential, refine_tol: float | None = None, *, energies_only: bool = False
+) -> list[BoundState] | list[float]:
     """All eigenvalues of H below -NEGATIVE_EPS with normalized eigenvectors.
 
     Second-order central differences with Dirichlet walls at the domain edges
@@ -387,7 +397,10 @@ def bound_states(
     smallest power of two r with dx / r <= BOUND_STATE_DX; the states are
     sampled at the potential's nodes, every r-th solve node. With
     ``refine_tol`` set, the energies are recomputed on a doubled solve grid
-    and a shift beyond the tolerance raises AccuracyError.
+    and a shift beyond the tolerance raises AccuracyError. With
+    ``energies_only`` the same energies come back as floats from an
+    eigenvalues-only solve, in memory linear in the grid however many states
+    a deep well holds.
     """
     grid = potential.grid
     if np.min(potential.values) >= 0.0:  # Gershgorin: no eigenvalue below min V
@@ -396,10 +409,13 @@ def bound_states(
     r = 2 ** max(0, math.ceil(math.log2(grid.dx / BOUND_STATE_DX) - 1e-12))
     solve = make_grid(grid.x_min, grid.x_max, r * grid.n)
     v = potential.values if r == 1 else potential.spec(solve.x)
-    energies, vectors = _tridiag_eig(v, solve.dx)
+    if energies_only:
+        energies = _tridiag_eig(v, solve.dx, vectors=False)
+    else:
+        energies, vectors = _tridiag_eig(v, solve.dx)
     if refine_tol is not None:
         fine_grid = make_grid(grid.x_min, grid.x_max, 2 * solve.n)
-        fine_energies, _ = _tridiag_eig(potential.spec(fine_grid.x), fine_grid.dx)
+        fine_energies = _tridiag_eig(potential.spec(fine_grid.x), fine_grid.dx, vectors=False)
         if len(fine_energies) != len(energies):
             raise AccuracyError("bound-state count changed under grid doubling")
         if energies.size and np.max(np.abs(fine_energies - energies)) > refine_tol:
@@ -407,6 +423,8 @@ def bound_states(
                 f"bound-state energies shift by {np.max(np.abs(fine_energies - energies)):.3g} "
                 f"under grid doubling (tol {refine_tol:g}); grid too coarse"
             )
+    if energies_only:
+        return [float(energy) for energy in energies]
     states = []
     for j, energy in enumerate(energies):
         phi = vectors[:, j] / math.sqrt(solve.dx)
@@ -416,14 +434,19 @@ def bound_states(
     return states
 
 
-def _tridiag_eig(v: np.ndarray, dx: float):
+def _tridiag_eig(v: np.ndarray, dx: float, vectors: bool = True):
+    """Eigenpairs of the finite-difference H below -NEGATIVE_EPS, in
+    increasing energy; only the energies when ``vectors`` is false."""
+    import scipy.linalg  # deferred: only a well needs it, and it is most of start-up
+
     diag = 1.0 / dx**2 + v
     off = np.full(v.size - 1, -0.5 / dx**2)
-    energies, vectors = scipy.linalg.eigh_tridiagonal(
-        diag, off, select="v", select_range=(float(np.min(v)) - 1.0, -NEGATIVE_EPS)
-    )
+    select = {"select": "v", "select_range": (float(np.min(v)) - 1.0, -NEGATIVE_EPS)}
+    if not vectors:
+        return np.sort(scipy.linalg.eigvalsh_tridiagonal(diag, off, **select))
+    energies, vecs = scipy.linalg.eigh_tridiagonal(diag, off, **select)
     order = np.argsort(energies)
-    return energies[order], vectors[:, order]
+    return energies[order], vecs[:, order]
 
 
 def project(f: Field, bound_state: BoundState | None) -> tuple[complex, Field]:

@@ -138,6 +138,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("center", [1e300, 1e15])
+    def test_far_center_exits_1(self, tmp_path, capsys, center):
+        # at 1e300 the domain's width rounds to 0; at 1e15 floats are 0.125
+        # apart, about the run's dx
+        cfg = write_config(tmp_path / "c.json",
+                           potential={"kind": "algebraic", "q": 0.5, "s": 3.0, "center": center})
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "cannot be resolved" in capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["status"] == "rejected"
+
     def test_delta_stand_in_runs_without_override(self, tmp_path):
         # the narrow gaussian's decay-fit window underflows; it is admissible
         cfg = write_config(tmp_path / "c.json", potential={"kind": "gaussian", "q": 1.0,
@@ -586,6 +597,13 @@ def test_each_velocity_manifest_holds_its_simulate_config(benchmark_study):
     for v in (4.0, 8.0, 16.0, 32.0):
         manifest = json.loads((benchmark_study / "runs" / f"v{v:g}" / "manifest.json").read_text())
         assert ExperimentConfig.from_dict(manifest["config"]).velocities == (v,)
+
+
+def test_study_manifest_times_the_admissibility_gate(benchmark_study):
+    manifest = json.loads((benchmark_study / "manifest.json").read_text())
+    assert manifest["flags"]["admissibility_s"] > 0
+    assert "admissibility_s" not in manifest["config"]
+    assert "admissibility_s" not in json.loads((benchmark_study / "study.json").read_text())
 
 
 def test_csv_lines_end_in_lf(tmp_path, benchmark_study):

@@ -67,6 +67,13 @@ class TestMakeGrid:
         with pytest.raises(ConfigError):
             make_grid(2.0, -2.0, 16)
 
+    def test_rejects_a_domain_too_far_out_for_its_spacing(self):
+        # floats near 1e15 are 0.125 apart, and near 1e9 1.2e-7 apart
+        make_grid(1e8 - 40.0, 1e8 + 40.0, 2048)
+        for center in (1e9, 1e15):
+            with pytest.raises(ConfigError, match="cannot be resolved"):
+                make_grid(center - 40.0, center + 40.0, 2048)
+
 
 class TestField:
     def test_rejects_wrong_length(self):

@@ -264,9 +264,31 @@ class TestTransferWalk:
         assert peak < 1_000_000
 
 
+    def test_walk_beyond_the_substep_cap_is_rejected(self):
+        # without the cap these would run for hours, or forever; the well's
+        # edges are below EDGE_TOL on its admissibility domain
+        pot = sample_potential(PotentialSpec("sech2_scaled", beta=1e300),
+                               make_grid(-640.0, 640.0, 32768))
+        with pytest.raises(ConfigError, match="substeps per cell"):
+            jost(pot, 0.0, +1)
+        free = sample_potential(PotentialSpec("zero"), make_grid(-40.0, 40.0, 2048))
+        with pytest.raises(ConfigError, match="substeps per cell"):
+            scattering_table(free, [1.0, 1e6])
+
+
 class TestBoundStates:
     def test_free_line_empty(self, free):
         assert bound_states(free) == []
+
+    def test_energies_only_are_the_states_energies(self):
+        for spec in (PotentialSpec("sech2_scaled", beta=0.5), PotentialSpec("poschl_teller", ell=3.0),
+                     PotentialSpec("gaussian", q=-2.0, sigma=1.0)):
+            for n in (512, 2048):
+                pot = sample_potential(spec, make_grid(-40.0, 40.0, n))
+                energies = bound_states(pot, refine_tol=1e-3, energies_only=True)
+                assert energies == [s.energy for s in bound_states(pot, refine_tol=1e-3)]
+        assert bound_states(sample_potential(PotentialSpec("zero"), make_grid(-40.0, 40.0, 512)),
+                            energies_only=True) == []
 
     def test_depth_one_well(self):
         grid = make_grid(-28.0, 28.0, 16384)
