@@ -57,6 +57,13 @@ SLOPE_SLACK = 0.1
 MARGIN = 30.0
 #: observations over the horizon (fewer when v^-delta/10 is the finer cadence)
 OBS_POINTS = 800
+#: most steps a plan may take: 33 times the longest plan of the test suite
+#: (v = 512 on algebraic q=0.5, s=3: 31,347 steps). A plan past it comes
+#: from a dt = PHASE_CAP/(max|V| + 1 + 2|v|/ell) collapsed by a very deep
+#: well (8.3e6 steps at sech2_scaled beta = 1e6, 8.3e300 at 1e300); at
+#: about 0.1 ms per observed step on a 512-point grid (2 vCPUs, numpy 2.4)
+#: it would run for tens of minutes, or forever
+MAX_STEPS = 1 << 20
 #: distance from the soliton center to an edge window at which the exact
 #: soliton's share of the mass in the window, e^{-2d}, is EDGE_MASS_TOL/2000
 _WINDOW_DISTANCE = 0.5 * math.log(2000.0 / EDGE_MASS_TOL)
@@ -194,7 +201,8 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     [x0 - 2v (t_end - t_cross), c]. Each end adds a clearance of at least
     ``MARGIN``, widened so that a soliton at either end of the core stays
     ``_WINDOW_DISTANCE`` clear of the edge window, which covers
-    ``EDGE_WINDOW`` of the whole domain.
+    ``EDGE_WINDOW`` of the whole domain. A plan past 2^22 grid points or
+    ``MAX_STEPS`` steps is a ConfigError.
     """
     center = config.potential.center
     launch = -config.x0_factor * v ** (1.0 - config.delta)
@@ -213,9 +221,14 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     require_resolved(x_min, x_max, dx_max)  # a far center rounds the width, even to 0
     n = max(16, 1 << math.ceil(math.log2(points)))
     grid = make_grid(x_min, x_max, n)
+    dt = suggested_dt(v, config.potential)
+    steps = phases.t_end / dt
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"the plan takes {steps:.3g} steps of dt={dt:.3g}, more than "
+                          f"{MAX_STEPS}: the potential is too deep or v too high")
     cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
     return RunPlan(config=config, v=float(v), x0=float(x0), grid=grid,
-                   dt=suggested_dt(v, config.potential), cadence=cadence, phases=phases)
+                   dt=dt, cadence=cadence, phases=phases)
 
 
 @dataclass(frozen=True)
@@ -225,7 +238,8 @@ class RunReport:
     read from the series. ``final`` holds the lab samples at t_end, on the
     plan's grid shifted by v t_end. The run took ``steps`` steps of
     t_end/steps, at most ``plan.dt``, in ``transforms`` FFTs. ``wall_s``
-    (the run's wall time, in the manifest), ``loop_s`` (its step loop's, in
+    (the run's wall time, in the manifest), ``loop_s`` and ``observe_s``
+    (its step loop's, and the part of it spent in the chunked observer, in
     :attr:`timing`) and ``admissibility_s`` (the wall time of the gate in
     :func:`transmission_run`; None for a study's runs, which share one gate)
     are telemetry."""
@@ -238,6 +252,7 @@ class RunReport:
     steps: int
     wall_s: float
     loop_s: float
+    observe_s: float
     transforms: int
     admissibility_s: float | None = None
 
@@ -273,9 +288,10 @@ class RunReport:
 
     @property
     def timing(self) -> dict:
-        """Step-loop telemetry: wall time, steps per second, grid points,
-        step taken and FFT count; and the admissibility gate's wall time."""
-        return {"loop_s": self.loop_s,
+        """Step-loop telemetry: wall time, of which the observer's, steps
+        per second, grid points, step taken and FFT count; and the
+        admissibility gate's wall time."""
+        return {"loop_s": self.loop_s, "observe_s": self.observe_s,
                 "steps_per_s": self.steps / self.loop_s if self.loop_s > 0 else math.inf,
                 "n": self.plan.grid.n, "dt": self.dt, "transforms": self.transforms,
                 "admissibility_s": self.admissibility_s}
@@ -341,7 +357,7 @@ def _run_plan(plan: RunPlan) -> RunReport:
     return RunReport(plan=plan, series=result.series, final=result.final, valid=result.valid,
                      invalid_reason=result.invalid_reason, steps=result.steps,
                      wall_s=perf_counter() - start, loop_s=result.loop_s,
-                     transforms=result.transforms)
+                     observe_s=result.observe_s, transforms=result.transforms)
 
 
 def transmission_run(config: ExperimentConfig, v: float) -> RunReport:
@@ -349,13 +365,13 @@ def transmission_run(config: ExperimentConfig, v: float) -> RunReport:
     horizon, on the plan of :func:`plan_run`.
 
     The potential must be admissible unless config.override_admissibility is
-    set; the override is recorded in the report.
+    set; the override is recorded in the report. As in a study, the
+    potential is judged before the run is planned.
     """
-    plan = plan_run(config, v)
     start = perf_counter()
     _admissibility_gate(config)
     admissibility_s = perf_counter() - start
-    return replace(_run_plan(plan), admissibility_s=admissibility_s)
+    return replace(_run_plan(plan_run(config, v)), admissibility_s=admissibility_s)
 
 
 @dataclass(frozen=True)

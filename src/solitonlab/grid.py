@@ -156,16 +156,17 @@ def from_fourier(fhat: Field) -> Field:
     return Field(fhat.grid, np.fft.ifft(fhat.values) * np.sqrt(fhat.grid.n))
 
 
-def edge_mass_fraction(f: Field | np.ndarray) -> float:
+def edge_mass_fraction(f: Field | np.ndarray) -> float | np.ndarray:
     """Mass inside the two windows covering ``EDGE_WINDOW`` of each domain end,
     as a fraction of the total mass, of a field or of its density |u|^2 given
-    as a real array. Returns 0 for the zero field."""
+    as a real array. Returns 0 for the zero field. A stack of densities (the
+    grid along the last axis) gives an array with one fraction per density."""
     dens = np.abs(f.values) ** 2 if isinstance(f, Field) else f
-    w = max(1, int(round(EDGE_WINDOW * dens.size)))
-    total = dens.sum()
-    if total == 0.0:
-        return 0.0
-    return float((dens[:w].sum() + dens[-w:].sum()) / total)
+    w = max(1, int(round(EDGE_WINDOW * dens.shape[-1])))
+    total = dens.sum(axis=-1)
+    edge = dens[..., :w].sum(axis=-1) + dens[..., -w:].sum(axis=-1)
+    frac = np.divide(edge, total, out=np.zeros_like(total), where=total != 0.0)
+    return float(frac) if dens.ndim == 1 else frac
 
 
 # --- serialization -----------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .grid import Grid, make_grid
+from .grid import Grid, make_grid, require_resolved
 
 #: |V| must fall below this at the grid edges for scattering asymptotics
 EDGE_TOL = 1e-4
@@ -286,6 +286,7 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
     from . import scattering  # deferred: scattering imports this module
 
     half, n = 40.0, 2048
+    require_resolved(spec.center - half, spec.center + half, 2.0 * half / n)  # even a width of 0
     grid = make_grid(spec.center - half, spec.center + half, n)
     while (edge_v := edge_magnitude(spec, grid)) >= EDGE_TOL and n < ADMISSIBILITY_MAX_N:
         half, n = 2.0 * half, 2 * n

@@ -10,10 +10,14 @@ Both substeps are exact flows of their own Hamiltonians (|u| is invariant
 under the pointwise phase), so discrete mass is conserved to roundoff and
 the scheme is second order in dt. The kernel carries the Fourier state:
 a segment of k steps between observer samples starts from the spectrum,
-fuses adjacent half-kinetic factors and returns both the spectrum and the
-samples at its end, in 2k+1 transforms, so the next segment needs no
-forward transform and the observer takes the kinetic energy from that
-spectrum by Parseval. ``step`` and ``evolve`` share this one kernel.
+fuses adjacent half-kinetic factors and returns the spectrum at its end,
+in 2k transforms, so the next segment needs no forward transform.
+``evolve`` observes in chunks: it stacks the spectra of up to
+``CHUNK_ELEMENTS // n`` observations, takes their samples with one batched
+inverse transform (the segment's 2k+1st) and fills every observer column
+for the whole chunk in one vectorized pass, with V evaluated once per
+chunk; the kinetic energy comes from the spectra by Parseval. ``step`` and
+``evolve`` share the one kernel.
 
 Co-moving frame. A run may be carried in the frame y = x - f (t - t0) of a
 velocity f. With u = e^{i(f x - f^2 (t - t0)/2)} w(y, t) the field w obeys
@@ -73,6 +77,11 @@ PHASE_CAP = 0.1
 SOLITON_TAIL_TOL = 1e-12
 #: a run is invalid once more than this share of the mass is in the edge windows
 EDGE_MASS_TOL = 1e-8
+#: grid points per observer chunk (at most 16 rows): evolve's chunk buffers
+#: hold CHUNK_ELEMENTS complex values, 512 KiB, whatever n; from n = 2^15 on
+#: every observation is its own chunk
+CHUNK_ELEMENTS = 1 << 15
+_CHUNK_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -207,14 +216,16 @@ class ObserverSeries:
 @dataclass(frozen=True)
 class EvolveResult:
     """The run's outcome; it took ``steps`` steps of (t1 - t0)/steps each,
-    in ``loop_s`` seconds of step loop (observations included) and
-    ``transforms`` FFTs."""
+    in ``loop_s`` seconds of step loop (observations included, of which
+    ``observe_s`` in the chunked observer) and ``transforms`` FFTs, a
+    batched transform of r rows counting r."""
 
     final: Field
     series: ObserverSeries
     steps: int
     valid: bool
     loop_s: float
+    observe_s: float
     transforms: int
     invalid_reason: str | None = None
     snapshot_times: tuple[float, ...] = ()
@@ -225,9 +236,9 @@ class _StrangFlow:
     """k Strang steps of size dt on the Fourier state, fused as
     K_half (P K_full)^{k-1} P K_half: the spectrum times K_half, then
     (ifft, P, fft, times K_full) per step with the last K_full replaced by
-    K_half, and one closing ifft for the samples; 2k+1 transforms. In the
-    frame co-moving at ``frame_velocity`` f, P of step j takes V at the
-    step's midpoint, V(y + f (j + 1/2) dt); at f = 0 it takes the
+    K_half; 2k transforms, and the caller's closing ifft gives the samples.
+    In the frame co-moving at ``frame_velocity`` f, P of step j takes V at
+    the step's midpoint, V(y + f (j + 1/2) dt); at f = 0 it takes the
     potential's samples. A non-finite sample spreads to every Fourier
     coefficient, so w[0] after each step's forward transform shows whether
     that step broke down."""
@@ -244,19 +255,18 @@ class _StrangFlow:
         self.kin_full = self.kin_half * self.kin_half
         self._phase = np.empty(grid.n, dtype=np.complex128)
 
-    def potential_at(self, s: float) -> np.ndarray | None:
+    def potential_at(self, s: float | np.ndarray) -> np.ndarray | None:
         """V on the grid a time ``s`` after the start (None for no potential):
-        the samples at rest, V(y + f s) of the analytic potential otherwise."""
+        the samples at rest, V(y + f s) of the analytic potential otherwise,
+        with one row per time when ``s`` is a 1-D array of times."""
         if self.potential is None:
             return None
         if not self.frame_velocity:
             return self.potential.values
-        return self.potential.spec(self.x + self.frame_velocity * s)
+        return self.potential.spec(self.x + self.frame_velocity * np.asarray(s)[..., None])
 
-    def __call__(
-        self, uhat: np.ndarray, k: int, first_step: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(spectrum, samples) after k steps from the spectrum ``uhat`` (left
+    def __call__(self, uhat: np.ndarray, k: int, first_step: int = 0) -> np.ndarray:
+        """The spectrum after k steps from the spectrum ``uhat`` (left
         unchanged, numpy's unnormalized ``fft``); steps are numbered from
         ``first_step``, which also sets the potential's time."""
         dt, phase = self.dt, self._phase
@@ -276,26 +286,28 @@ class _StrangFlow:
             if not np.isfinite(w[0]):
                 raise NumericalBreakdownError("non-finite field", step=first_step + j)
             w *= self.kin_full if j < k - 1 else self.kin_half
-        return w, np.fft.ifft(w)
+        return w
 
 
 def step(u: Field, potential: SampledPotential | None, dt: float) -> Field:
     """One Strang step. Mass-preserving to roundoff; local error O(dt^3)."""
     flow = _StrangFlow(u.grid, potential, dt)
-    return Field(u.grid, flow(np.fft.fft(u.values), 1)[1])
+    return Field(u.grid, np.fft.ifft(flow(np.fft.fft(u.values), 1)))
 
 
 def _energy(
     dx: float, k2: np.ndarray, uhat: np.ndarray, absu2: np.ndarray, vpot: np.ndarray | None
-) -> float:
+) -> np.ndarray:
     """The energy of samples with spectrum ``uhat`` (numpy's ``fft``) and
-    |u|^2 = ``absu2``, on wavenumbers squared ``k2``. The kinetic term is
-    taken by Parseval: dx sum 1/4|u_x|^2 = dx/(4n) sum k^2 |uhat|^2."""
-    kinetic = 0.25 / k2.size * float(np.sum(k2 * (uhat.real * uhat.real + uhat.imag * uhat.imag)))
+    |u|^2 = ``absu2``, on wavenumbers squared ``k2``, one value per row of
+    a stack. The kinetic term is taken by Parseval:
+    dx sum 1/4|u_x|^2 = dx/(4n) sum k^2 |uhat|^2."""
+    kinetic = 0.25 / k2.size * np.sum(k2 * (uhat.real * uhat.real + uhat.imag * uhat.imag),
+                                      axis=-1)
     dens = -0.25 * absu2 * absu2
     if vpot is not None:
         dens += 0.5 * vpot * absu2
-    return float(dx * (kinetic + np.sum(dens)))
+    return dx * (kinetic + np.sum(dens, axis=-1))
 
 
 def energy(u: Field, potential: SampledPotential | None = None) -> float:
@@ -307,7 +319,7 @@ def energy(u: Field, potential: SampledPotential | None = None) -> float:
     vals = u.values
     absu2 = vals.real * vals.real + vals.imag * vals.imag
     vpot = potential.values if potential is not None else None
-    return _energy(grid.dx, grid.k**2, np.fft.fft(vals), absu2, vpot)
+    return float(_energy(grid.dx, grid.k**2, np.fft.fft(vals), absu2, vpot))
 
 
 def _lab_field(grid: Grid, w: np.ndarray, f: float, s: float) -> Field:
@@ -342,14 +354,19 @@ def evolve(
     by f (t - t0). The observer reports lab quantities at every f.
 
     The spectrum is carried from segment to segment: one forward transform
-    of ``u0``, then 2k+1 transforms per segment of k steps. Each observation
-    takes mass and the potential and quartic energy terms from one |u|^2
-    array and the kinetic energy from the segment's spectrum by Parseval,
-    on the lab wavenumbers k + f, so it makes no transform; the edge mass
-    comes from the same array. err_l2 tracks the exact soliton when
-    ``reference`` is given (else 0): its carrier is built once, and its
-    profile too when it co-moves with the frame. a_abs tracks |<u, phi>|
-    when ``bound_state`` is given, on the Fourier side:
+    of ``u0``, then 2k transforms per segment of k steps. The observer works
+    in chunks of up to ``CHUNK_ELEMENTS // n`` observations (at most 16,
+    at least 1): the segments' spectra are stacked, and when the stack is
+    full, or the run ends, one batched inverse transform gives their
+    samples (the segment's 2k+1st transform; observation 0 keeps the
+    samples of ``u0``) and one vectorized pass fills the chunk's columns.
+    Mass and the potential and quartic energy terms come from one |u|^2
+    array, with V evaluated once per chunk, and the kinetic energy from the
+    spectra by Parseval, on the lab wavenumbers k + f; the edge mass comes
+    from the same array. err_l2 tracks the exact soliton when ``reference``
+    is given (else 0): its carrier is built once, and its profile too when
+    it co-moves with the frame. a_abs tracks |<u, phi>| when
+    ``bound_state`` is given, on the Fourier side:
     (dx/n) sum_j uhat_j conj(phihat(k_j + f)) e^{-i (k_j + f) f (t - t0)}
     over the j with |k_j + f| <= k_max, where phihat(k_j + f) is the
     transform of phi e^{-i f y}; a physical-space sum would alias once f
@@ -385,52 +402,79 @@ def evolve(
     en = np.empty(n_seg + 1)
     a_abs = np.zeros(n_seg + 1)
     edge = np.empty(n_seg + 1)
+    rows = min(_CHUNK_ROWS, max(1, CHUNK_ELEMENTS // grid.n))
+    uhats = np.empty((rows, grid.n), dtype=np.complex128)
+    samples = np.empty_like(uhats)
     snap_times: list[float] = []
     snaps: list[Field] = []
     valid = True
     reason = None
+    observe_s = 0.0
 
-    def observe(i_obs: int, t: float, uhat: np.ndarray, u: np.ndarray) -> None:
-        nonlocal valid, reason
+    def observe(first: int, m: int) -> None:
+        """Observations first..first+m-1 from rows 0..m-1 of ``uhats``;
+        observation 0's samples are in ``samples`` already."""
+        nonlocal valid, reason, observe_s
+        start = perf_counter()
+        lo = 1 if first == 0 else 0
+        if m > lo:
+            samples[lo:m] = np.fft.ifft(uhats[lo:m], axis=-1)
+        uhat, u = uhats[:m], samples[:m]
+        obs = slice(first, first + m)
+        t = times[obs]
         s = t - t0
         absu2 = u.real * u.real + u.imag * u.imag
-        times[i_obs] = t
-        mass[i_obs] = dx * float(np.sum(absu2))
-        en[i_obs] = _energy(dx, k2, uhat, absu2, flow.potential_at(s))
+        mass[obs] = dx * np.sum(absu2, axis=-1)
+        en[obs] = _energy(dx, k2, uhat, absu2, flow.potential_at(s))
         if reference is not None:
-            phase = np.exp(1j * (0.5 * (p.mu**2 - p.v**2) * t + f * (p.v - 0.5 * f) * s))
+            phase = np.exp(1j * (0.5 * (p.mu**2 - p.v**2) * t + f * (p.v - 0.5 * f) * s))[:, None]
             if profile is not None:
                 d = u - phase * profile
             else:
-                d = u - carrier * (phase * _sech(p.mu * (x - (p.center(t) - f * s))))
-            err[i_obs] = math.sqrt(dx * float(np.sum(d.real * d.real + d.imag * d.imag)))
+                d = u - carrier * (phase * _sech(p.mu * (x - (p.center(t) - f * s)[:, None])))
+            err[obs] = np.sqrt(dx * np.sum(d.real * d.real + d.imag * d.imag, axis=-1))
         if bound_state is not None:
-            shift = np.exp(-1j * (lab_k * (f * s)))
-            a_abs[i_obs] = abs(dx / grid.n * np.sum(uhat * conj_phihat * shift))
-        edge[i_obs] = edge_mass_fraction(absu2)
-        if valid and edge[i_obs] > EDGE_MASS_TOL:
+            shift = np.exp(-1j * (lab_k * (f * s)[:, None]))
+            a_abs[obs] = np.abs(dx / grid.n * np.sum(uhat * conj_phihat * shift, axis=-1))
+        edge[obs] = edge_mass_fraction(absu2)
+        over = np.flatnonzero(edge[obs] > EDGE_MASS_TOL)
+        if valid and over.size:
+            i = first + over[0]
             valid = False
-            reason = f"edge mass fraction {edge[i_obs]:.3g} exceeded {EDGE_MASS_TOL:g} at t={t:g}"
-        if config.snapshot_every is not None and i_obs % config.snapshot_every == 0:
-            snap_times.append(t)
-            snaps.append(_lab_field(grid, u, f, s))
+            reason = (f"edge mass fraction {edge[i]:.3g} exceeded {EDGE_MASS_TOL:g} "
+                      f"at t={times[i]:g}")
+        if config.snapshot_every is not None:
+            for i in range(-first % config.snapshot_every, m, config.snapshot_every):
+                snap_times.append(float(t[i]))
+                snaps.append(_lab_field(grid, samples[i].copy(), f, float(s[i])))
+        observe_s += perf_counter() - start
 
     u = u0.values * np.exp(-1j * f * x) if f else u0.values
     uhat = np.fft.fft(u)
-    observe(0, t0, uhat, u)
+    times[0] = t0
+    uhats[0] = uhat
+    samples[0] = u
+    first, filled = 0, 1
     start = perf_counter()
     for seg in range(n_seg):
-        uhat, u = flow(uhat, k_obs, seg * k_obs)
-        observe(seg + 1, t0 + (seg + 1) * k_obs * dt, uhat, u)
+        if filled == rows:
+            observe(first, filled)
+            first, filled = first + filled, 0
+        uhat = flow(uhat, k_obs, seg * k_obs)
+        uhats[filled] = uhat
+        times[seg + 1] = t0 + (seg + 1) * k_obs * dt
+        filled += 1
+    observe(first, filled)
     loop_s = perf_counter() - start
 
     series = ObserverSeries(times, err, mass, en, a_abs, edge)
     return EvolveResult(
-        final=_lab_field(grid, u, f, times[-1] - t0),
+        final=_lab_field(grid, samples[filled - 1].copy(), f, times[-1] - t0),
         series=series,
         steps=n_seg * k_obs,
         valid=valid,
         loop_s=loop_s,
+        observe_s=observe_s,
         transforms=1 + n_seg * (2 * k_obs + 1),
         invalid_reason=reason,
         snapshot_times=tuple(snap_times),

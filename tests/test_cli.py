@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from solitonlab import cli, scattering
 from solitonlab.cli import _potential_from_args, build_parser, main
 from solitonlab.errors import ConfigError, InvalidRunError
-from solitonlab.experiments import ExperimentConfig, _admissibility_gate
+from solitonlab.experiments import MAX_STEPS, ExperimentConfig, _admissibility_gate
 from solitonlab.grid import make_grid
 from solitonlab.potentials import KIND_PARAMS, KINDS, PARAMS, PotentialSpec, sample_potential
 from solitonlab.propagation import SolitonParams, soliton, suggested_dt
@@ -72,10 +73,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         timing = report["timing"]
-        assert set(timing) == {"loop_s", "steps_per_s", "n", "dt", "transforms",
+        assert set(timing) == {"loop_s", "observe_s", "steps_per_s", "n", "dt", "transforms",
                                "admissibility_s"}
         assert timing["n"] == report["grid"]["n"] and timing["dt"] == report["dt"]
         assert timing["loop_s"] > 0 and timing["admissibility_s"] > 0
+        assert 0 < timing["observe_s"] < timing["loop_s"]
         assert timing["steps_per_s"] == pytest.approx(report["steps"] / timing["loop_s"])
         # every step is observed at v = 8: one forward transform, then 3 a step
         assert timing["transforms"] == 1 + 3 * report["steps"]
@@ -126,6 +128,20 @@ class TestSimulate:
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
         assert "unreasonably large" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "rejected"
+
+    @pytest.mark.parametrize("beta", [1e6, 1e300])
+    def test_deep_well_step_count_exits_1_at_once(self, tmp_path, capsys, beta):
+        # dt = 0.1/(beta + 1 + 2v/ell) plans 8.3e6 steps at beta = 1e6, and
+        # 8.3e300 at beta = 1e300; the override skips the admissibility gate
+        cfg = write_config(tmp_path / "c.json", potential={"kind": "sech2_scaled", "beta": beta},
+                           override_admissibility=True)
+        out = tmp_path / "o"
+        start = time.perf_counter()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 10.0
+        assert f"more than {MAX_STEPS}" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "rejected"
 

@@ -203,6 +203,20 @@ class TestEdgeMass:
         g = make_grid(-40.0, 40.0, 64)
         assert edge_mass_fraction(Field(g, np.zeros(64))) == 0.0
 
+    def test_stack_matches_each_row(self):
+        # the observer passes a chunk of densities at once: each row must
+        # get the fraction of its own 1-D density, 0 for a zero row
+        g = make_grid(-40.0, 40.0, 1024)
+        fields = [sech(g.x), sech(g.x - 39.0), np.zeros(g.n), deterministic_field(g).values,
+                  sech(g.x + 38.5) + 1e-3]
+        dens = np.stack([np.abs(f) ** 2 for f in fields])
+        stacked = edge_mass_fraction(dens)
+        assert stacked.shape == (len(fields),)
+        for row, frac in zip(dens, stacked):
+            assert frac == edge_mass_fraction(row)
+        assert stacked[2] == 0.0 and stacked[1] >= 0.4
+        assert np.array_equal(edge_mass_fraction(dens.reshape(5, 1, g.n)), stacked[:, None])
+
 
 class TestSerialization:
     def test_binary_roundtrip(self, tmp_path):

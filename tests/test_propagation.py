@@ -9,6 +9,8 @@ from solitonlab.errors import ConfigError, InvalidRunError, NumericalBreakdownEr
 from solitonlab.grid import Field, edge_mass_fraction, l2_norm, make_grid
 from solitonlab.potentials import PotentialSpec, sample_potential
 from solitonlab.propagation import (
+    CHUNK_ELEMENTS,
+    EDGE_MASS_TOL,
     SolitonParams,
     StepperConfig,
     bound_mode_residual,
@@ -282,14 +284,16 @@ class TestObserver:
 
     @pytest.mark.parametrize("cadence, k_obs", [(0.01, 1), (0.05, 5)])
     def test_transform_budget(self, monkeypatch, cadence, k_obs):
-        # one forward transform of u0, then 2k+1 per segment of k steps: the
-        # observer makes none. step() makes 4.
+        # one forward transform of u0, then 2k+1 per segment of k steps, the
+        # last of them in the observer's batched inverse transform, which
+        # counts one transform per row. step() makes 4.
         calls = []
 
         def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
+            def wrapper(a, *args, **kwargs):
+                a = np.asarray(a)
+                calls.extend([fn.__name__] * (a.size // a.shape[-1]))
+                return fn(a, *args, **kwargs)
             return wrapper
 
         for name in ("fft", "ifft"):
@@ -305,6 +309,111 @@ class TestObserver:
         calls.clear()
         step(u0, pot, 0.01)
         assert len(calls) == 4
+
+
+def _chunk_rows(n):
+    return min(16, max(1, CHUNK_ELEMENTS // n))
+
+
+class TestChunks:
+    """evolve observes in chunks of CHUNK_ELEMENTS // n rows (1 to 16): one
+    batched inverse transform and one vectorized pass per chunk. Whatever
+    the chunk edges, each observation must match the public functions
+    applied to its own snapshot."""
+
+    SPEC = PotentialSpec("sech2_scaled", beta=0.5)
+    # a shifted reference keeps err_l2 O(1), so the comparison is relative
+    REF = SolitonParams(v=2.0, x0=-9.7)
+
+    @classmethod
+    def _run(cls, n, n_seg, k_obs=1, f=0.0, snapshot_every=1):
+        g = make_grid(-40.0, 40.0, n)
+        pot = sample_potential(cls.SPEC, g)
+        u0 = soliton(SolitonParams(v=2.0, x0=-10.0), 0.0, g)
+        cfg = StepperConfig(dt=0.01, obs_cadence=0.01 * k_obs, snapshot_every=snapshot_every)
+        res = evolve(u0, pot, (0.0, 0.01 * k_obs * n_seg), cfg, reference=cls.REF,
+                     frame_velocity=f)
+        assert len(res.series.times) == n_seg + 1
+        return res
+
+    @classmethod
+    def _assert_matches_snapshots(cls, res):
+        assert len(res.snapshots) == len(res.series.times)
+        assert np.array_equal(res.snapshot_times, res.series.times)
+        expected = {"mass": [], "energy": [], "err_l2": [], "edge_mass": []}
+        for t, snap in zip(res.snapshot_times, res.snapshots):
+            g = snap.grid  # shifted by f t in the co-moving frame
+            exact = soliton(cls.REF, t, g, check_support=False)
+            expected["mass"].append(l2_norm(snap) ** 2)
+            expected["energy"].append(energy(snap, sample_potential(cls.SPEC, g)))
+            expected["err_l2"].append(l2_norm(Field(g, snap.values - exact.values)))
+            expected["edge_mass"].append(edge_mass_fraction(snap))
+        for name, column in expected.items():
+            column = np.array(column)
+            assert np.all(np.abs(column) > 0), name
+            got = getattr(res.series, name)
+            assert np.max(np.abs(got - column) / np.abs(column)) <= 1e-12, name
+
+    @pytest.mark.parametrize("n_seg, k_obs, f", [
+        (20, 1, 0.0),  # 21 observations: a full chunk of 16 and 5 more
+        (5, 1, 0.0),  # 6 observations, fewer than one chunk
+        (31, 1, 0.0),  # exactly two chunks
+        (20, 3, 0.0),  # 3 steps per segment
+        (20, 1, 2.0),  # co-moving: V(y + f s) is evaluated once per chunk
+    ])
+    def test_series_matches_snapshots(self, n_seg, k_obs, f):
+        assert _chunk_rows(1024) == 16
+        self._assert_matches_snapshots(self._run(1024, n_seg, k_obs, f))
+
+    def test_snapshot_every_across_chunk_edges(self):
+        every = self._run(1024, 40)
+        third = self._run(1024, 40, snapshot_every=3)  # 3 does not divide the 16 rows
+        assert np.array_equal(third.series.times, every.series.times)
+        for name in ("err_l2", "mass", "energy", "a_abs", "edge_mass"):
+            assert np.array_equal(getattr(third.series, name), getattr(every.series, name))
+        assert third.snapshot_times == every.snapshot_times[::3]
+        assert len(third.snapshots) == 14
+        for a, b in zip(third.snapshots, every.snapshots[::3]):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(third.final.values, every.final.values)
+        assert np.array_equal(every.final.values, every.snapshots[-1].values)
+
+    def test_invalid_mid_chunk_names_the_first_offending_time(self):
+        # the soliton reaches the right edge window; the first observation
+        # over EDGE_MASS_TOL lies inside a chunk, with later ones over too
+        g = make_grid(-20.0, 20.0, 512)
+        res = evolve(soliton(SolitonParams(v=2.0, x0=-5.0), 0.0, g, check_support=False),
+                     None, (0.0, 8.0),
+                     StepperConfig(dt=5e-3, obs_cadence=0.2, snapshot_every=1))
+        edge = np.array([edge_mass_fraction(s) for s in res.snapshots])
+        assert np.max(np.abs(res.series.edge_mass - edge) / edge) <= 1e-12
+        first = int(np.flatnonzero(edge > EDGE_MASS_TOL)[0])
+        rows = _chunk_rows(g.n)
+        assert first % rows not in (0, rows - 1) and edge[first + 1] > EDGE_MASS_TOL
+        assert not res.valid
+        t = res.series.times[first]
+        assert res.invalid_reason == (f"edge mass fraction {res.series.edge_mass[first]:.3g} "
+                                      f"exceeded {EDGE_MASS_TOL:g} at t={t:g}")
+
+    @pytest.mark.parametrize("n", [1024, CHUNK_ELEMENTS, 2 * CHUNK_ELEMENTS])
+    def test_rows_per_chunk(self, monkeypatch, n):
+        # a grid at or above the element budget observes one row at a time
+        batches = []
+        ifft = np.fft.ifft
+
+        def recorded(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                batches.append(len(a))
+            return ifft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", recorded)
+        res = self._run(n, 5)
+        # observation 0 keeps the samples of u0, so it needs no transform
+        assert sum(batches) == 5
+        assert max(batches) == min(5, _chunk_rows(n))
+        if n >= CHUNK_ELEMENTS:
+            assert batches == [1] * 5
+        self._assert_matches_snapshots(res)
 
 
 class TestFrame:
