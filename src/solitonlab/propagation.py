@@ -77,10 +77,15 @@ PHASE_CAP = 0.1
 SOLITON_TAIL_TOL = 1e-12
 #: a run is invalid once more than this share of the mass is in the edge windows
 EDGE_MASS_TOL = 1e-8
-#: grid points per observer chunk (at most 16 rows): evolve's chunk buffers
-#: hold CHUNK_ELEMENTS complex values, 512 KiB, whatever n; from n = 2^15 on
-#: every observation is its own chunk
-CHUNK_ELEMENTS = 1 << 15
+#: grid points per observer chunk (at most 16 rows): a (rows, n) complex
+#: array is at most 128 KiB whatever n, glibc malloc's default mmap
+#: threshold, so the chunk pass's temporaries are reused from the heap.
+#: Larger ones are mapped and handed back to the kernel on every chunk: at
+#: 2^15 points the benchmark study's runs take 29,700 page faults (2,950 at
+#: one row per chunk, 4,200 at this budget) and 4 times the system time, a
+#: cost that varies with the machine's load. From n = 2^13 on every
+#: observation is its own chunk
+CHUNK_ELEMENTS = 1 << 13
 _CHUNK_ROWS = 16
 
 

@@ -362,12 +362,12 @@ class TestChunks:
         (20, 1, 2.0),  # co-moving: V(y + f s) is evaluated once per chunk
     ])
     def test_series_matches_snapshots(self, n_seg, k_obs, f):
-        assert _chunk_rows(1024) == 16
-        self._assert_matches_snapshots(self._run(1024, n_seg, k_obs, f))
+        assert _chunk_rows(512) == 16
+        self._assert_matches_snapshots(self._run(512, n_seg, k_obs, f))
 
     def test_snapshot_every_across_chunk_edges(self):
-        every = self._run(1024, 40)
-        third = self._run(1024, 40, snapshot_every=3)  # 3 does not divide the 16 rows
+        every = self._run(512, 40)
+        third = self._run(512, 40, snapshot_every=3)  # 3 does not divide the 16 rows
         assert np.array_equal(third.series.times, every.series.times)
         for name in ("err_l2", "mass", "energy", "a_abs", "edge_mass"):
             assert np.array_equal(getattr(third.series, name), getattr(every.series, name))
@@ -395,7 +395,7 @@ class TestChunks:
         assert res.invalid_reason == (f"edge mass fraction {res.series.edge_mass[first]:.3g} "
                                       f"exceeded {EDGE_MASS_TOL:g} at t={t:g}")
 
-    @pytest.mark.parametrize("n", [1024, CHUNK_ELEMENTS, 2 * CHUNK_ELEMENTS])
+    @pytest.mark.parametrize("n", [512, 1024, CHUNK_ELEMENTS, 2 * CHUNK_ELEMENTS])
     def test_rows_per_chunk(self, monkeypatch, n):
         # a grid at or above the element budget observes one row at a time
         batches = []
