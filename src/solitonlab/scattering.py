@@ -22,6 +22,12 @@ values with equal substep counts share one pass over the cells, so a table
 entry does not depend on which other lam share its batch. V is sampled one
 substep at a time, so memory does not grow with the largest lam.
 
+One pass builds the cell matrices left to right, and both directions walk
+them: sign -1 from the left edge, sign +1 from the right edge through their
+inverses. The two-point Gauss-Magnus substep is time-symmetric (reversing a
+cell swaps its Gauss points, flipping c and h while qbar stays), so the
+reversed cell's matrix is exactly C^-1 = adj(C), as det C = 1.
+
 The node values follow from the cell matrices by a blocked walk: prefix
 products inside blocks of isqrt(n) cells, taken for all blocks at once; the
 vectors at the block starts, one block after another; then every node as a
@@ -34,6 +40,7 @@ cell-by-cell walk.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
@@ -133,8 +140,8 @@ def _substeps(grid: Grid, lam: float, sup_v: float) -> int:
     return max(1, math.ceil(count))
 
 
-def _require_small_edges(potential: SampledPotential) -> None:
-    v_edge = edge_magnitude(potential.spec, potential.grid)
+def _require_small_edges(spec: PotentialSpec, grid: Grid) -> None:
+    v_edge = edge_magnitude(spec, grid)
     if v_edge >= EDGE_TOL:
         raise ConfigError(
             f"|V| = {v_edge:.3g} at the domain edge exceeds edge tolerance {EDGE_TOL:g}; "
@@ -189,20 +196,22 @@ def _cell_matrices(
 
 
 def _walk(
-    c: np.ndarray, y_f: np.ndarray, y_g: np.ndarray
+    c: Sequence[np.ndarray], y_f: np.ndarray, y_g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """All nodes of y_{i+1} = C_i y_i from y_0 = (y_f, y_g), for every row,
     by the blocked walk (see the module docstring).
 
-    ``c`` holds the entries (c00, c01, c10, c11) of the C_i, shape (4, K, N);
-    the result is (f, f'), each (K, N+1), in walk order.
+    ``c`` holds the entries (c00, c01, c10, c11) of the C_i, four (K, N)
+    arrays (views will do); the result is (f, f'), each (K, N+1), in walk
+    order.
     """
-    _, k, cells = c.shape
+    k, cells = c[0].shape
     b = math.isqrt(cells)
     blocks = -(-cells // b)
     # the last block is padded past the last node; no result reads the padding
     p = np.zeros((4, k, blocks * b))
-    p[..., :cells] = c
+    for dst, src in zip(p, c):
+        dst[:, :cells] = src
     p00, p01, p10, p11 = p.reshape(4, k, blocks, b)
     for j in range(1, b):
         m00, m01, m10, m11 = p00[..., j], p01[..., j], p10[..., j], p11[..., j]
@@ -229,31 +238,45 @@ def _walk(
 
 
 def _propagate_batch(
-    spec: PotentialSpec, grid: Grid, lams: np.ndarray, sign: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the frequency ODE inward from one edge for a batch of lam.
+    spec: PotentialSpec, grid: Grid, lams: np.ndarray, signs: tuple[int, ...] = (1, -1)
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Integrate the frequency ODE inward from the edge of each of ``signs``
+    for a batch of lam, from one pass over the cells.
 
-    Returns (f, fprime), each of shape (len(lams), n), sampled on grid nodes.
-    Each row is bitwise what its lam alone gives; an overflow raises AccuracyError.
+    Returns one (f, fprime) per sign, in the order of ``signs``: for sign -1
+    and for sign +1 alike, each array has shape (len(lams), n) and holds the
+    grid nodes from left to right (for sign +1 a reversed view of the walk).
+    Each row is bitwise what its lam alone gives, whichever signs are asked
+    for; an overflow raises AccuracyError.
     """
     n = grid.n
     lams = np.asarray(lams, dtype=np.float64)
     sup_v = spec.sup_norm
     counts = np.array([_substeps(grid, abs(lam), sup_v) for lam in lams])
-    # cell i propagates node n-1-i -> n-2-i (sign +1) or node i -> i+1 (sign -1)
-    starts = grid.x[n - 1 : 0 : -1] if sign > 0 else grid.x[0 : n - 1]
+    # cell i propagates node i -> i+1; its adjugate (its inverse) node i+1 -> i
     cells = np.empty((4, lams.size, n - 1))
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for m in map(int, np.unique(counts)):
             rows = np.flatnonzero(counts == m)
-            cells[:, rows] = _cell_matrices(spec, starts, -sign * grid.dx / m, m,
-                                            lams[rows] * lams[rows])
-        y_f = np.exp(1j * sign * lams * starts[0])
-        f, fp = _walk(cells, y_f, 1j * sign * lams * y_f)
-    finite = np.isfinite(f).all(axis=1) & np.isfinite(fp).all(axis=1)
+            lam2 = lams[rows] * lams[rows]
+            for dst, src in zip(cells, _cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lam2)):
+                dst[rows] = src
+        for sign in signs:
+            y_f = np.exp(1j * sign * lams * (grid.x[-1] if sign > 0 else grid.x[0]))
+            y_g = 1j * sign * lams * y_f
+            if sign < 0:
+                out.append(_walk(cells, y_f, y_g))
+            else:
+                # adj(C) = S [[c11, c01], [c10, c00]] S with S = diag(1, -1):
+                # walk S y from the right edge through the cells in reverse
+                c00, c01, c10, c11 = cells[:, :, ::-1]
+                f, fp = _walk((c11, c01, c10, c00), y_f, -y_g)
+                out.append((f[:, ::-1], np.negative(fp, out=fp)[:, ::-1]))
+    finite = np.logical_and.reduce([np.isfinite(a).all(axis=1) for pair in out for a in pair])
     if not finite.all():
         raise AccuracyError(f"non-finite values while integrating lam={lams[~finite].tolist()}")
-    return (f[:, ::-1], fp[:, ::-1]) if sign > 0 else (f, fp)
+    return out
 
 
 def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
@@ -266,9 +289,9 @@ def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
         raise ConfigError("sign must be +1 or -1")
     if not math.isfinite(lam):
         raise ConfigError("lam must be finite")
-    _require_small_edges(potential)
+    _require_small_edges(potential.spec, potential.grid)
     grid = potential.grid
-    f, fp = _propagate_batch(potential.spec, grid, np.array([lam]), sign)
+    ((f, fp),) = _propagate_batch(potential.spec, grid, np.array([lam]), (sign,))
     return JostSolution(float(lam), sign, grid, f[0], fp[0])
 
 
@@ -276,12 +299,15 @@ def _interior(n: int) -> slice:
     return slice(n // 8, n - n // 8)
 
 
-def _interior_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[complex, float]:
-    """Median and RMS spread of  f_+ f_-' - f_- f_+'  over the interior."""
-    sl = _interior(fp.size)
-    w = fp[sl] * fm_prime[sl] - fm[sl] * fp_prime[sl]
-    value = complex(np.median(w.real), np.median(w.imag))
-    return value, float(np.sqrt(np.mean(np.abs(w - value) ** 2)))
+def _interior_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[np.ndarray, np.ndarray]:
+    """Median and RMS spread of  f_+ f_-' - f_- f_+'  over the interior, one
+    per row of the (K, n) arguments. Rows are reduced on their own, so each
+    result is bitwise what its row alone gives."""
+    sl = _interior(fp.shape[1])
+    w = fp[:, sl] * fm_prime[:, sl] - fm[:, sl] * fp_prime[:, sl]
+    value = np.empty(w.shape[0], dtype=np.complex128)
+    value.real, value.imag = np.median(w.real, axis=1), np.median(w.imag, axis=1)
+    return value, np.sqrt(np.mean(np.abs(w - value[:, None]) ** 2, axis=1))
 
 
 def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
@@ -295,7 +321,10 @@ def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
         raise ConfigError("Jost solutions live on different grids")
     if f_plus.lam != f_minus.lam:
         raise ConfigError("Jost solutions have different frequencies")
-    value, std = _interior_wronskian(f_plus.f, f_plus.fprime, f_minus.f, f_minus.fprime)
+    values, stds = _interior_wronskian(
+        f_plus.f[None], f_plus.fprime[None], f_minus.f[None], f_minus.fprime[None]
+    )
+    value, std = complex(values[0]), float(stds[0])
     sl = _interior(f_plus.grid.n)
     scale = float(
         np.median(
@@ -317,10 +346,10 @@ def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
     unstable (inconclusive)."""
 
     def w0_abs(g: Grid) -> float:
-        pot = sample_potential(spec, g)
-        fp = jost(pot, 0.0, +1)
-        fm = jost(pot, 0.0, -1)
-        return abs(wronskian(fp, fm).value)
+        _require_small_edges(spec, g)
+        (fp, fp_prime), (fm, fm_prime) = _propagate_batch(spec, g, np.zeros(1))
+        return abs(wronskian(JostSolution(0.0, 1, g, fp[0], fp_prime[0]),
+                             JostSolution(0.0, -1, g, fm[0], fm_prime[0])).value)
 
     w0 = w0_abs(grid)
     doubled = make_grid(
@@ -340,32 +369,32 @@ def _coeffs_from_batch(
     fm_f: np.ndarray,
     fm_g: np.ndarray,
 ) -> list[ScatteringCoefficients]:
-    out = []
-    x_left = grid.x[0]
-    for i, lam in enumerate(lams):
-        w_med, w_std = _interior_wronskian(fp_f[i], fp_g[i], fm_f[i], fm_g[i])
-        if abs(w_med) < 1e-12:
-            raise AccuracyError(f"degenerate Wronskian at lam={lam}")
-        t_w = -2j * lam / w_med
-        # decompose f_+ = a e^{i lam x} + b e^{-i lam x} at the far (left) edge
-        phase = np.exp(1j * lam * x_left)
-        a = 0.5 * (fp_f[i, 0] + fp_g[i, 0] / (1j * lam)) / phase
-        b = 0.5 * (fp_f[i, 0] - fp_g[i, 0] / (1j * lam)) * phase
-        t_m = 1.0 / a
-        r = b / a
-        out.append(
-            ScatteringCoefficients(
-                lam=float(lam),
-                T=t_w,
-                R=complex(r),
-                wronskian=w_med,
-                t_matching=complex(t_m),
-                unitarity_defect=float(abs(abs(t_w) ** 2 + abs(r) ** 2 - 1.0)),
-                t_agreement=float(abs(t_w - t_m)),
-                wronskian_std=w_std,
-            )
+    w_med, w_std = _interior_wronskian(fp_f, fp_g, fm_f, fm_g)
+    degenerate = np.abs(w_med) < 1e-12
+    if degenerate.any():
+        raise AccuracyError(f"degenerate Wronskian at lam={lams[np.argmax(degenerate)]}")
+    t_w = -2j * lams / w_med
+    # decompose f_+ = a e^{i lam x} + b e^{-i lam x} at the far (left) edge
+    phase = np.exp(1j * lams * grid.x[0])
+    a = 0.5 * (fp_f[:, 0] + fp_g[:, 0] / (1j * lams)) / phase
+    b = 0.5 * (fp_f[:, 0] - fp_g[:, 0] / (1j * lams)) * phase
+    t_m = 1.0 / a
+    r = b / a
+    defect = np.abs(np.abs(t_w) ** 2 + np.abs(r) ** 2 - 1.0)
+    agreement = np.abs(t_w - t_m)
+    return [
+        ScatteringCoefficients(
+            lam=float(lams[i]),
+            T=complex(t_w[i]),
+            R=complex(r[i]),
+            wronskian=complex(w_med[i]),
+            t_matching=complex(t_m[i]),
+            unitarity_defect=float(defect[i]),
+            t_agreement=float(agreement[i]),
+            wronskian_std=float(w_std[i]),
         )
-    return out
+        for i in range(lams.size)
+    ]
 
 
 def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoefficients]:
@@ -379,10 +408,9 @@ def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoeffi
         raise ConfigError("scattering table needs at least one lam")
     if np.any(lams <= 0.0) or not np.all(np.isfinite(lams)):
         raise ConfigError("scattering coefficients need lam > 0")
-    _require_small_edges(potential)
+    _require_small_edges(potential.spec, potential.grid)
     grid = potential.grid
-    fp_f, fp_g = _propagate_batch(potential.spec, grid, lams, +1)
-    fm_f, fm_g = _propagate_batch(potential.spec, grid, lams, -1)
+    (fp_f, fp_g), (fm_f, fm_g) = _propagate_batch(potential.spec, grid, lams)
     return _coeffs_from_batch(grid, lams, fp_f, fp_g, fm_f, fm_g)
 
 

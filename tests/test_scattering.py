@@ -263,6 +263,18 @@ class TestTransferWalk:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_memory_does_not_grow_with_substeps_from_the_left(self):
+        # the sign -1 twin of the test above: both signs walk the same cells
+        pot = sample_potential(PotentialSpec("algebraic", q=0.5, s=3.0), make_grid(-60.0, 60.0, 2048))
+        jost(pot, 1.0, -1)
+        tracemalloc.start()
+        try:
+            jost(pot, 400.0, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
     def test_walk_beyond_the_substep_cap_is_rejected(self):
         # without the cap these would run for hours, or forever; the well's
@@ -274,6 +286,90 @@ class TestTransferWalk:
         free = sample_potential(PotentialSpec("zero"), make_grid(-40.0, 40.0, 2048))
         with pytest.raises(ConfigError, match="substeps per cell"):
             scattering_table(free, [1.0, 1e6])
+
+
+class TestOnePass:
+    """Both Jost directions come from one set of left-to-right cell matrices:
+    sign +1 walks their adjugates (their inverses, as det C = 1) right to left."""
+
+    @pytest.mark.parametrize("spec, n, w0, verdicts", PINNED_W0)
+    def test_reversed_walk_matches_reversed_cells(self, spec, n, w0, verdicts):
+        # reference: cells built from the right edge with a negative
+        # substep, walked from there
+        from solitonlab.scattering import _cell_matrices, _propagate_batch, _substeps, _walk
+
+        grid = check_admissibility(spec).grid
+        x, dx = grid.x, grid.dx
+        for lam in (0.0, 1.0, 40.0):
+            m = _substeps(grid, lam, spec.sup_norm)
+            lam2 = np.array([lam * lam])
+            c00, c01, c10, c11 = _cell_matrices(spec, x[:-1], dx / m, m, lam2)
+            assert np.max(np.abs(c00 * c11 - c01 * c10 - 1.0)) <= 1e-12
+            y_f = np.exp(1j * lam * x[-1:])
+            ref_f, ref_g = _walk(_cell_matrices(spec, x[n - 1 : 0 : -1], -dx / m, m, lam2),
+                                 y_f, 1j * lam * y_f)
+            ((f, g),) = _propagate_batch(spec, grid, np.array([lam]), (1,))
+            for got, ref in ((f, ref_f[:, ::-1]), (g, ref_g[:, ::-1])):
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_jost_is_a_row_of_the_two_sign_batch(self, sign):
+        spec = PotentialSpec("gaussian", q=2.0, sigma=1.0)
+        grid = make_grid(-30.0, 30.0, 1024)
+        lams = np.array([0.0, 0.7, 3.0, 25.0])
+        both = dict(zip((1, -1), scattering._propagate_batch(spec, grid, lams, (1, -1))))
+        f, fp = both[sign]
+        pot = sample_potential(spec, grid)
+        for i, lam in enumerate(lams):
+            sol = jost(pot, lam, sign)
+            assert np.array_equal(sol.f, f[i]) and np.array_equal(sol.fprime, fp[i])
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("gaussian", q=2.0, sigma=1.0),
+        PotentialSpec("sech2_scaled", beta=1.0),
+    ], ids=lambda spec: spec.kind)
+    def test_resonance_probe_is_the_jost_wronskian(self, spec):
+        grid = make_grid(-30.0, 30.0, 1024)
+        probe = detect_resonance(spec, grid)
+        doubled = make_grid(grid.x_min - grid.length / 2.0, grid.x_max + grid.length / 2.0, 2 * grid.n)
+        for g, w0 in ((grid, probe.w0_abs), (doubled, probe.w0_abs_doubled)):
+            pot = sample_potential(spec, g)
+            assert w0 == abs(wronskian(jost(pot, 0.0, +1), jost(pot, 0.0, -1)).value)
+
+    def test_resonance_probe_enforces_edge_tolerance(self):
+        with pytest.raises(ConfigError, match="edge tolerance"):
+            detect_resonance(PotentialSpec("algebraic", q=1.0, s=3.0), make_grid(-5.0, 5.0, 64))
+
+    # T and R from a walk with the sign +1 cells built from the right edge;
+    # the one-pass walk is within 6e-14 of them, so 1e-12 absolute catches
+    # any change to the walk beyond roundoff
+    PINNED_TABLE_TOL = 1e-12
+
+    @pytest.mark.parametrize("spec, pinned", [
+        pytest.param(PotentialSpec("algebraic", q=0.5, s=3.0), [
+            (0.5, -0.1065051350463594 - 0.3054743437366793j,
+             -0.8934764460230482 + 0.31151552437948193j),
+            (5.0, 0.979831195983778 - 0.19982698626340803j,
+             -1.0844477864718444e-05 - 5.310608195310828e-05j),
+            (40.0, 0.9996875455975874 - 0.024996223255079424j,
+             4.096572665349476e-10 - 4.2289716468012946e-10j),
+        ], id="algebraic"),
+        pytest.param(PotentialSpec("sech2_scaled", beta=0.5), [
+            (0.5, 0.2865526341567362 + 0.8814612934074477j,
+             -0.3569942627674944 + 0.11605460970318512j),
+            (5.0, 0.9803285238894875 + 0.19737270644071336j,
+             -5.544550279394369e-08 + 2.7539173038813163e-07j),
+            (40.0, 0.999687581371151 + 0.024994792887241192j,
+             4.193196528782078e-15 + 8.294667369902035e-16j),
+        ], id="sech2_half"),
+    ])
+    def test_table_pinned(self, spec, pinned):
+        pot = sample_potential(spec, make_grid(-60.0, 60.0, 2048))
+        table = scattering_table(pot, [lam for lam, _, _ in pinned])
+        for c, (lam, t, r) in zip(table, pinned):
+            assert c.lam == lam
+            assert abs(c.T - t) <= self.PINNED_TABLE_TOL
+            assert abs(c.R - r) <= self.PINNED_TABLE_TOL
 
 
 class TestBoundStates:
