@@ -139,7 +139,7 @@ def check_mass_conservation() -> tuple[bool, str]:
         grid = make_grid(-20.0, 20.0, 512)
         pot = sample_potential(spec, grid)
         u0 = soliton(SolitonParams(v=0.5, x0=-5.0), 0.0, grid, check_support=False)
-        res = evolve(u0, pot, (0.0, 10.0), StepperConfig(dt=1e-3, obs_cadence=0.5))
+        res = evolve(u0, pot, 10.0, StepperConfig(dt=1e-3, obs_cadence=0.5))
         worst = max(worst, float(np.max(np.abs(res.series.mass / res.series.mass[0] - 1.0))))
     ok = worst <= 1e-10
     return ok, f"max relative drift over 1e4 steps = {worst:.2e} (<=1e-10)"
@@ -154,7 +154,7 @@ def check_splitting_convergence() -> tuple[bool, str]:
         res = evolve(
             soliton(params, 0.0, grid, check_support=False),
             None,
-            (0.0, 2.0),
+            2.0,
             StepperConfig(dt=dt, obs_cadence=0.1),
             reference=params,
         )
@@ -181,7 +181,7 @@ def check_energy_variant_discriminates() -> tuple[bool, str]:
         res = evolve(
             soliton(params, 0.0, grid),
             pot,
-            (0.0, 5.0),
+            5.0,
             StepperConfig(dt=dt, obs_cadence=0.25, snapshot_every=1),
             reference=params,
         )

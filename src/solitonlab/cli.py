@@ -32,7 +32,7 @@ from .experiments import ExperimentConfig, RunReport, scaling_study, transmissio
 from .grid import make_grid, save_field
 from .potentials import KINDS, PARAMS, PotentialSpec, check_admissibility
 from .reporting import RunManifest, svg_line_plot, write_csv, write_json
-from .scattering import build_spectral_report
+from .scattering import MAX_TABLE_NODES, build_spectral_report
 from . import checks
 
 EXIT_OK = 0
@@ -151,6 +151,9 @@ def cmd_spectral(args) -> int:
             raise ConfigError(f"{flag} must be finite, got {value}")
     if args.lambda_points < 1:
         raise ConfigError(f"--lambda-points must be at least 1, got {args.lambda_points}")
+    if args.lambda_points * args.n > MAX_TABLE_NODES:
+        raise ConfigError(f"--lambda-points x --n = {args.lambda_points * args.n} exceeds the "
+                          f"table budget of {MAX_TABLE_NODES} lambda-nodes")
     if not args.linear and not (args.lambda_min > 0 and args.lambda_max > 0):
         raise ConfigError("log lambda spacing needs --lambda-min and --lambda-max > 0 "
                           "(or use --linear)")

@@ -1,6 +1,6 @@
 """Three-phase transmission experiment and the velocity-scaling study.
 
-A boosted soliton (mu = 1) starts at x0 = c - x0_factor * v^(1-delta), left
+A boosted soliton of width 1 starts at x0 = c - x0_factor * v^(1-delta), left
 of the potential's center c by at least the required launch distance
 v^(1-delta), crosses the potential around t* = |x0 - c|/v, and is tracked
 against the exact free soliton over the horizon t_end = (1-delta) log v. The
@@ -31,7 +31,7 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ConfigError
-from .grid import EDGE_WINDOW, Field, Grid, make_grid, require_resolved
+from .grid import EDGE_WINDOW, MAX_N, Field, Grid, make_grid, require_resolved
 from .potentials import (
     AdmissibilityReport, PotentialSpec, check_admissibility, json_number, sample_potential,
 )
@@ -215,7 +215,7 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     x_min, x_max = lo - clearance, hi + clearance
     dx_max = math.pi / required_kmax(config.potential)
     points = (x_max - x_min) / dx_max
-    if not points <= 1 << 22:  # inf at a huge v, too
+    if not points <= MAX_N:  # inf at a huge v, too
         raise ConfigError(f"required grid size 2^{math.log2(points):.4g} points is unreasonably "
                           "large (at most 2^22)")
     require_resolved(x_min, x_max, dx_max)  # a far center rounds the width, even to 0
@@ -301,7 +301,7 @@ class RunReport:
             "v": self.plan.v,
             "x0": self.plan.x0,
             "delta": self.plan.config.delta,
-            "mu": SolitonParams.mu,
+            "mu": 1.0,
             "t_end": self.plan.t_end,
             "phases": {
                 "t1": self.plan.phases.t1,
@@ -351,7 +351,7 @@ def _run_plan(plan: RunPlan) -> RunReport:
     validate_step_rules(grid, plan.dt, plan.v, spec)
     pot = sample_potential(spec, grid) if spec is not None else None
     states = bound_states(pot) if pot is not None else []
-    result = evolve(soliton(params, 0.0, grid), pot, (0.0, plan.t_end),
+    result = evolve(soliton(params, 0.0, grid), pot, plan.t_end,
                     StepperConfig(dt=plan.dt, obs_cadence=plan.cadence), reference=params,
                     bound_state=states[0] if states else None, frame_velocity=plan.v)
     return RunReport(plan=plan, series=result.series, final=result.final, valid=result.valid,

@@ -35,6 +35,9 @@ EDGE_WINDOW = 0.05
 #: 1e-8 relative at 8.6e-7 (center 1e9), by 3e-6 at 1.1e-4 (center 1e11),
 #: and the Jost walk's Wronskian broke down at 0.45 (center 3e14)
 POSITION_TOL = 1e-6
+#: most grid points: a run's field, its spectrum and the observer's stacks
+#: are a few complex arrays of n points each, 64 MiB apiece here
+MAX_N = 1 << 22
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -92,12 +95,14 @@ def require_resolved(x_min: float, x_max: float, dx: float) -> None:
 
 
 def make_grid(x_min: float, x_max: float, n: int) -> Grid:
-    """Build a grid, rejecting non-power-of-two n (< 16), empty domains and
-    domains too far from 0 to resolve their spacing (see require_resolved)."""
+    """Build a grid, rejecting n other than a power of two in [16, MAX_N],
+    empty domains and domains too far from 0 to resolve their spacing (see
+    require_resolved)."""
     if not np.isfinite(x_min) or not np.isfinite(x_max) or x_min >= x_max:
         raise ConfigError(f"need x_min < x_max, got [{x_min}, {x_max}]")
-    if not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n)) or n < 16:
-        raise ConfigError(f"n must be a power of two >= 16, got {n}")
+    if (not isinstance(n, (int, np.integer)) or not _is_power_of_two(int(n))
+            or not 16 <= n <= MAX_N):
+        raise ConfigError(f"n must be a power of two in [16, {MAX_N}], got {n}")
     require_resolved(x_min, x_max, (x_max - x_min) / n)
     return Grid(float(x_min), float(x_max), int(n))
 

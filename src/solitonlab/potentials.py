@@ -30,10 +30,13 @@ from .grid import Grid, make_grid, require_resolved
 
 #: |V| must fall below this at the grid edges for scattering asymptotics
 EDGE_TOL = 1e-4
-#: admissibility is judged on [c - 40, c + 40] x 2048 around the center c,
-#: doubled in width and points together (same spacing) until |V| at both
-#: edges is below EDGE_TOL, up to this many points; past it the
-#: verdict is inconclusive
+#: admissibility is judged on [c - ADMISSIBILITY_HALF_WIDTH, c +
+#: ADMISSIBILITY_HALF_WIDTH] x ADMISSIBILITY_N around the center c, doubled in
+#: width and points together (same spacing) until |V| at both edges is below
+#: EDGE_TOL, up to ADMISSIBILITY_MAX_N points; past it the verdict is
+#: inconclusive
+ADMISSIBILITY_HALF_WIDTH = 40.0
+ADMISSIBILITY_N = 2048
 ADMISSIBILITY_MAX_N = 1 << 16
 #: log-log slopes steeper than this are reported as the super-algebraic sentinel
 SLOPE_CAP = 15.0
@@ -285,7 +288,7 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
     """
     from . import scattering  # deferred: scattering imports this module
 
-    half, n = 40.0, 2048
+    half, n = ADMISSIBILITY_HALF_WIDTH, ADMISSIBILITY_N
     require_resolved(spec.center - half, spec.center + half, 2.0 * half / n)  # even a width of 0
     grid = make_grid(spec.center - half, spec.center + half, n)
     while (edge_v := edge_magnitude(spec, grid)) >= EDGE_TOL and n < ADMISSIBILITY_MAX_N:

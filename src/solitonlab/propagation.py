@@ -19,20 +19,21 @@ for the whole chunk in one vectorized pass, with V evaluated once per
 chunk; the kinetic energy comes from the spectra by Parseval. ``step`` and
 ``evolve`` share the one kernel.
 
-Co-moving frame. A run may be carried in the frame y = x - f (t - t0) of a
-velocity f. With u = e^{i(f x - f^2 (t - t0)/2)} w(y, t) the field w obeys
+Co-moving frame. A run starts at t = 0 and may be carried in the frame
+y = x - f t of a velocity f. With u = e^{i(f x - f^2 t/2)} w(y, t) the field
+w obeys
 
-    i w_t = -1/2 w_yy + V(y + f (t - t0)) w - |w|^2 w,
+    i w_t = -1/2 w_yy + V(y + f t) w - |w|^2 w,
 
 the same equation under a moving potential. The lab kinetic multiplier
 e^{-i (dt/2) (k + f)^2/2} is the frame's e^{-i (dt/2) k^2/2} times a
 translation by f dt/2 and a phase, so a frame step that takes V at its
-midpoint time, V(y + f (t_j + dt/2 - t0)), is the lab Strang step exactly.
-At f = 0 the step takes the potential's samples. The observer reports lab
+midpoint time, V(y + f (t_j + dt/2)), is the lab Strang step exactly. At
+f = 0 the step takes the potential's samples. The observer reports lab
 quantities, and the final field comes back as lab samples on the grid
-shifted by f (t1 - t0).
+shifted by f t_end.
 
-Resolution rules for a soliton of width 1 (mu = 1) moving at v relative
+Resolution rules for the soliton of width 1 moving at v relative
 to the potential, for a run carried in the frame co-moving with the
 soliton. Both are Galilean invariant: the carrier phase is integrated
 exactly by the kinetic substep, so neither rule pays for v^2. The length
@@ -91,17 +92,15 @@ _CHUNK_ROWS = 16
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """Traveling-wave solution  mu e^{i(x v + mu^2 t/2 - t v^2/2)} sech(mu (x - x0 - v t))."""
+    """Traveling-wave solution  e^{i(x v + t/2 - t v^2/2)} sech(x - x0 - v t),
+    the soliton of width 1."""
 
     v: float
     x0: float
-    mu: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.v) and math.isfinite(self.x0)):
             raise ConfigError("soliton velocity and center must be finite")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
-            raise ConfigError("soliton width parameter mu must be positive")
 
     def center(self, t: float) -> float:
         return self.x0 + self.v * t
@@ -118,16 +117,16 @@ def soliton(
     p = params
     if check_support:
         worst = max(
-            _sech(np.array([p.mu * (grid.x_min - p.center(t))]))[0],
-            _sech(np.array([p.mu * (grid.x[-1] - p.center(t))]))[0],
+            _sech(np.array([grid.x_min - p.center(t)]))[0],
+            _sech(np.array([grid.x[-1] - p.center(t)]))[0],
         )
-        if p.mu * worst > SOLITON_TAIL_TOL:
+        if worst > SOLITON_TAIL_TOL:
             raise InvalidRunError(
-                f"soliton tail {p.mu * worst:.3g} exceeds {SOLITON_TAIL_TOL:g} at the domain edge "
+                f"soliton tail {worst:.3g} exceeds {SOLITON_TAIL_TOL:g} at the domain edge "
                 f"(center {p.center(t):.3g} at t={t:g})"
             )
-    phase = p.v * grid.x + 0.5 * p.mu**2 * t - 0.5 * p.v**2 * t
-    return Field(grid, p.mu * np.exp(1j * phase) * _sech(p.mu * (grid.x - p.center(t))))
+    phase = p.v * grid.x + 0.5 * t - 0.5 * p.v**2 * t
+    return Field(grid, np.exp(1j * phase) * _sech(grid.x - p.center(t)))
 
 
 def resolution_length(potential: PotentialSpec | None = None) -> float:
@@ -220,7 +219,7 @@ class ObserverSeries:
 
 @dataclass(frozen=True)
 class EvolveResult:
-    """The run's outcome; it took ``steps`` steps of (t1 - t0)/steps each,
+    """The run's outcome; it took ``steps`` steps of t_end/steps each,
     in ``loop_s`` seconds of step loop (observations included, of which
     ``observe_s`` in the chunked observer) and ``transforms`` FFTs, a
     batched transform of r rows counting r."""
@@ -339,13 +338,14 @@ def _lab_field(grid: Grid, w: np.ndarray, f: float, s: float) -> Field:
 def evolve(
     u0: Field,
     potential: SampledPotential | None,
-    t_span: tuple[float, float],
+    t_end: float,
     config: StepperConfig,
     reference: SolitonParams | None = None,
     bound_state: BoundState | None = None,
     frame_velocity: float = 0.0,
 ) -> EvolveResult:
-    """Iterate Strang steps over ``t_span`` with observer sampling.
+    """Iterate Strang steps from t = 0 to ``t_end`` (positive and finite)
+    with observer sampling.
 
     The step count is rounded so observations fall on a uniform time grid
     and the step never exceeds config.dt. Observations are spaced by
@@ -354,9 +354,9 @@ def evolve(
 
     With ``frame_velocity`` f the run is carried in the frame co-moving at
     f (see the module docstring): ``u0``, ``potential`` and ``bound_state``
-    are given on the lab grid at t0, which the frame grid matches then, and
-    the final field and the snapshots are lab samples on that grid shifted
-    by f (t - t0). The observer reports lab quantities at every f.
+    are given on the lab grid at t = 0, which the frame grid matches then,
+    and the final field and the snapshots are lab samples on that grid
+    shifted by f t. The observer reports lab quantities at every f.
 
     The spectrum is carried from segment to segment: one forward transform
     of ``u0``, then 2k transforms per segment of k steps. The observer works
@@ -372,19 +372,18 @@ def evolve(
     is given (else 0): its carrier is built once, and its profile too when
     it co-moves with the frame. a_abs tracks |<u, phi>| when
     ``bound_state`` is given, on the Fourier side:
-    (dx/n) sum_j uhat_j conj(phihat(k_j + f)) e^{-i (k_j + f) f (t - t0)}
+    (dx/n) sum_j uhat_j conj(phihat(k_j + f)) e^{-i (k_j + f) f t}
     over the j with |k_j + f| <= k_max, where phihat(k_j + f) is the
     transform of phi e^{-i f y}; a physical-space sum would alias once f
     nears k_max.
     """
-    t0, t1 = map(float, t_span)
-    if not t1 > t0:
-        raise ConfigError("t_span must satisfy t1 > t0")
+    t_end = float(t_end)
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
     grid = u0.grid
-    span = t1 - t0
     k_obs = max(1, int(math.floor(config.obs_cadence / config.dt + 1e-12)))
-    n_seg = max(1, int(math.ceil(span / (k_obs * config.dt) - 1e-12)))
-    dt = span / (n_seg * k_obs)
+    n_seg = max(1, int(math.ceil(t_end / (k_obs * config.dt) - 1e-12)))
+    dt = t_end / (n_seg * k_obs)
     f = float(frame_velocity)
     flow = _StrangFlow(grid, potential, dt, f)
     dx, x = grid.dx, grid.x
@@ -392,9 +391,9 @@ def evolve(
     k2 = lab_k * lab_k
     if reference is not None:
         p = reference
-        carrier = p.mu * np.exp(1j * (p.v - f) * x)
+        carrier = np.exp(1j * (p.v - f) * x)
         # a reference that co-moves with the frame keeps one profile
-        profile = carrier * _sech(p.mu * (x - p.center(t0))) if p.v == f else None
+        profile = carrier * _sech(x - p.x0) if p.v == f else None
     if bound_state is not None:
         if bound_state.field.grid != grid:
             raise ConfigError("field and bound state live on different grids")
@@ -427,19 +426,18 @@ def evolve(
         uhat, u = uhats[:m], samples[:m]
         obs = slice(first, first + m)
         t = times[obs]
-        s = t - t0
         absu2 = u.real * u.real + u.imag * u.imag
         mass[obs] = dx * np.sum(absu2, axis=-1)
-        en[obs] = _energy(dx, k2, uhat, absu2, flow.potential_at(s))
+        en[obs] = _energy(dx, k2, uhat, absu2, flow.potential_at(t))
         if reference is not None:
-            phase = np.exp(1j * (0.5 * (p.mu**2 - p.v**2) * t + f * (p.v - 0.5 * f) * s))[:, None]
+            phase = np.exp(1j * (0.5 * (1.0 - p.v**2) * t + f * (p.v - 0.5 * f) * t))[:, None]
             if profile is not None:
                 d = u - phase * profile
             else:
-                d = u - carrier * (phase * _sech(p.mu * (x - (p.center(t) - f * s)[:, None])))
+                d = u - carrier * (phase * _sech(x - (p.center(t) - f * t)[:, None]))
             err[obs] = np.sqrt(dx * np.sum(d.real * d.real + d.imag * d.imag, axis=-1))
         if bound_state is not None:
-            shift = np.exp(-1j * (lab_k * (f * s)[:, None]))
+            shift = np.exp(-1j * (lab_k * (f * t)[:, None]))
             a_abs[obs] = np.abs(dx / grid.n * np.sum(uhat * conj_phihat * shift, axis=-1))
         edge[obs] = edge_mass_fraction(absu2)
         over = np.flatnonzero(edge[obs] > EDGE_MASS_TOL)
@@ -451,12 +449,12 @@ def evolve(
         if config.snapshot_every is not None:
             for i in range(-first % config.snapshot_every, m, config.snapshot_every):
                 snap_times.append(float(t[i]))
-                snaps.append(_lab_field(grid, samples[i].copy(), f, float(s[i])))
+                snaps.append(_lab_field(grid, samples[i].copy(), f, float(t[i])))
         observe_s += perf_counter() - start
 
     u = u0.values * np.exp(-1j * f * x) if f else u0.values
     uhat = np.fft.fft(u)
-    times[0] = t0
+    times[0] = 0.0
     uhats[0] = uhat
     samples[0] = u
     first, filled = 0, 1
@@ -467,14 +465,14 @@ def evolve(
             first, filled = first + filled, 0
         uhat = flow(uhat, k_obs, seg * k_obs)
         uhats[filled] = uhat
-        times[seg + 1] = t0 + (seg + 1) * k_obs * dt
+        times[seg + 1] = (seg + 1) * k_obs * dt
         filled += 1
     observe(first, filled)
     loop_s = perf_counter() - start
 
     series = ObserverSeries(times, err, mass, en, a_abs, edge)
     return EvolveResult(
-        final=_lab_field(grid, samples[filled - 1].copy(), f, times[-1] - t0),
+        final=_lab_field(grid, samples[filled - 1].copy(), f, times[-1]),
         series=series,
         steps=n_seg * k_obs,
         valid=valid,
@@ -495,7 +493,6 @@ class BoundModeResidual:
     max_residual: float
     floor: float
     ratio: float
-    max_amplitude: float
 
 
 def bound_mode_residual(
@@ -542,4 +539,4 @@ def bound_mode_residual(
         ratio = math.inf
     else:
         ratio = max_res / floor
-    return BoundModeResidual(max_res, floor, ratio, max_amp)
+    return BoundModeResidual(max_res, floor, ratio)

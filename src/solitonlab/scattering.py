@@ -49,6 +49,8 @@ import numpy as np
 from .errors import AccuracyError, ConfigError
 from .grid import Field, Grid, inner_product, make_grid
 from .potentials import (
+    ADMISSIBILITY_HALF_WIDTH,
+    ADMISSIBILITY_N,
     EDGE_TOL,
     AdmissibilityReport,
     PotentialSpec,
@@ -73,11 +75,16 @@ WRONSKIAN_REL_TOL = 1e-4
 #: potential or a lam is rejected rather than walked for hours (sech2_scaled
 #: beta = 1e300 would need 2.8e150 substeps per cell)
 MAX_SUBSTEPS = 1 << 16
+#: most lam x grid nodes in one table. A table costs about 200 bytes per
+#: lam-node at its peak: ``solitonlab spectral`` peaked at 236 MB with 2^20
+#: lam-nodes and 437 MB with 2^21 (n = 2048; 420 MB at n = 16 with 2^17 lam;
+#: 2 vCPUs, numpy 2.4.6), so a table at this cap peaks near 840 MB
+MAX_TABLE_NODES = 1 << 22
 #: largest spacing of the bound-state solve, the admissibility domain's: a
 #: second-order finite-difference eigenvector at a run's dx would set a_abs's
 #: error (sech2_scaled beta 0.5, v = 6..16: peak a_abs 1.7-5.7% above its
 #: converged value at dx 0.12-0.15, <= 0.18% at a quarter of that)
-BOUND_STATE_DX = 80.0 / 2048
+BOUND_STATE_DX = 2.0 * ADMISSIBILITY_HALF_WIDTH / ADMISSIBILITY_N
 
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
@@ -87,7 +94,6 @@ class JostSolution:
     """Frequency-lam solution with plane-wave data at one edge."""
 
     lam: float
-    sign: int
     grid: Grid
     f: np.ndarray = field(repr=False)
     fprime: np.ndarray = field(repr=False)
@@ -103,7 +109,6 @@ class JostSolution:
 class WronskianResult:
     value: complex
     std: float
-    scale: float
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,6 @@ class ScatteringCoefficients:
     T: complex
     R: complex
     wronskian: complex
-    t_matching: complex
     unitarity_defect: float
     t_agreement: float
     wronskian_std: float
@@ -238,16 +242,15 @@ def _walk(
 
 
 def _propagate_batch(
-    spec: PotentialSpec, grid: Grid, lams: np.ndarray, signs: tuple[int, ...] = (1, -1)
+    spec: PotentialSpec, grid: Grid, lams: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Integrate the frequency ODE inward from the edge of each of ``signs``
-    for a batch of lam, from one pass over the cells.
+    """Integrate the frequency ODE inward from both edges for a batch of
+    lam, from one pass over the cells.
 
-    Returns one (f, fprime) per sign, in the order of ``signs``: for sign -1
-    and for sign +1 alike, each array has shape (len(lams), n) and holds the
-    grid nodes from left to right (for sign +1 a reversed view of the walk).
-    Each row is bitwise what its lam alone gives, whichever signs are asked
-    for; an overflow raises AccuracyError.
+    Returns (f, fprime) for sign +1, then for sign -1: for both, each array
+    has shape (len(lams), n) and holds the grid nodes from left to right
+    (for sign +1 a reversed view of the walk). Each row is bitwise what its
+    lam alone gives; an overflow raises AccuracyError.
     """
     n = grid.n
     lams = np.asarray(lams, dtype=np.float64)
@@ -262,7 +265,7 @@ def _propagate_batch(
             lam2 = lams[rows] * lams[rows]
             for dst, src in zip(cells, _cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lam2)):
                 dst[rows] = src
-        for sign in signs:
+        for sign in (1, -1):
             y_f = np.exp(1j * sign * lams * (grid.x[-1] if sign > 0 else grid.x[0]))
             y_g = 1j * sign * lams * y_f
             if sign < 0:
@@ -291,8 +294,8 @@ def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
         raise ConfigError("lam must be finite")
     _require_small_edges(potential.spec, potential.grid)
     grid = potential.grid
-    ((f, fp),) = _propagate_batch(potential.spec, grid, np.array([lam]), (sign,))
-    return JostSolution(float(lam), sign, grid, f[0], fp[0])
+    f, fp = _propagate_batch(potential.spec, grid, np.array([lam]))[0 if sign > 0 else 1]
+    return JostSolution(float(lam), grid, f[0], fp[0])
 
 
 def _interior(n: int) -> slice:
@@ -337,7 +340,7 @@ def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
             f"Wronskian varies across the domain (std {std:.3g} vs |W| {abs(value):.3g}); "
             "integration accuracy insufficient"
         )
-    return WronskianResult(value, std, scale)
+    return WronskianResult(value, std)
 
 
 def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
@@ -348,8 +351,8 @@ def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
     def w0_abs(g: Grid) -> float:
         _require_small_edges(spec, g)
         (fp, fp_prime), (fm, fm_prime) = _propagate_batch(spec, g, np.zeros(1))
-        return abs(wronskian(JostSolution(0.0, 1, g, fp[0], fp_prime[0]),
-                             JostSolution(0.0, -1, g, fm[0], fm_prime[0])).value)
+        return abs(wronskian(JostSolution(0.0, g, fp[0], fp_prime[0]),
+                             JostSolution(0.0, g, fm[0], fm_prime[0])).value)
 
     w0 = w0_abs(grid)
     doubled = make_grid(
@@ -378,17 +381,15 @@ def _coeffs_from_batch(
     phase = np.exp(1j * lams * grid.x[0])
     a = 0.5 * (fp_f[:, 0] + fp_g[:, 0] / (1j * lams)) / phase
     b = 0.5 * (fp_f[:, 0] - fp_g[:, 0] / (1j * lams)) * phase
-    t_m = 1.0 / a
     r = b / a
     defect = np.abs(np.abs(t_w) ** 2 + np.abs(r) ** 2 - 1.0)
-    agreement = np.abs(t_w - t_m)
+    agreement = np.abs(t_w - 1.0 / a)
     return [
         ScatteringCoefficients(
             lam=float(lams[i]),
             T=complex(t_w[i]),
             R=complex(r[i]),
             wronskian=complex(w_med[i]),
-            t_matching=complex(t_m[i]),
             unitarity_defect=float(defect[i]),
             t_agreement=float(agreement[i]),
             wronskian_std=float(w_std[i]),
@@ -415,7 +416,7 @@ def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoeffi
 
 
 def bound_states(
-    potential: SampledPotential, refine_tol: float | None = None, *, energies_only: bool = False
+    potential: SampledPotential, *, energies_only: bool = False
 ) -> list[BoundState] | list[float]:
     """All eigenvalues of H below -NEGATIVE_EPS with normalized eigenvectors.
 
@@ -423,12 +424,10 @@ def bound_states(
     (exponentially localized eigenfunctions make the wall placement
     irrelevant on adequate domains), on the potential's domain refined by the
     smallest power of two r with dx / r <= BOUND_STATE_DX; the states are
-    sampled at the potential's nodes, every r-th solve node. With
-    ``refine_tol`` set, the energies are recomputed on a doubled solve grid
-    and a shift beyond the tolerance raises AccuracyError. With
-    ``energies_only`` the same energies come back as floats from an
-    eigenvalues-only solve, in memory linear in the grid however many states
-    a deep well holds.
+    sampled at the potential's nodes, every r-th solve node. V comes from
+    the potential's analytic form at the solve nodes. With ``energies_only``
+    the same energies come back as floats from an eigenvalues-only solve, in
+    memory linear in the grid however many states a deep well holds.
     """
     grid = potential.grid
     if np.min(potential.values) >= 0.0:  # Gershgorin: no eigenvalue below min V
@@ -436,23 +435,10 @@ def bound_states(
     # the slack absorbs the rounding of a shifted domain's dx
     r = 2 ** max(0, math.ceil(math.log2(grid.dx / BOUND_STATE_DX) - 1e-12))
     solve = make_grid(grid.x_min, grid.x_max, r * grid.n)
-    v = potential.values if r == 1 else potential.spec(solve.x)
+    v = potential.spec(solve.x)
     if energies_only:
-        energies = _tridiag_eig(v, solve.dx, vectors=False)
-    else:
-        energies, vectors = _tridiag_eig(v, solve.dx)
-    if refine_tol is not None:
-        fine_grid = make_grid(grid.x_min, grid.x_max, 2 * solve.n)
-        fine_energies = _tridiag_eig(potential.spec(fine_grid.x), fine_grid.dx, vectors=False)
-        if len(fine_energies) != len(energies):
-            raise AccuracyError("bound-state count changed under grid doubling")
-        if energies.size and np.max(np.abs(fine_energies - energies)) > refine_tol:
-            raise AccuracyError(
-                f"bound-state energies shift by {np.max(np.abs(fine_energies - energies)):.3g} "
-                f"under grid doubling (tol {refine_tol:g}); grid too coarse"
-            )
-    if energies_only:
-        return [float(energy) for energy in energies]
+        return [float(energy) for energy in _tridiag_eig(v, solve.dx, vectors=False)]
+    energies, vectors = _tridiag_eig(v, solve.dx)
     states = []
     for j, energy in enumerate(energies):
         phi = vectors[:, j] / math.sqrt(solve.dx)

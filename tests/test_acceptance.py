@@ -85,7 +85,7 @@ def _lab_run(plan, frame_velocity=0.0, snapshot_every=None):
     pot = sample_potential(spec, grid) if spec.kind != "zero" else None
     states = bound_states(pot) if pot is not None else []
     params = SolitonParams(v=plan.v, x0=plan.x0)
-    return evolve(soliton(params, 0.0, grid), pot, (0.0, plan.t_end),
+    return evolve(soliton(params, 0.0, grid), pot, plan.t_end,
                   StepperConfig(dt=plan.dt, obs_cadence=plan.cadence,
                                 snapshot_every=snapshot_every),
                   reference=params, bound_state=states[0] if states else None,
@@ -96,7 +96,7 @@ def _free_soliton_error(dt):
     grid = make_grid(-50.0, 50.0, 1024)
     params = SolitonParams(v=4.0, x0=-20.0)
     config = StepperConfig(dt=dt, obs_cadence=0.05)
-    result = evolve(soliton(params, 0.0, grid), None, (0.0, 10.0), config, reference=params)
+    result = evolve(soliton(params, 0.0, grid), None, 10.0, config, reference=params)
     assert result.valid
     return float(result.series.err_l2.max())
 
@@ -160,7 +160,7 @@ def test_c03_mass_and_energy_conservation():
         grid = make_grid(-20.0, 20.0, 512)
         pot = sample_potential(spec, grid)
         u0 = soliton(SolitonParams(v=0.5, x0=-5.0), 0.0, grid, check_support=False)
-        res = evolve(u0, pot, (0.0, 10.0), StepperConfig(dt=1e-3, obs_cadence=0.5))
+        res = evolve(u0, pot, 10.0, StepperConfig(dt=1e-3, obs_cadence=0.5))
         worst_mass = max(worst_mass, float(np.max(np.abs(res.series.mass / res.series.mass[0] - 1.0))))
 
     grid = make_grid(-40.0, 40.0, 1024)
@@ -169,7 +169,7 @@ def test_c03_mass_and_energy_conservation():
     dts = (2e-3, 1e-3, 5e-4)
     drifts = []
     for dt in dts:
-        res = evolve(soliton(params, 0.0, grid), pot, (0.0, 5.0), StepperConfig(dt=dt, obs_cadence=0.25))
+        res = evolve(soliton(params, 0.0, grid), pot, 5.0, StepperConfig(dt=dt, obs_cadence=0.25))
         e = res.series.energy
         drifts.append(float(np.max(np.abs(e - e[0])) / abs(e[0])))
     slope = float(np.polyfit(np.log(dts), np.log(drifts), 1)[0])
@@ -209,14 +209,14 @@ def test_c05_reflectionless_oracle():
         np.linspace(0.5, 10.0, 12),
     )
     max_r = max(abs(c.R) for c in table)
-    states1 = bound_states(pot1, refine_tol=1e-5)
+    states1 = bound_states(pot1)
     energy_err = abs(states1[0].energy + 0.5)
     target = 1.0 / np.cosh(eig_grid.x) / math.sqrt(2.0)
     phi_err = math.sqrt(eig_grid.dx * float(np.sum(np.abs(states1[0].field.values - target) ** 2)))
     res1 = detect_resonance(PotentialSpec("sech2_scaled", beta=1.0), scatter_grid)
 
     pot5 = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), eig_grid)
-    states5 = bound_states(pot5, refine_tol=1e-5)
+    states5 = bound_states(pot5)
     energy5_err = abs(states5[0].energy + KAPPA**2 / 2.0)
     res5 = detect_resonance(PotentialSpec("sech2_scaled", beta=0.5), scatter_grid)
 

@@ -357,6 +357,21 @@ class TestSpectral:
         assert err.startswith(f"error: {named} must be finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--lambda-points", "1000000000000"], "table budget"),
+        (["--n", "4096", "--lambda-points", "1025"], "table budget"),
+        (["--n", str(1 << 23)], "power of two"),
+        (["--n", str(1 << 34), "--half-width", "60"], "power of two"),
+    ])
+    def test_oversized_table_exits_1_before_allocating(self, tmp_path, capsys, flags, named):
+        # only sizes rejected before anything of their size is allocated
+        assert 50 * 2048 <= scattering.MAX_TABLE_NODES  # the CLI default table
+        out = tmp_path / "specbig"
+        assert main(["spectral", "--kind", "algebraic", "--q", "0.5", "--s", "3", *flags,
+                     "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_underflowing_gaussian_width_exits_1(self, tmp_path, capsys):
         out = tmp_path / "spec"
         assert main(["spectral", "--kind", "gaussian", "--q", "1", "--sigma", "1e-200",

@@ -283,6 +283,26 @@ class TestTransmissionRun:
             max(p for p in (rep.peak_phase1, rep.peak_phase2, rep.peak_phase3 or 0.0))
         )
 
+    # two frame runs pinned to 1e-12 relative: sup error, peak a_abs,
+    # energy[0], last mass, steps, n (delta 0.6, x0_factor 1); no other test
+    # pins a frame run's a_abs
+    @pytest.mark.parametrize("spec, v, pinned", [
+        pytest.param(PotentialSpec("algebraic", q=0.5, s=3.0), 8.0,
+                     (0.16445129406246226, 0.0, 31.89259352589304, 2.000000000000008, 146, 512),
+                     id="algebraic"),
+        pytest.param(PotentialSpec("sech2_scaled", beta=0.5), 6.0,
+                     (0.2164240111931965, 0.0005264574071336866, 17.75639959524775,
+                      2.0000000000000067, 97, 512),
+                     id="sech2_half"),
+    ])
+    def test_frame_run_pinned(self, spec, v, pinned):
+        cfg = ExperimentConfig(potential=spec, delta=0.6, velocities=(v,), x0_factor=1.0)
+        rep = experiments._run_plan(plan_run(cfg, v))
+        s = rep.series
+        got = (rep.sup_error, float(s.a_abs.max()), float(s.energy[0]), float(s.mass[-1]))
+        assert got == pytest.approx(pinned[:4], rel=1e-12, abs=0.0)
+        assert (rep.steps, rep.plan.grid.n) == pinned[4:]
+
 
 class TestAdmissibilityDomain:
     @pytest.mark.parametrize("spec", [

@@ -56,7 +56,7 @@ class TestMakeGrid:
         assert np.allclose(np.diff(g.x), g.dx)
         assert g.x[-1] == pytest.approx(6.0 - g.dx)
 
-    @pytest.mark.parametrize("n", [15, 17, 100, 8, 0])
+    @pytest.mark.parametrize("n", [15, 17, 100, 8, 0, 1 << 23, 1 << 34])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ConfigError):
             make_grid(-1.0, 1.0, n)

@@ -31,11 +31,11 @@ class TestSoliton:
         j = np.argmin(np.abs(g.x))
         assert u.values[j] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("v,x0,mu,t", [(3.0, -5.0, 1.0, 1.2), (-2.0, 4.0, 0.8, 0.7)])
-    def test_modulus_is_envelope(self, v, x0, mu, t):
+    @pytest.mark.parametrize("v,x0,t", [(3.0, -5.0, 1.2), (-2.0, 4.0, 0.7)])
+    def test_modulus_is_envelope(self, v, x0, t):
         g = make_grid(-60.0, 60.0, 2048)
-        u = soliton(SolitonParams(v=v, x0=x0, mu=mu), t, g)
-        env = mu / np.cosh(mu * (g.x - x0 - v * t))
+        u = soliton(SolitonParams(v=v, x0=x0), t, g)
+        env = 1.0 / np.cosh(g.x - x0 - v * t)
         assert np.max(np.abs(np.abs(u.values) - env)) <= 1e-13
 
     @pytest.mark.parametrize("v,x0,t", [(0.0, 0.0, 0.0), (4.0, -10.0, 2.0), (7.0, 3.0, -1.0)])
@@ -51,7 +51,7 @@ class TestSoliton:
 
     def test_bad_params_rejected(self):
         with pytest.raises(ConfigError):
-            SolitonParams(v=1.0, x0=0.0, mu=-1.0)
+            SolitonParams(v=math.nan, x0=0.0)
 
 
 class TestStep:
@@ -117,7 +117,7 @@ class TestEnergy:
         p = SolitonParams(v=2.0, x0=-10.0)
         drifts = []
         for dt in (2e-3, 1e-3):
-            res = evolve(soliton(p, 0.0, g), pot, (0.0, 5.0), StepperConfig(dt=dt, obs_cadence=0.25))
+            res = evolve(soliton(p, 0.0, g), pot, 5.0, StepperConfig(dt=dt, obs_cadence=0.25))
             e = res.series.energy
             drifts.append(np.max(np.abs(e - e[0])) / abs(e[0]))
         assert 3.0 <= drifts[0] / drifts[1] <= 5.5
@@ -127,7 +127,7 @@ class TestEvolve:
     def test_zero_stays_zero(self):
         g = make_grid(-20.0, 20.0, 256)
         pot = sample_potential(PotentialSpec("gaussian", q=1.0, sigma=1.0), g)
-        res = evolve(Field(g, np.zeros(256)), pot, (0.0, 1.0), StepperConfig(dt=0.01, obs_cadence=0.1))
+        res = evolve(Field(g, np.zeros(256)), pot, 1.0, StepperConfig(dt=0.01, obs_cadence=0.1))
         assert np.all(res.final.values == 0.0)
         assert np.all(res.series.mass == 0.0)
         assert np.all(res.series.err_l2 == 0.0)
@@ -136,7 +136,7 @@ class TestEvolve:
         g = make_grid(-50.0, 50.0, 1024)
         p = SolitonParams(v=4.0, x0=-20.0)
         cfg = StepperConfig(dt=0.1 / 9 / 2.0, obs_cadence=0.1)
-        res = evolve(soliton(p, 0.0, g), None, (0.0, 5.0), cfg, reference=p)
+        res = evolve(soliton(p, 0.0, g), None, 5.0, cfg, reference=p)
         assert res.valid
         assert res.series.err_l2.max() <= 1e-4
 
@@ -146,7 +146,7 @@ class TestEvolve:
         res = evolve(
             Field(g, 1.0 / np.cosh(g.x)),
             None,
-            (0.0, 5.0),
+            5.0,
             StepperConfig(dt=1e-3, obs_cadence=0.25),
             reference=SolitonParams(v=0.0, x0=0.0),
         )
@@ -156,7 +156,7 @@ class TestEvolve:
         g = make_grid(-20.0, 20.0, 512)
         pot = sample_potential(PotentialSpec("algebraic", q=0.5, s=3.0), g)
         u0 = soliton(SolitonParams(v=0.5, x0=-5.0), 0.0, g, check_support=False)
-        res = evolve(u0, pot, (0.0, 10.0), StepperConfig(dt=1e-3, obs_cadence=0.5))
+        res = evolve(u0, pot, 10.0, StepperConfig(dt=1e-3, obs_cadence=0.5))
         drift = np.max(np.abs(res.series.mass / res.series.mass[0] - 1.0))
         assert drift <= 1e-10
 
@@ -166,7 +166,7 @@ class TestEvolve:
         errs = []
         for k in range(3):
             cfg = StepperConfig(dt=0.1 / 3 / 2**k, obs_cadence=0.1)
-            res = evolve(soliton(p, 0.0, g, check_support=False), None, (0.0, 2.0), cfg, reference=p)
+            res = evolve(soliton(p, 0.0, g, check_support=False), None, 2.0, cfg, reference=p)
             errs.append(res.series.err_l2.max())
         for i in range(2):
             assert 3.5 <= errs[i] / errs[i + 1] <= 4.5
@@ -177,7 +177,7 @@ class TestEvolve:
         res = evolve(
             soliton(p, 0.0, g, check_support=False),
             None,
-            (0.0, 8.0),
+            8.0,
             StepperConfig(dt=5e-3, obs_cadence=0.2),
         )
         assert not res.valid
@@ -194,7 +194,7 @@ class TestEvolve:
         for _ in range(n_steps):
             manual = step(manual, pot, dt)
         for cadence in (dt, n_steps * dt):
-            res = evolve(u, pot, (0.0, n_steps * dt), StepperConfig(dt=dt, obs_cadence=cadence))
+            res = evolve(u, pot, n_steps * dt, StepperConfig(dt=dt, obs_cadence=cadence))
             assert np.max(np.abs(res.final.values - manual.values)) <= 1e-13
 
     @pytest.mark.parametrize("cadence", [0.01, 0.05])
@@ -204,15 +204,21 @@ class TestEvolve:
         g = make_grid(-20.0, 20.0, 256)
         u0 = Field(g, 1e160 / np.cosh(g.x))
         with np.errstate(all="ignore"), pytest.raises(NumericalBreakdownError) as info:
-            evolve(u0, None, (0.0, 0.1), StepperConfig(dt=0.01, obs_cadence=cadence))
+            evolve(u0, None, 0.1, StepperConfig(dt=0.01, obs_cadence=cadence))
         assert info.value.step == 0
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_end_time_rejected(self, t_end):
+        g = make_grid(-20.0, 20.0, 256)
+        with pytest.raises(ConfigError, match="t_end"):
+            evolve(Field(g, np.exp(-g.x**2)), None, t_end, StepperConfig(dt=0.01, obs_cadence=0.1))
 
     def test_observer_times_uniform(self):
         g = make_grid(-20.0, 20.0, 256)
         res = evolve(
             Field(g, np.exp(-g.x**2)),
             None,
-            (0.0, 1.0),
+            1.0,
             StepperConfig(dt=0.0103, obs_cadence=0.1),
         )
         gaps = np.diff(res.series.times)
@@ -253,7 +259,7 @@ class TestObserver:
         # comparison is not against roundoff
         ref = SolitonParams(v=2.0, x0=-9.7)
         cfg = StepperConfig(dt=0.01, obs_cadence=cadence, snapshot_every=1)
-        return g, pot, ref, evolve(soliton(p, 0.0, g), pot, (0.0, 2.0), cfg, reference=ref)
+        return g, pot, ref, evolve(soliton(p, 0.0, g), pot, 2.0, cfg, reference=ref)
 
     @pytest.mark.parametrize("with_potential", [False, True])
     @pytest.mark.parametrize("cadence", [0.01, 0.05])
@@ -302,7 +308,7 @@ class TestObserver:
         pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), g)
         p = SolitonParams(v=2.0, x0=-10.0)
         u0 = soliton(p, 0.0, g)
-        res = evolve(u0, pot, (0.0, 0.2), StepperConfig(dt=0.01, obs_cadence=cadence), reference=p)
+        res = evolve(u0, pot, 0.2, StepperConfig(dt=0.01, obs_cadence=cadence), reference=p)
         n_seg = len(res.series.times) - 1
         assert n_seg * k_obs == 20
         assert len(calls) == 1 + n_seg * (2 * k_obs + 1) == res.transforms
@@ -331,7 +337,7 @@ class TestChunks:
         pot = sample_potential(cls.SPEC, g)
         u0 = soliton(SolitonParams(v=2.0, x0=-10.0), 0.0, g)
         cfg = StepperConfig(dt=0.01, obs_cadence=0.01 * k_obs, snapshot_every=snapshot_every)
-        res = evolve(u0, pot, (0.0, 0.01 * k_obs * n_seg), cfg, reference=cls.REF,
+        res = evolve(u0, pot, 0.01 * k_obs * n_seg, cfg, reference=cls.REF,
                      frame_velocity=f)
         assert len(res.series.times) == n_seg + 1
         return res
@@ -383,7 +389,7 @@ class TestChunks:
         # over EDGE_MASS_TOL lies inside a chunk, with later ones over too
         g = make_grid(-20.0, 20.0, 512)
         res = evolve(soliton(SolitonParams(v=2.0, x0=-5.0), 0.0, g, check_support=False),
-                     None, (0.0, 8.0),
+                     None, 8.0,
                      StepperConfig(dt=5e-3, obs_cadence=0.2, snapshot_every=1))
         edge = np.array([edge_mass_fraction(s) for s in res.snapshots])
         assert np.max(np.abs(res.series.edge_mass - edge) / edge) <= 1e-12
@@ -431,7 +437,7 @@ class TestFrame:
         state = bound_states(pot)[0]
         # the soliton crosses the well at t = 5
         p = SolitonParams(v=2.0, x0=-10.0)
-        return p, evolve(soliton(p, 0.0, g), pot, (0.0, cls.T),
+        return p, evolve(soliton(p, 0.0, g), pot, cls.T,
                          StepperConfig(dt=0.01, obs_cadence=0.05), reference=p,
                          bound_state=state, frame_velocity=frame_velocity)
 
@@ -474,7 +480,7 @@ class TestFrame:
         p = SolitonParams(v=2.0, x0=-10.0)
 
         def a_abs(state, f=0.0):
-            return evolve(soliton(p, 0.0, g), pot, (0.0, self.T),
+            return evolve(soliton(p, 0.0, g), pot, self.T,
                           StepperConfig(dt=0.01, obs_cadence=0.05), bound_state=state,
                           frame_velocity=f).series.a_abs
 
@@ -505,7 +511,7 @@ class TestBoundModeResidual:
         res = evolve(
             Field(g, np.zeros(g.n)),
             pot,
-            (0.0, 1.0),
+            1.0,
             StepperConfig(dt=0.02, obs_cadence=0.2, snapshot_every=1),
         )
         r = bound_mode_residual(res.series.times, res.snapshots, state)
@@ -519,7 +525,7 @@ class TestBoundModeResidual:
         res = evolve(
             u0,
             pot,
-            (0.0, 10.0),
+            10.0,
             StepperConfig(dt=0.02, obs_cadence=0.5, snapshot_every=1),
             bound_state=state,
         )

@@ -308,7 +308,7 @@ class TestOnePass:
             y_f = np.exp(1j * lam * x[-1:])
             ref_f, ref_g = _walk(_cell_matrices(spec, x[n - 1 : 0 : -1], -dx / m, m, lam2),
                                  y_f, 1j * lam * y_f)
-            ((f, g),) = _propagate_batch(spec, grid, np.array([lam]), (1,))
+            (f, g), _ = _propagate_batch(spec, grid, np.array([lam]))
             for got, ref in ((f, ref_f[:, ::-1]), (g, ref_g[:, ::-1])):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -317,7 +317,7 @@ class TestOnePass:
         spec = PotentialSpec("gaussian", q=2.0, sigma=1.0)
         grid = make_grid(-30.0, 30.0, 1024)
         lams = np.array([0.0, 0.7, 3.0, 25.0])
-        both = dict(zip((1, -1), scattering._propagate_batch(spec, grid, lams, (1, -1))))
+        both = dict(zip((1, -1), scattering._propagate_batch(spec, grid, lams)))
         f, fp = both[sign]
         pot = sample_potential(spec, grid)
         for i, lam in enumerate(lams):
@@ -381,15 +381,15 @@ class TestBoundStates:
                      PotentialSpec("gaussian", q=-2.0, sigma=1.0)):
             for n in (512, 2048):
                 pot = sample_potential(spec, make_grid(-40.0, 40.0, n))
-                energies = bound_states(pot, refine_tol=1e-3, energies_only=True)
-                assert energies == [s.energy for s in bound_states(pot, refine_tol=1e-3)]
+                energies = bound_states(pot, energies_only=True)
+                assert energies == [s.energy for s in bound_states(pot)]
         assert bound_states(sample_potential(PotentialSpec("zero"), make_grid(-40.0, 40.0, 512)),
                             energies_only=True) == []
 
     def test_depth_one_well(self):
         grid = make_grid(-28.0, 28.0, 16384)
         pot = sample_potential(PotentialSpec("sech2_scaled", beta=1.0), grid)
-        states = bound_states(pot, refine_tol=1e-5)
+        states = bound_states(pot)
         assert len(states) == 1
         assert abs(states[0].energy + 0.5) <= 1e-6
         target = 1.0 / np.cosh(grid.x) / math.sqrt(2.0)
@@ -400,7 +400,7 @@ class TestBoundStates:
     def test_half_depth_well(self):
         grid = make_grid(-28.0, 28.0, 16384)
         pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), grid)
-        states = bound_states(pot, refine_tol=1e-5)
+        states = bound_states(pot)
         assert len(states) == 1
         assert abs(states[0].energy + KAPPA**2 / 2.0) <= 1e-6
 
@@ -447,13 +447,7 @@ class TestBoundStates:
         grid = make_grid(-40.0, 40.0, 512)
         for spec in (PotentialSpec("zero"), PotentialSpec("algebraic", q=0.5, s=3.0),
                      PotentialSpec("gaussian", q=2.0, sigma=1.0)):
-            assert bound_states(sample_potential(spec, grid), refine_tol=1e-5) == []
-
-    def test_coarse_grid_flagged(self):
-        grid = make_grid(-28.0, 28.0, 64)
-        pot = sample_potential(PotentialSpec("sech2_scaled", beta=1.0), grid)
-        with pytest.raises(AccuracyError):
-            bound_states(pot, refine_tol=1e-8)
+            assert bound_states(sample_potential(spec, grid)) == []
 
 
 @pytest.fixture(scope="module")
