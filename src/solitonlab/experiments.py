@@ -42,6 +42,7 @@ from .propagation import (
     StepperConfig,
     evolve,
     required_kmax,
+    schedule,
     soliton,
     suggested_dt,
     validate_step_rules,
@@ -57,13 +58,6 @@ SLOPE_SLACK = 0.1
 MARGIN = 30.0
 #: observations over the horizon (fewer when v^-delta/10 is the finer cadence)
 OBS_POINTS = 800
-#: most steps a plan may take: 33 times the longest plan of the test suite
-#: (v = 512 on algebraic q=0.5, s=3: 31,347 steps). A plan past it comes
-#: from a dt = PHASE_CAP/(max|V| + 1 + 2|v|/ell) collapsed by a very deep
-#: well (8.3e6 steps at sech2_scaled beta = 1e6, 8.3e300 at 1e300); at
-#: about 0.1 ms per observed step on a 512-point grid (2 vCPUs, numpy 2.4)
-#: it would run for tens of minutes, or forever
-MAX_STEPS = 1 << 20
 #: distance from the soliton center to an edge window at which the exact
 #: soliton's share of the mass in the window, e^{-2d}, is EDGE_MASS_TOL/2000
 _WINDOW_DISTANCE = 0.5 * math.log(2000.0 / EDGE_MASS_TOL)
@@ -202,7 +196,8 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     ``MARGIN``, widened so that a soliton at either end of the core stays
     ``_WINDOW_DISTANCE`` clear of the edge window, which covers
     ``EDGE_WINDOW`` of the whole domain. A plan past 2^22 grid points or
-    ``MAX_STEPS`` steps is a ConfigError.
+    ``propagation.MAX_STEPS`` steps (as ``schedule`` counts them) is a
+    ConfigError.
     """
     center = config.potential.center
     launch = -config.x0_factor * v ** (1.0 - config.delta)
@@ -222,11 +217,8 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     n = max(16, 1 << math.ceil(math.log2(points)))
     grid = make_grid(x_min, x_max, n)
     dt = suggested_dt(v, config.potential)
-    steps = phases.t_end / dt
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"the plan takes {steps:.3g} steps of dt={dt:.3g}, more than "
-                          f"{MAX_STEPS}: the potential is too deep or v too high")
     cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
+    schedule(phases.t_end, dt, cadence)  # the run's steps, held to MAX_STEPS
     return RunPlan(config=config, v=float(v), x0=float(x0), grid=grid,
                    dt=dt, cadence=cadence, phases=phases)
 

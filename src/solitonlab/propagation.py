@@ -78,6 +78,13 @@ PHASE_CAP = 0.1
 SOLITON_TAIL_TOL = 1e-12
 #: a run is invalid once more than this share of the mass is in the edge windows
 EDGE_MASS_TOL = 1e-8
+#: most steps a run may take: 33 times the longest plan of the test suite
+#: (v = 512 on algebraic q=0.5, s=3: 31,347 steps). A plan past it comes
+#: from a dt = PHASE_CAP/(max|V| + 1 + 2|v|/ell) collapsed by a very deep
+#: well (8.3e6 steps at sech2_scaled beta = 1e6, 8.3e300 at 1e300); at
+#: about 0.1 ms per observed step on a 512-point grid (2 vCPUs, numpy 2.4)
+#: it would run for tens of minutes, or forever
+MAX_STEPS = 1 << 20
 #: grid points per observer chunk (at most 16 rows): a (rows, n) complex
 #: array is at most 128 KiB whatever n, glibc malloc's default mmap
 #: threshold, so the chunk pass's temporaries are reused from the heap.
@@ -186,6 +193,31 @@ class StepperConfig:
             raise ConfigError("observer cadence must be positive")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1")
+
+
+def schedule(t_end: float, dt: float, cadence: float) -> tuple[int, int, float]:
+    """The steps of a run from t = 0 to ``t_end``: ``n_seg`` segments of
+    ``k_obs`` steps of size ``step`` = t_end/(n_seg k_obs) <= dt, observed
+    at both ends of every segment.
+
+    k_obs = max(1, floor(c/dt)) with the cadence c = min(cadence, t_end), so
+    observations are spaced by <= cadence when dt <= cadence, and by the
+    step otherwise; a cadence past the horizon observes only t = 0 and
+    t_end. n_seg = max(1, ceil(t_end/(k_obs dt))), so a run takes fewer
+    than t_end/dt + k_obs steps. ``t_end`` must be positive and finite, and
+    more than ``MAX_STEPS`` steps is a ConfigError, found in floating point
+    before anything is allocated.
+    """
+    t_end = float(t_end)
+    if not (t_end > 0 and math.isfinite(t_end)):
+        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
+    k_obs = max(1.0, np.floor(min(cadence, t_end) / dt + 1e-12))
+    n_seg = max(1.0, np.ceil(t_end / (k_obs * dt) - 1e-12))
+    if not k_obs * n_seg <= MAX_STEPS:
+        raise ConfigError(f"a run to t_end={t_end:.3g} takes {k_obs * n_seg:.3g} steps of "
+                          f"dt={dt:.3g}, more than {MAX_STEPS} (MAX_STEPS)")
+    k_obs, n_seg = int(k_obs), int(n_seg)
+    return k_obs, n_seg, t_end / (n_seg * k_obs)
 
 
 @dataclass(frozen=True)
@@ -347,10 +379,10 @@ def evolve(
     """Iterate Strang steps from t = 0 to ``t_end`` (positive and finite)
     with observer sampling.
 
-    The step count is rounded so observations fall on a uniform time grid
-    and the step never exceeds config.dt. Observations are spaced by
-    <= obs_cadence when config.dt <= obs_cadence; otherwise every step is
-    observed, so they are spaced by the step (<= config.dt) instead.
+    The steps and observation times come from ``schedule(t_end, config.dt,
+    config.obs_cadence)``: observations fall on a uniform time grid, the
+    step never exceeds config.dt, and a run of more than ``MAX_STEPS``
+    steps is a ConfigError.
 
     With ``frame_velocity`` f the run is carried in the frame co-moving at
     f (see the module docstring): ``u0``, ``potential`` and ``bound_state``
@@ -377,13 +409,8 @@ def evolve(
     transform of phi e^{-i f y}; a physical-space sum would alias once f
     nears k_max.
     """
-    t_end = float(t_end)
-    if not (t_end > 0 and math.isfinite(t_end)):
-        raise ConfigError(f"t_end must be positive and finite, got {t_end}")
+    k_obs, n_seg, dt = schedule(t_end, config.dt, config.obs_cadence)
     grid = u0.grid
-    k_obs = max(1, int(math.floor(config.obs_cadence / config.dt + 1e-12)))
-    n_seg = max(1, int(math.ceil(t_end / (k_obs * config.dt) - 1e-12)))
-    dt = t_end / (n_seg * k_obs)
     f = float(frame_velocity)
     flow = _StrangFlow(grid, potential, dt, f)
     dx, x = grid.dx, grid.x
@@ -400,7 +427,7 @@ def evolve(
         phihat = np.fft.fft(bound_state.field.values * np.exp(-1j * f * x))
         conj_phihat = np.where(np.abs(lab_k) <= grid.k_max, np.conj(phihat), 0.0)
 
-    times = np.empty(n_seg + 1)
+    times = np.arange(n_seg + 1) * k_obs * dt
     err = np.zeros(n_seg + 1)
     mass = np.empty(n_seg + 1)
     en = np.empty(n_seg + 1)
@@ -454,7 +481,6 @@ def evolve(
 
     u = u0.values * np.exp(-1j * f * x) if f else u0.values
     uhat = np.fft.fft(u)
-    times[0] = 0.0
     uhats[0] = uhat
     samples[0] = u
     first, filled = 0, 1
@@ -465,7 +491,6 @@ def evolve(
             first, filled = first + filled, 0
         uhat = flow(uhat, k_obs, seg * k_obs)
         uhats[filled] = uhat
-        times[seg + 1] = (seg + 1) * k_obs * dt
         filled += 1
     observe(first, filled)
     loop_s = perf_counter() - start

@@ -22,6 +22,7 @@ from solitonlab.propagation import (
     evolve,
     required_kmax,
     resolution_length,
+    schedule,
     soliton,
 )
 from solitonlab.scattering import bound_states, detect_resonance, scattering_table
@@ -395,6 +396,15 @@ def _frame_shifts(result):
     """Per velocity, |sup error - lab-frame sup error| in floors."""
     return [abs(_lab_run(run.plan).series.err_l2.max() - run.sup_error) / floor
             for run, floor in zip(result.runs, result.floors)]
+
+
+@pytest.mark.slow
+def test_runs_take_the_steps_their_plans_schedule(velocity_study):
+    result, _ = velocity_study
+    for run in result.runs + result.floor_runs:
+        k_obs, n_seg, _ = schedule(run.plan.t_end, run.plan.dt, run.plan.cadence)
+        assert run.steps == k_obs * n_seg
+    assert [run.steps for run in result.runs] == [146, 372, 909, 2156]
 
 
 @pytest.mark.slow

@@ -21,8 +21,9 @@ import pytest
 from solitonlab import propagation
 from solitonlab.cli import _potential_from_args, build_parser
 from solitonlab.experiments import ExperimentConfig
+from solitonlab.grid import Field, make_grid
 from solitonlab.potentials import PotentialSpec
-from solitonlab.propagation import ObserverSeries
+from solitonlab.propagation import ObserverSeries, StepperConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,6 +61,16 @@ def test_evolve_takes_the_stepper_config_fourth(tracer):
     assert param.name == "config" and param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     config_type = typing.get_type_hints(propagation.evolve)[param.name]
     assert {"dt", "obs_cadence"} <= {f.name for f in dataclasses.fields(config_type)}
+
+
+def test_evolve_steps_match_the_run(tracer):
+    # tracer._evolve_steps keeps its own copy of evolve's step rule for a
+    # cadence within the horizon; propagation.point_steps counts with it
+    g = make_grid(-20.0, 20.0, 256)
+    args = (Field(g, np.exp(-g.x**2)), None, 1.0, StepperConfig(dt=0.0103, obs_cadence=0.1))
+    result = propagation.evolve(*args)
+    assert result.steps == 99
+    assert tracer._evolve_steps(args, {}, result) == result.steps
 
 
 def test_series_csv_passes_the_oracle_reader(tmp_path, oracles):

@@ -11,10 +11,10 @@ import pytest
 from solitonlab import cli, scattering
 from solitonlab.cli import _potential_from_args, build_parser, main
 from solitonlab.errors import ConfigError, InvalidRunError
-from solitonlab.experiments import MAX_STEPS, ExperimentConfig, _admissibility_gate
+from solitonlab.experiments import ExperimentConfig, _admissibility_gate
 from solitonlab.grid import make_grid
 from solitonlab.potentials import KIND_PARAMS, KINDS, PARAMS, PotentialSpec, sample_potential
-from solitonlab.propagation import SolitonParams, soliton, suggested_dt
+from solitonlab.propagation import MAX_STEPS, SolitonParams, soliton, suggested_dt
 from solitonlab.reporting import config_hash
 
 

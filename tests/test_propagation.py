@@ -11,6 +11,7 @@ from solitonlab.potentials import PotentialSpec, sample_potential
 from solitonlab.propagation import (
     CHUNK_ELEMENTS,
     EDGE_MASS_TOL,
+    MAX_STEPS,
     SolitonParams,
     StepperConfig,
     bound_mode_residual,
@@ -212,6 +213,19 @@ class TestEvolve:
         g = make_grid(-20.0, 20.0, 256)
         with pytest.raises(ConfigError, match="t_end"):
             evolve(Field(g, np.exp(-g.x**2)), None, t_end, StepperConfig(dt=0.01, obs_cadence=0.1))
+
+    def test_step_count_past_the_cap_rejected(self):
+        # 1e302 steps: rejected before the observer's arrays are allocated
+        g = make_grid(-20.0, 20.0, 256)
+        with pytest.raises(ConfigError, match=f"more than {MAX_STEPS} \\(MAX_STEPS\\)"):
+            evolve(Field(g, np.exp(-g.x**2)), None, 1e300, StepperConfig(dt=0.01, obs_cadence=0.1))
+
+    def test_cadence_past_the_horizon_observes_the_ends(self):
+        # the cadence is clamped at t_end: 100 steps of 0.01, not 1000
+        g = make_grid(-20.0, 20.0, 256)
+        res = evolve(Field(g, np.exp(-g.x**2)), None, 1.0, StepperConfig(dt=0.01, obs_cadence=10.0))
+        assert res.steps == 100
+        assert res.series.times.tolist() == [0.0, 1.0]
 
     def test_observer_times_uniform(self):
         g = make_grid(-20.0, 20.0, 256)
