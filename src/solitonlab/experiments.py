@@ -33,7 +33,8 @@ import numpy as np
 from .errors import ConfigError
 from .grid import EDGE_WINDOW, MAX_N, Field, Grid, make_grid, require_resolved
 from .potentials import (
-    AdmissibilityReport, PotentialSpec, check_admissibility, json_number, sample_potential,
+    ADMISSIBILITY_HALF_WIDTH, AdmissibilityReport, PotentialSpec, _sech, check_admissibility,
+    json_number, sample_potential,
 )
 from .propagation import (
     EDGE_MASS_TOL,
@@ -42,6 +43,7 @@ from .propagation import (
     StepperConfig,
     evolve,
     required_kmax,
+    resolution_length,
     schedule,
     soliton,
     suggested_dt,
@@ -61,6 +63,17 @@ OBS_POINTS = 800
 #: distance from the soliton center to an edge window at which the exact
 #: soliton's share of the mass in the window, e^{-2d}, is EDGE_MASS_TOL/2000
 _WINDOW_DISTANCE = 0.5 * math.log(2000.0 / EDGE_MASS_TOL)
+#: a plan keeps the reflected band when first-Born predicts at least this
+#: fraction of the mass reflected (see :func:`predicted_reflection`). Measured:
+#: a gaussian q=-4, sigma=0.1 at v = 16 (predicted 1.9e-7) puts 8.5e-8 of the
+#: mass in the edge windows without the band; criterion 12's gaussian q=1,
+#: sigma=0.05 at v = 32 (predicted 5.9e-10) carries 1.2e-9 of mass in its
+#: reflected packet; every smooth potential of the ladders at v >= 16 predicts
+#: below 1e-20
+REFLECTION_TOL = EDGE_MASS_TOL / 100.0
+#: the momentum density of the soliton, (pi/4) sech^2(pi (lam - v)/2), holds
+#: e^{-pi 12} = 4e-17 of the mass beyond v +- _MOMENTUM_SPAN on either side
+_MOMENTUM_SPAN = 12.0
 
 _NUMBER_KEYS = ("delta", "x0_factor")
 
@@ -167,8 +180,11 @@ class ExperimentConfig:
 class RunPlan:
     """Grid, step and timing derived from the run rules for one velocity of
     ``config``: everything a run needs. ``grid`` co-moves with the soliton;
-    it is the lab grid at t = 0. The V = 0 floor of a study is the same
-    plan with a config whose potential is ``PotentialSpec("zero")``."""
+    it is the lab grid at t = 0. It holds the reflected band only when
+    ``reflected_mass``, the first-Born reflected fraction of
+    :func:`predicted_reflection`, reaches ``REFLECTION_TOL``. The V = 0
+    floor of a study is the same plan with a config whose potential is
+    ``PotentialSpec("zero")``."""
 
     config: ExperimentConfig
     v: float
@@ -177,10 +193,60 @@ class RunPlan:
     dt: float
     cadence: float
     phases: PhaseTimes
+    reflected_mass: float
 
     @property
     def t_end(self) -> float:
         return self.phases.t_end
+
+    @property
+    def reflected_band(self) -> bool:
+        """Whether the grid holds the reflected packet's path."""
+        return self.reflected_mass >= REFLECTION_TOL
+
+
+def predicted_reflection(spec: PotentialSpec, v: float) -> float:
+    """The first-Born fraction of a soliton at velocity v that ``spec``
+    reflects: |R(lam)|^2 = min(1, |int V e^{2i lam x} dx|^2 / lam^2)
+    averaged over the soliton's momentum density (pi/4) sech^2(pi (lam -
+    v)/2) for lam > 0. Low momenta carry the reflection of a smooth V: for
+    sech2_scaled beta 0.5 at v = 6 the average is 7.6e-8, |R(v)|^2 1.7e-15.
+
+    One real FFT of V, sampled on the admissibility domain [c - 40, c + 40]
+    at a spacing that resolves k = 2 (v + _MOMENTUM_SPAN) and a quarter of
+    V's feature length, gives the integral at every lam, spaced pi/80; the
+    density outside v +- _MOMENTUM_SPAN is left out.
+    """
+    if spec.kind == "zero":
+        return 0.0
+    half = ADMISSIBILITY_HALF_WIDTH
+    lam_max = v + _MOMENTUM_SPAN
+    spacing = min(math.pi / (2.0 * lam_max), resolution_length(spec) / 4.0)
+    n = 1 << math.ceil(math.log2(2.0 * half / spacing))
+    h = 2.0 * half / n
+    dlam = math.pi / (2.0 * half)  # rfft bin m is k = 2 pi m / (n h) = 2 lam
+    first = max(1, math.ceil((v - _MOMENTUM_SPAN) / dlam))
+    transform = np.fft.rfft(spec(spec.center - half + h * np.arange(n)))
+    transform = transform[first:math.floor(lam_max / dlam) + 1]
+    lam = dlam * np.arange(first, first + transform.size)
+    r2 = np.minimum(1.0, h * h * (transform.real**2 + transform.imag**2) / lam**2)
+    density = _sech(0.5 * math.pi * (lam - v)) ** 2
+    # the trapezoid rule from lam = 0 adds half a node there, where the cap holds
+    half_node = 0.5 / math.cosh(0.5 * math.pi * v) ** 2 if first == 1 else 0.0
+    return float(0.25 * math.pi * dlam * (np.dot(density, r2) + half_node))
+
+
+def _domain_grid(lo: float, hi: float, dx_max: float) -> Grid:
+    """The grid on the core [lo, hi] with :func:`plan_run`'s clearance at each end."""
+    window_clear = (_WINDOW_DISTANCE + EDGE_WINDOW * (hi - lo)) / (1.0 - 2.0 * EDGE_WINDOW)
+    clearance = max(MARGIN, window_clear)
+    x_min, x_max = lo - clearance, hi + clearance
+    points = (x_max - x_min) / dx_max
+    if not points <= MAX_N:  # inf at a huge v, too
+        raise ConfigError(f"required grid size 2^{math.log2(points):.4g} points is unreasonably "
+                          "large (at most 2^22)")
+    require_resolved(x_min, x_max, dx_max)  # a far center rounds the width, even to 0
+    return make_grid(x_min, x_max, max(16, 1 << math.ceil(math.log2(points))))
 
 
 def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
@@ -189,38 +255,35 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
     The run co-moves with the soliton (see :mod:`propagation`), so the grid
     is the lab grid at t = 0 and moves at v. The launch offset from the
     center is -x0_factor v^(1-delta). In the co-moving frame the soliton
-    stays at x0, the potential sweeps left from its center c to
-    c - v t_end, crossing x0 at t_cross, and the reflected component leaves
-    x0 at -2v after the crossing, so the core of the domain is
-    [x0 - 2v (t_end - t_cross), c]. Each end adds a clearance of at least
+    stays at x0 and the potential sweeps left from its center c to
+    c - v t_end, crossing x0 at t_cross, so the core of the domain is
+    [x0, c]. A reflected component would leave x0 at -2v after the
+    crossing: the core gains its path, the band
+    [x0 - 2v (t_end - t_cross), x0], only when :func:`predicted_reflection`
+    reaches ``REFLECTION_TOL``. Each end adds a clearance of at least
     ``MARGIN``, widened so that a soliton at either end of the core stays
     ``_WINDOW_DISTANCE`` clear of the edge window, which covers
-    ``EDGE_WINDOW`` of the whole domain. A plan past 2^22 grid points or
-    ``propagation.MAX_STEPS`` steps (as ``schedule`` counts them) is a
-    ConfigError.
+    ``EDGE_WINDOW`` of the whole domain; n is the next power of 2. A plan
+    past 2^22 grid points or ``propagation.MAX_STEPS`` steps (as
+    ``schedule`` counts them) is a ConfigError, raised before the
+    prediction is made.
     """
     center = config.potential.center
     launch = -config.x0_factor * v ** (1.0 - config.delta)
     x0 = center + launch
     phases = phase_times(v, launch, config.delta)
-    t_cross = abs(launch) / v  # the crossing time of phase_times
-    lo, hi = x0 - 2.0 * v * (phases.t_end - t_cross), center
-    window_clear = (_WINDOW_DISTANCE + EDGE_WINDOW * (hi - lo)) / (1.0 - 2.0 * EDGE_WINDOW)
-    clearance = max(MARGIN, window_clear)
-    x_min, x_max = lo - clearance, hi + clearance
     dx_max = math.pi / required_kmax(config.potential)
-    points = (x_max - x_min) / dx_max
-    if not points <= MAX_N:  # inf at a huge v, too
-        raise ConfigError(f"required grid size 2^{math.log2(points):.4g} points is unreasonably "
-                          "large (at most 2^22)")
-    require_resolved(x_min, x_max, dx_max)  # a far center rounds the width, even to 0
-    n = max(16, 1 << math.ceil(math.log2(points)))
-    grid = make_grid(x_min, x_max, n)
+    grid = _domain_grid(x0, center, dx_max)
     dt = suggested_dt(v, config.potential)
     cadence = min(phases.t_end / OBS_POINTS, v**-config.delta / 10.0)
     schedule(phases.t_end, dt, cadence)  # the run's steps, held to MAX_STEPS
-    return RunPlan(config=config, v=float(v), x0=float(x0), grid=grid,
-                   dt=dt, cadence=cadence, phases=phases)
+    plan = RunPlan(config=config, v=float(v), x0=float(x0), grid=grid, dt=dt, cadence=cadence,
+                   phases=phases, reflected_mass=predicted_reflection(config.potential, v))
+    if plan.reflected_band:
+        t_cross = abs(launch) / v  # the crossing time of phase_times
+        plan = replace(plan, grid=_domain_grid(x0 - 2.0 * v * (phases.t_end - t_cross), center,
+                                               dx_max))
+    return plan
 
 
 @dataclass(frozen=True)
@@ -302,6 +365,8 @@ class RunReport:
             },
             "grid": {"x_min": self.final.grid.x_min, "x_max": self.final.grid.x_max,
                      "n": self.final.grid.n},
+            "predicted_reflected_mass": self.plan.reflected_mass,
+            "reflected_band": self.plan.reflected_band,
             "dt": self.dt,
             "steps": self.steps,
             "potential": self.plan.config.potential.to_dict(),

@@ -28,6 +28,7 @@ from solitonlab.propagation import (
 from solitonlab.scattering import bound_states, detect_resonance, scattering_table
 from solitonlab.experiments import (
     ExperimentConfig,
+    _domain_grid,
     _run_plan,
     lemma_error_check,
     plan_run,
@@ -449,6 +450,27 @@ def test_frame_keeps_the_narrow_gaussians_reflected_band(narrow_gaussian):
     assert abs(frame_left - lab_left) <= 1e-3 * lab_left
 
 
+@pytest.mark.slow
+def test_edge_gate_catches_a_grid_without_the_predicted_band():
+    # first-Born predicts 1.9e-7 of this well's mass reflected, so the plan
+    # keeps the band; on the core [x0, c] alone the reflected packet wraps
+    # into the edge windows (measured 8.5e-8 of the mass) and the run is
+    # invalid
+    config = ExperimentConfig(potential=PotentialSpec("gaussian", q=-4.0, sigma=0.1),
+                              delta=0.55, velocities=(16.0,), x0_factor=1.0,
+                              override_admissibility=True)
+    plan = plan_run(config, 16.0)
+    assert plan.reflected_band
+    run = _run_plan(plan)
+    assert run.valid
+    assert run.series.edge_mass.max() <= 1e-10  # measured 3.1e-11
+    dx_max = math.pi / required_kmax(config.potential)
+    bare = _run_plan(replace(plan, grid=_domain_grid(plan.x0, 0.0, dx_max)))
+    assert bare.plan.grid.n == plan.grid.n
+    assert not bare.valid
+    assert "edge mass" in bare.invalid_reason
+
+
 def _bound_state_plan(v):
     config = ExperimentConfig(potential=PotentialSpec("sech2_scaled", beta=0.5), delta=DELTA,
                               velocities=(v,))
@@ -482,6 +504,22 @@ def test_frame_bound_mode_amplitude_does_not_alias():
     frame = _run_plan(plan).series.a_abs
     assert lab.max() <= 1e-12
     assert frame.max() <= 1e-12
+
+
+@pytest.mark.slow
+def test_four_octave_study_on_soliton_only_grids():
+    # v = 16..256: first-Born predicts no reflection (below 1e-20), so every
+    # grid holds only the soliton, and n stays at 512 where the reflected
+    # band took it to 8192 at v = 256
+    config = ExperimentConfig(potential=PotentialSpec("algebraic", q=0.5, s=DECAY_S),
+                              delta=DELTA, velocities=(16.0, 32.0, 64.0, 128.0, 256.0),
+                              x0_factor=2.0)
+    result = scaling_study(config, jobs=2)
+    assert result.runs_valid and result.floor_gate_ok and result.strictly_decreasing
+    assert result.slope <= result.slope_limit  # measured -0.9973
+    for run in result.runs + result.floor_runs:
+        assert not run.plan.reflected_band
+        assert run.plan.grid.n == 512
 
 
 @pytest.mark.slow

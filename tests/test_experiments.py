@@ -117,11 +117,15 @@ class TestRunPlan:
             assert plan.grid.k_max >= 18.0
             assert plan.dt * (cfg.potential.sup_norm + 1.0 + 2.0 * v) <= 0.1 * (1 + 1e-12)
             assert plan.x0 == pytest.approx(-2.0 * v**0.4)
-            # the co-moving domain holds the potential's start at the center 0
-            # and the reflected part's excursion at -2v after the crossing
+            # the co-moving domain holds the soliton at x0 and the potential's
+            # start at the center 0; it holds the reflected part's excursion
+            # at -2v after the crossing only where first-Born predicts
+            # reflection, here at v = 8 alone (1.5e-10)
             assert plan.grid.x_max >= 0.0 + 25.0
+            assert plan.reflected_band == (v == 8.0)
             t_cross = -plan.x0 / v
-            assert plan.grid.x_min <= plan.x0 - 2.0 * v * (plan.t_end - t_cross) - 25.0
+            band = 2.0 * v * (plan.t_end - t_cross) if plan.reflected_band else 0.0
+            assert plan.grid.x_min <= plan.x0 - band - 25.0
 
     def test_launch_measured_from_center(self):
         cfg = ExperimentConfig(
@@ -158,14 +162,75 @@ class TestRunPlan:
             assert edge_mass_fraction(soliton(params, t, plan.grid.shifted(v * t))) <= 1e-11
 
     def test_clearance_is_margin_at_moderate_v(self):
-        # the acceptance ladder keeps its grids: the derived clearance only
-        # takes over from MARGIN past v = 64
+        # the derived clearance takes over from MARGIN once the core passes
+        # 279 wide; with the reflected band this ladder's core would pass it
+        # between v = 64 and 128, and without the band (v >= 16 here) it
+        # passes it where x0_factor v^0.4 does, at v = 2.3e5
         cfg = ExperimentConfig(potential=PotentialSpec("algebraic", q=0.5, s=3.0), delta=0.6,
                                velocities=(8.0, 16.0, 32.0, 64.0))
         for v in cfg.velocities:
             plan = plan_run(cfg, v)
             # the co-moving core ends at the potential's center 0
             assert plan.grid.x_max == 0.0 + experiments.MARGIN
+
+
+def _born_average(r2, v):
+    """The average of ``r2(lam)`` over the soliton's momentum density for
+    lam > 0, by the trapezoid rule on a fine grid."""
+    lam = np.linspace(1e-6, v + 30.0, 400_001)
+    f = (math.pi / 4.0) / np.cosh(math.pi * (lam - v) / 2.0) ** 2 * np.minimum(1.0, r2(lam))
+    return float(np.sum(f[1:] + f[:-1]) * (lam[1] - lam[0]) / 2.0)
+
+
+class TestReflectedBand:
+    @pytest.mark.parametrize("v", [4.0, 6.0, 8.0])
+    def test_prediction_matches_the_closed_form(self, v):
+        # first-Born |R|^2 of -beta sech^2 is (2 pi beta / sinh(pi lam))^2
+        # and of q e^{-x^2/(2 sigma^2)} is (q sigma sqrt(2 pi) e^{-2 lam^2 sigma^2} / lam)^2
+        sech2 = experiments.predicted_reflection(PotentialSpec("sech2_scaled", beta=0.5), v)
+        assert sech2 == pytest.approx(
+            _born_average(lambda lam: (math.pi / np.sinh(math.pi * lam)) ** 2, v), rel=1e-3)
+        q, sigma = -4.0, 0.1
+        gauss = experiments.predicted_reflection(PotentialSpec("gaussian", q=q, sigma=sigma), v)
+        assert gauss == pytest.approx(_born_average(
+            lambda lam: (q * sigma * math.sqrt(2.0 * math.pi)
+                         * np.exp(-2.0 * (lam * sigma) ** 2) / lam) ** 2, v), rel=1e-3)
+
+    def test_low_momenta_carry_the_reflection(self):
+        # at lam = v alone, |R(6)|^2 = (pi / sinh(6 pi))^2 = 1.7e-15
+        pred = experiments.predicted_reflection(PotentialSpec("sech2_scaled", beta=0.5), 6.0)
+        assert pred == pytest.approx(7.61e-8, rel=1e-2)
+        assert pred >= 1e7 * (math.pi / math.sinh(6.0 * math.pi)) ** 2
+        assert experiments.predicted_reflection(PotentialSpec("zero"), 6.0) == 0.0
+
+    @pytest.mark.parametrize("spec, delta, v, x0_factor, predicted", [
+        # criterion 12's delta stand-in
+        (PotentialSpec("gaussian", q=1.0, sigma=0.05), 0.9, 32.0, 2.0, 5.93e-10),
+        (PotentialSpec("sech2_scaled", beta=0.5), 0.6, 6.0, 1.0, 7.61e-8),
+        (PotentialSpec("gaussian", q=-4.0, sigma=0.1), 0.55, 16.0, 1.0, 1.94e-7),
+    ])
+    def test_kept_where_reflection_is_predicted(self, spec, delta, v, x0_factor, predicted):
+        cfg = ExperimentConfig(potential=spec, delta=delta, velocities=(v,), x0_factor=x0_factor,
+                               override_admissibility=True)
+        plan = plan_run(cfg, v)
+        assert plan.reflected_mass == pytest.approx(predicted, rel=1e-2)
+        assert plan.reflected_band
+        t_cross = (spec.center - plan.x0) / v
+        assert plan.grid.x_min <= plan.x0 - 2.0 * v * (plan.t_end - t_cross) - experiments.MARGIN
+
+    @pytest.mark.parametrize("spec, v, bound", [
+        *[(PotentialSpec("algebraic", q=0.5, s=3.0), v, 5e-16) for v in (16.0, 64.0, 256.0)],
+        (PotentialSpec("sech2_scaled", beta=0.5), 16.0, 1e-20),
+    ])
+    def test_dropped_where_none_is_predicted(self, spec, v, bound):
+        cfg = ExperimentConfig(potential=spec, delta=0.6, velocities=(v,), x0_factor=2.0)
+        plan = plan_run(cfg, v)
+        assert plan.reflected_mass <= bound
+        assert not plan.reflected_band
+        # the core is [x0, c], with MARGIN at each end
+        assert (plan.grid.x_min, plan.grid.x_max) == (plan.x0 - experiments.MARGIN,
+                                                      spec.center + experiments.MARGIN)
+        assert plan.grid.n == 512
 
 
 class TestLemmaCheck:
