@@ -21,7 +21,7 @@ from .errors import (
 )
 from .grid import Field, Grid, inner_product, l2_norm, lp_norm, make_grid
 from .potentials import AdmissibilityReport, PotentialSpec, check_admissibility, sample_potential
-from .propagation import SolitonParams, StepperConfig, energy, evolve, soliton, step
+from .propagation import SolitonParams, StepperConfig, energy, evolve, soliton
 from .scattering import (
     BoundState,
     JostSolution,
@@ -53,7 +53,7 @@ __all__ = [
     "JostSolution", "ScatteringCoefficients", "BoundState", "jost", "wronskian",
     "detect_resonance", "scattering_table", "bound_states",
     "project",
-    "SolitonParams", "StepperConfig", "soliton", "step", "evolve", "energy",
+    "SolitonParams", "StepperConfig", "soliton", "evolve", "energy",
     "ExperimentConfig", "PhaseTimes", "RunReport", "ScalingResult", "phase_times",
     "lemma_error_check", "transmission_run", "scaling_study",
 ]

@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +208,8 @@ def cmd_study(args) -> int:
             run_dir = out / "runs" / f"v{run.plan.v:g}"
             run_dir.mkdir(parents=True, exist_ok=True)
             with _manifest(run_dir, {**single, "v": run.plan.v}) as sub:
-                _write_run_outputs(run, run_dir, sub)
+                _write_run_outputs(replace(run, admissibility_s=result.admissibility_s),
+                                   run_dir, sub)
                 floor_path = run_dir / "floor_series.csv"
                 floor.series.to_csv(floor_path)
                 sub.add_output(floor_path)

@@ -296,8 +296,8 @@ class RunReport:
     (the run's wall time, in the manifest), ``loop_s`` and ``observe_s``
     (its step loop's, and the part of it spent in the chunked observer, in
     :attr:`timing`) and ``admissibility_s`` (the wall time of the gate in
-    :func:`transmission_run`; None for a study's runs, which share one gate)
-    are telemetry."""
+    :func:`transmission_run`; None in a study's runs, whose reports from
+    ``solitonlab study`` hold the study's one shared gate) are telemetry."""
 
     plan: RunPlan
     series: ObserverSeries

@@ -16,8 +16,8 @@ in 2k transforms, so the next segment needs no forward transform.
 ``CHUNK_ELEMENTS // n`` observations, takes their samples with one batched
 inverse transform (the segment's 2k+1st) and fills every observer column
 for the whole chunk in one vectorized pass, with V evaluated once per
-chunk; the kinetic energy comes from the spectra by Parseval. ``step`` and
-``evolve`` share the one kernel.
+chunk; the kinetic energy comes from the spectra by Parseval. ``evolve``
+is the one entry point to the kernel.
 
 Co-moving frame. A run starts at t = 0 and may be carried in the frame
 y = x - f t of a velocity f. With u = e^{i(f x - f^2 t/2)} w(y, t) the field
@@ -202,11 +202,12 @@ def schedule(t_end: float, dt: float, cadence: float) -> tuple[int, int, float]:
 
     k_obs = max(1, floor(c/dt)) with the cadence c = min(cadence, t_end), so
     observations are spaced by <= cadence when dt <= cadence, and by the
-    step otherwise; a cadence past the horizon observes only t = 0 and
-    t_end. n_seg = max(1, ceil(t_end/(k_obs dt))), so a run takes fewer
-    than t_end/dt + k_obs steps. ``t_end`` must be positive and finite, and
-    more than ``MAX_STEPS`` steps is a ConfigError, found in floating point
-    before anything is allocated.
+    step otherwise. n_seg = max(1, ceil(t_end/(k_obs dt))), so a run takes
+    fewer than t_end/dt + k_obs steps; a cadence past the horizon observes
+    t = 0, t_end and, unless dt divides t_end or exceeds it, t_end/2.
+    ``t_end`` must be positive and finite, and more than ``MAX_STEPS``
+    steps is a ConfigError, found in floating point before anything is
+    allocated.
     """
     t_end = float(t_end)
     if not (t_end > 0 and math.isfinite(t_end)):
@@ -323,12 +324,6 @@ class _StrangFlow:
                 raise NumericalBreakdownError("non-finite field", step=first_step + j)
             w *= self.kin_full if j < k - 1 else self.kin_half
         return w
-
-
-def step(u: Field, potential: SampledPotential | None, dt: float) -> Field:
-    """One Strang step. Mass-preserving to roundoff; local error O(dt^3)."""
-    flow = _StrangFlow(u.grid, potential, dt)
-    return Field(u.grid, np.fft.ifft(flow(np.fft.fft(u.values), 1)))
 
 
 def _energy(
@@ -508,60 +503,3 @@ def evolve(
         snapshot_times=tuple(snap_times),
         snapshots=tuple(snaps),
     )
-
-
-@dataclass(frozen=True)
-class BoundModeResidual:
-    """Consistency of the bound-mode amplitude with its projected equation
-    i a' = -lam a - <|u|^2 u, phi>  (lam = -energy > 0)."""
-
-    max_residual: float
-    floor: float
-    ratio: float
-
-
-def bound_mode_residual(
-    times,
-    snapshots,
-    bound_state: BoundState,
-) -> BoundModeResidual:
-    """Evaluate the amplitude-equation residual along uniformly sampled
-    snapshots, with a' from central differences.
-
-    The returned ``floor`` is the intrinsic O(cadence^2) error of the central
-    difference, (tau^2/6) max|a'''| with a''' estimated from third
-    differences of the data; ``ratio`` is max_residual / floor.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    if times.size < 3 or len(snapshots) != times.size:
-        raise ConfigError("need at least 3 uniformly spaced snapshots")
-    taus = np.diff(times)
-    tau = float(taus[0])
-    if tau <= 0 or not np.allclose(taus, tau, rtol=1e-9, atol=1e-12):
-        raise ConfigError("snapshots must be at uniform cadence")
-    grid = snapshots[0].grid
-    phi = bound_state.field.values
-    lam = -bound_state.energy
-    a = np.empty(times.size, dtype=np.complex128)
-    cubic = np.empty_like(a)
-    for i, snap in enumerate(snapshots):
-        u = snap.values
-        a[i] = grid.dx * np.sum(u * np.conj(phi))
-        cubic[i] = grid.dx * np.sum(np.abs(u) ** 2 * u * np.conj(phi))
-    a_dot = (a[2:] - a[:-2]) / (2.0 * tau)
-    resid = np.abs(1j * a_dot + lam * a[1:-1] + cubic[1:-1])
-    max_res = float(resid.max()) if resid.size else 0.0
-    max_amp = float(np.max(np.abs(a)))
-    if times.size >= 5:
-        a3 = (a[4:] - 2.0 * a[3:-1] + 2.0 * a[1:-3] - a[:-4]) / (2.0 * tau**3)
-        a3_max = float(np.max(np.abs(a3)))
-    else:
-        a3_max = lam**3 * max_amp
-    floor = tau**2 / 6.0 * a3_max
-    if max_res == 0.0:
-        ratio = 0.0
-    elif floor == 0.0:
-        ratio = math.inf
-    else:
-        ratio = max_res / floor
-    return BoundModeResidual(max_res, floor, ratio)

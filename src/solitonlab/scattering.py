@@ -282,6 +282,7 @@ def _propagate_batch(
     return out
 
 
+# No command calls jost or wronskian; they stay as perfbench/tracer.py wraps them by name
 def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
     """Solution asymptotic to e^{i*sign*lam*x} at the sign-side edge.
 

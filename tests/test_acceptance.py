@@ -18,7 +18,6 @@ from solitonlab.potentials import PotentialSpec, sample_potential
 from solitonlab.propagation import (
     SolitonParams,
     StepperConfig,
-    bound_mode_residual,
     evolve,
     required_kmax,
     resolution_length,
@@ -35,6 +34,8 @@ from solitonlab.experiments import (
     scaling_study,
     transmission_run,
 )
+
+from _bound_mode import bound_mode_residual
 
 KAPPA = (math.sqrt(5.0) - 1.0) / 2.0
 DELTA = 0.6

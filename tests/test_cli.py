@@ -637,6 +637,13 @@ def test_study_manifest_times_the_admissibility_gate(benchmark_study):
     assert "admissibility_s" not in json.loads((benchmark_study / "study.json").read_text())
 
 
+def test_study_runs_report_the_shared_admissibility_gate(benchmark_study):
+    gate_s = json.loads((benchmark_study / "manifest.json").read_text())["flags"]["admissibility_s"]
+    for v in (4, 8, 16, 32):
+        report = json.loads((benchmark_study / "runs" / f"v{v}" / "report.json").read_text())
+        assert report["timing"]["admissibility_s"] == gate_s
+
+
 def test_csv_lines_end_in_lf(tmp_path, benchmark_study):
     cfg = write_config(tmp_path / "c.json")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0

@@ -14,15 +14,16 @@ from solitonlab.propagation import (
     MAX_STEPS,
     SolitonParams,
     StepperConfig,
-    bound_mode_residual,
+    _StrangFlow,
     energy,
     evolve,
     required_kmax,
     soliton,
-    step,
     validate_step_rules,
 )
 from solitonlab.scattering import BoundState, bound_states
+
+from _bound_mode import bound_mode_residual
 
 
 class TestSoliton:
@@ -55,17 +56,29 @@ class TestSoliton:
             SolitonParams(v=math.nan, x0=0.0)
 
 
+def _kernel_step(u: Field, potential, dt: float) -> Field:
+    """One step of the raw Strang kernel, of either sign of dt: a forward
+    transform, the kernel's two, and an inverse transform."""
+    flow = _StrangFlow(u.grid, potential, dt)
+    return Field(u.grid, np.fft.ifft(flow(np.fft.fft(u.values), 1)))
+
+
+def _one_step(u: Field, potential, dt: float) -> Field:
+    """The field after one step of size dt, as evolve takes it."""
+    return evolve(u, potential, dt, StepperConfig(dt=dt, obs_cadence=dt)).final
+
+
 class TestStep:
     def test_zero_fixed_point(self):
         g = make_grid(-10.0, 10.0, 128)
-        u = step(Field(g, np.zeros(128)), None, 0.01)
+        u = _one_step(Field(g, np.zeros(128)), None, 0.01)
         assert np.all(u.values == 0.0)
 
     def test_plane_wave_exact_phase(self):
         g = make_grid(0.0, 2 * math.pi, 64)
         k0, c, dt = 3.0, 0.7 + 0.2j, 0.1
         u0 = Field(g, c * np.exp(1j * k0 * g.x))
-        u1 = step(u0, None, dt)
+        u1 = _one_step(u0, None, dt)
         exact = u0.values * np.exp(-1j * (k0**2 / 2.0 - abs(c) ** 2) * dt)
         assert np.max(np.abs(u1.values - exact)) <= 1e-12
 
@@ -73,7 +86,7 @@ class TestStep:
         g = make_grid(-30.0, 30.0, 1024)
         pot = sample_potential(PotentialSpec("gaussian", q=1.0, sigma=1.0), g)
         u = soliton(SolitonParams(v=3.0, x0=-10.0), 0.0, g, check_support=False)
-        u1 = step(u, pot, 0.005)
+        u1 = _one_step(u, pot, 0.005)
         assert abs(l2_norm(u1) ** 2 / l2_norm(u) ** 2 - 1.0) <= 1e-12
 
     def test_local_error_cubic(self):
@@ -82,7 +95,7 @@ class TestStep:
         u0 = soliton(p, 0.0, g, check_support=False)
         errs = []
         for dt in (0.02, 0.01, 0.005):
-            u1 = step(u0, None, dt)
+            u1 = _one_step(u0, None, dt)
             ref = soliton(p, dt, g, check_support=False)
             errs.append(l2_norm(Field(g, u1.values - ref.values)))
         for i in range(2):
@@ -91,13 +104,13 @@ class TestStep:
     def test_breakdown_raises(self):
         g = make_grid(-20.0, 20.0, 256)
         with np.errstate(all="ignore"), pytest.raises(NumericalBreakdownError, match="step 0"):
-            step(Field(g, 1e160 / np.cosh(g.x)), None, 0.01)
+            _one_step(Field(g, 1e160 / np.cosh(g.x)), None, 0.01)
 
     def test_time_reversal(self):
         g = make_grid(-20.0, 20.0, 512)
         pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), g)
         u0 = soliton(SolitonParams(v=1.0, x0=-5.0), 0.0, g, check_support=False)
-        back = step(step(u0, pot, 0.01), pot, -0.01)
+        back = _kernel_step(_kernel_step(u0, pot, 0.01), pot, -0.01)
         assert np.max(np.abs(back.values - u0.values)) <= 1e-13
 
 
@@ -186,14 +199,14 @@ class TestEvolve:
 
     def test_segment_fusion_matches_single_steps(self):
         # evolve fuses adjacent half-kinetic factors between observations;
-        # the result must match the plain step() composition to roundoff
+        # the result must match single kernel steps composed to roundoff
         g = make_grid(-40.0, 40.0, 1024)
         pot = sample_potential(PotentialSpec("sech2_scaled", beta=0.5), g)
         u = soliton(SolitonParams(v=2.0, x0=-10.0), 0.0, g)
         dt, n_steps = 0.01, 20
         manual = u
         for _ in range(n_steps):
-            manual = step(manual, pot, dt)
+            manual = _kernel_step(manual, pot, dt)
         for cadence in (dt, n_steps * dt):
             res = evolve(u, pot, n_steps * dt, StepperConfig(dt=dt, obs_cadence=cadence))
             assert np.max(np.abs(res.final.values - manual.values)) <= 1e-13
@@ -306,7 +319,7 @@ class TestObserver:
     def test_transform_budget(self, monkeypatch, cadence, k_obs):
         # one forward transform of u0, then 2k+1 per segment of k steps, the
         # last of them in the observer's batched inverse transform, which
-        # counts one transform per row. step() makes 4.
+        # counts one transform per row. One raw kernel step makes 4.
         calls = []
 
         def counted(fn):
@@ -327,7 +340,7 @@ class TestObserver:
         assert n_seg * k_obs == 20
         assert len(calls) == 1 + n_seg * (2 * k_obs + 1) == res.transforms
         calls.clear()
-        step(u0, pot, 0.01)
+        _kernel_step(u0, pot, 0.01)
         assert len(calls) == 4
 
 
