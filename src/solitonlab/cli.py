@@ -178,6 +178,7 @@ def cmd_spectral(args) -> int:
         manifest.add_output(json_path)
         adm = report.admissibility
         manifest.flags.update(admissible=adm.admissible, table_s=report.table_s,
+                              table_substeps=report.table_substeps,
                               admissibility_s=report.admissibility_s)
     print(
         f"{spec.kind}: {adm.bound_state_count} bound state(s) "

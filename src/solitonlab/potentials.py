@@ -127,6 +127,13 @@ class PotentialSpec:
         return self.sup_norm * 4.0 / (3.0 * math.sqrt(3.0))
 
     @property
+    def feature_length(self) -> float:
+        """The length over which V changes by its own size, max|V| / max|V'|
+        (inf when V' = 0)."""
+        slope = self.slope_norm
+        return self.sup_norm / slope if slope > 0 else math.inf
+
+    @property
     def decay_parameter(self) -> float:
         """Nominal decay exponent: s for the algebraic family, inf otherwise
         (super-algebraic decay), 0 never occurs (zero potential gives inf)."""

@@ -139,8 +139,7 @@ def soliton(
 def resolution_length(potential: PotentialSpec | None = None) -> float:
     """ell of the resolution rules: the shorter of the soliton width 1 and
     the feature length max|V|/max|V'| of ``potential`` (None is V = 0)."""
-    slope = potential.slope_norm if potential is not None else 0.0
-    return min(1.0, potential.sup_norm / slope) if slope > 0 else 1.0
+    return min(1.0, potential.feature_length) if potential is not None else 1.0
 
 
 def required_kmax(potential: PotentialSpec | None = None) -> float:

@@ -16,11 +16,17 @@ fourth-order two-point Gauss-Magnus exponential for the linear system
 y' = [[0,1],[Q,0]] y. The matrix is the exact propagator for locally
 constant Q, so free regions are integrated exactly and the step error is
 governed by the variation of V alone. Cells of width dx are subdivided so
-that (local wave number) * (substep) stays below SUBSTEP_PHASE radians,
-with the wave number sqrt(lam^2 + 2 sup|V|) of each lam on its own: lam
-values with equal substep counts share one pass over the cells, so a table
-entry does not depend on which other lam share its batch. V is sampled one
-substep at a time, so memory does not grow with the largest lam.
+that a wave number times the substep stays below SUBSTEP_PHASE radians,
+with the wave number sqrt(min(lam, lam_cap)^2 + 2 sup|V|) of each lam on its
+own. The cap lam_cap = SUBSTEP_LAM_CAP / ell_V scales with the potential's
+feature length ell_V = max|V| / max|V'|: since the step error follows V, a
+table past lam_cap is as accurate as one whose substeps keep shrinking with
+lam (measured, see SUBSTEP_LAM_CAP), so a table's cost stops growing with
+lam there, and V = 0 (lam_cap = 0) takes one exact substep per cell. lam
+values with equal substep counts share passes of at most PASS_ROWS rows over
+the cells, so a table entry does not depend on which other lam share its
+batch. V is sampled one substep at a time, so memory does not grow with the
+substep count either.
 
 One pass builds the cell matrices left to right, and both directions walk
 them: sign -1 from the left edge, sign +1 from the right edge through their
@@ -61,8 +67,24 @@ from .potentials import (
     sample_potential,
 )
 
-#: target phase advance per integrator substep (radians)
+#: target phase advance per integrator substep (radians), at the wave number
+#: sqrt(min(lam, SUBSTEP_LAM_CAP / ell_V)^2 + 2 sup|V|) with ell_V the
+#: potential's feature_length
 SUBSTEP_PHASE = 0.02
+#: lam past SUBSTEP_LAM_CAP / ell_V takes the substep count of that lam: the
+#: substep is exact for constant V, so its error follows the variation of V
+#: over a substep, not lam. Measured against SUBSTEP_PHASE / 16 tables of
+#: 48 lam in [0.5, 40] (n = 2048 on [-60, 60]; algebraic q=0.5 s=3,
+#: gaussian q=2 sigma=1, sech2 beta=0.5, poschl_teller ell=2, gaussians
+#: q=+-8 sigma=0.05 and q=-4 sigma=0.1): at 8 every table's largest
+#: |dT| + |dR| is the uncapped rule's, and no entry exceeds twice the
+#: uncapped entry's by more than the reference's own roundoff spread; at 4 an
+#: algebraic entry does, at 5.3x. The algebraic table's substeps, summed
+#: over lam, fall from 1354 to 648 at 8 (422 at 4)
+SUBSTEP_LAM_CAP = 8.0
+#: most lam per pass over the cells; a pass holds about a dozen (rows, n-1)
+#: arrays, so memory does not grow with the lam that share a substep count
+PASS_ROWS = 8
 #: |W(0)| below this counts as a zero-energy resonance (codimension-one
 #: condition; exact zeros are unattainable numerically)
 RESONANCE_EPS = 1e-4
@@ -70,10 +92,11 @@ RESONANCE_EPS = 1e-4
 NEGATIVE_EPS = 1e-6
 #: largest relative interior spread of a Wronskian (see wronskian)
 WRONSKIAN_REL_TOL = 1e-4
-#: most substeps per cell a walk may take. One walk over 2048 nodes takes
-#: about 0.16 ms for each substep per cell, so 10 s at this cap; past it a
-#: potential or a lam is rejected rather than walked for hours (sech2_scaled
-#: beta = 1e300 would need 2.8e150 substeps per cell)
+#: most substeps per cell the uncapped wave number sqrt(lam^2 + 2 sup|V|)
+#: may ask for: this bounds the lam and the wells a walk accepts, not what a
+#: walk costs. A deeper well is rejected rather than walked for hours
+#: (sech2_scaled beta = 1e300 would need 2.8e150 substeps per cell; one walk
+#: over 2048 nodes takes about 0.16 ms per substep per cell)
 MAX_SUBSTEPS = 1 << 16
 #: most lam x grid nodes in one table. A table costs about 200 bytes per
 #: lam-node at its peak: ``solitonlab spectral`` peaked at 236 MB with 2^20
@@ -131,16 +154,24 @@ class BoundState:
     field: Field
 
 
-def _substeps(grid: Grid, lam: float, sup_v: float) -> int:
-    """Substeps per cell at frequency ``lam``: the local wave number
-    sqrt(lam^2 + 2 sup|V|) times the substep stays below SUBSTEP_PHASE; more
+def _substeps(grid: Grid, lam: float, spec: PotentialSpec) -> int:
+    """Substeps per cell at frequency ``lam``: the wave number
+    sqrt(min(lam, cap)^2 + 2 sup|V|) times the substep stays below
+    SUBSTEP_PHASE, with cap = SUBSTEP_LAM_CAP / spec.feature_length. A lam
+    whose uncapped wave number sqrt(lam^2 + 2 sup|V|) would ask for more
     than MAX_SUBSTEPS is a ConfigError."""
+    sup_v = spec.sup_norm
     count = grid.dx * math.sqrt(lam * lam + 2.0 * sup_v) / SUBSTEP_PHASE
     if not count <= MAX_SUBSTEPS:  # inf, too
         raise ConfigError(
-            f"lam={lam:g} with sup|V|={sup_v:.3g} needs {count:.3g} substeps per cell of "
-            f"dx={grid.dx:.3g}, more than {MAX_SUBSTEPS}: too deep or too fast to walk"
+            f"lam={lam:g} with sup|V|={sup_v:.3g} is outside the range a walk accepts: its "
+            f"uncapped wave number asks for {count:.3g} substeps per cell of dx={grid.dx:.3g}, "
+            f"more than {MAX_SUBSTEPS}"
         )
+    ell = spec.feature_length
+    cap = SUBSTEP_LAM_CAP / ell if ell > 0 else math.inf
+    if lam > cap:
+        count = grid.dx * math.sqrt(cap * cap + 2.0 * sup_v) / SUBSTEP_PHASE
     return max(1, math.ceil(count))
 
 
@@ -160,13 +191,15 @@ def _cell_matrices(
     of ``m`` substep exponentials of length ``h`` from the cell ``starts``.
 
     Returns its entries (c00, c01, c10, c11), each of shape (len(lam2),
-    len(starts)). V is sampled one substep at a time, so memory does not grow
-    with ``m``.
+    len(starts)). V is sampled one substep at a time and every substep
+    reuses the same buffers, so memory does not grow with ``m``; each row is
+    bitwise what its lam^2 alone gives.
     """
-    c00 = np.ones((lam2.size, starts.size))
-    c01 = np.zeros_like(c00)
-    c10 = np.zeros_like(c00)
-    c11 = np.ones_like(c00)
+    shape = (lam2.size, starts.size)
+    c00, c11 = np.ones(shape), np.ones(shape)
+    c01, c10 = np.zeros(shape), np.zeros(shape)
+    qbar, musq, omega, cosm, sinhc, t0, t1 = np.empty((7, *shape))
+    positive, small = np.empty((2, *shape), dtype=bool)
     lam2 = lam2[:, None]
     h2 = h * h
     sqrt3_h2_6 = math.sqrt(3.0) * h2 / 6.0
@@ -174,28 +207,33 @@ def _cell_matrices(
         v1 = spec(starts + h * (step + _GAUSS_OFFSETS[0]))
         v2 = spec(starts + h * (step + _GAUSS_OFFSETS[1]))
         c = sqrt3_h2_6 * (v1 - v2)  # (q1 - q2) h^2 sqrt(3)/12 with q = 2V - lam^2
-        qbar = (v1 + v2) - lam2
-        musq = c * c + h2 * qbar
-        omega = np.sqrt(np.abs(musq))
-        positive = musq >= 0.0
-        cosm = np.cos(omega)
-        np.cosh(omega, out=cosm, where=positive)
-        sinhc = np.sin(omega)
-        np.sinh(omega, out=sinhc, where=positive)
-        small = omega < 1e-8
-        np.divide(sinhc, omega, out=sinhc, where=~small)
-        sinhc[small] = 1.0 + musq[small] / 6.0
-        sc = sinhc * c
-        m00 = cosm + sc
-        m01 = sinhc * h
-        m10 = m01 * qbar
-        m11 = cosm - sc
-        c00, c01, c10, c11 = (
-            m00 * c00 + m01 * c10,
-            m00 * c01 + m01 * c11,
-            m10 * c00 + m11 * c10,
-            m10 * c01 + m11 * c11,
-        )
+        np.subtract(v1 + v2, lam2, out=qbar)
+        np.multiply(qbar, h2, out=musq)
+        np.add(musq, c * c, out=musq)
+        np.sqrt(np.abs(musq, out=omega), out=omega)
+        np.cos(omega, out=cosm)
+        np.sin(omega, out=sinhc)
+        if np.greater_equal(musq, 0.0, out=positive).any():
+            np.cosh(omega, out=cosm, where=positive)
+            np.sinh(omega, out=sinhc, where=positive)
+        if np.less(omega, 1e-8, out=small).any():
+            np.divide(sinhc, omega, out=sinhc, where=~small)
+            sinhc[small] = 1.0 + musq[small] / 6.0
+        else:
+            np.divide(sinhc, omega, out=sinhc)
+        # the substep matrix [[m00, m01], [m10, m11]], in place
+        np.multiply(sinhc, c, out=t0)
+        m11 = np.subtract(cosm, t0, out=musq)
+        m00 = np.add(cosm, t0, out=cosm)
+        m01 = np.multiply(sinhc, h, out=sinhc)
+        m10 = np.multiply(m01, qbar, out=qbar)
+        # C <- M C; the new top row goes to t0, whose buffer swaps with the old
+        np.add(np.multiply(m00, c00, out=t0), np.multiply(m01, c10, out=t1), out=t0)
+        np.add(np.multiply(m10, c00, out=t1), np.multiply(m11, c10, out=c10), out=c10)
+        c00, t0 = t0, c00
+        np.add(np.multiply(m00, c01, out=t0), np.multiply(m01, c11, out=t1), out=t0)
+        np.add(np.multiply(m10, c01, out=t1), np.multiply(m11, c11, out=c11), out=c11)
+        c01, t0 = t0, c01
     return c00, c01, c10, c11
 
 
@@ -254,17 +292,17 @@ def _propagate_batch(
     """
     n = grid.n
     lams = np.asarray(lams, dtype=np.float64)
-    sup_v = spec.sup_norm
-    counts = np.array([_substeps(grid, abs(lam), sup_v) for lam in lams])
+    counts = np.array([_substeps(grid, abs(lam), spec) for lam in lams])
     # cell i propagates node i -> i+1; its adjugate (its inverse) node i+1 -> i
     cells = np.empty((4, lams.size, n - 1))
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
         for m in map(int, np.unique(counts)):
-            rows = np.flatnonzero(counts == m)
-            lam2 = lams[rows] * lams[rows]
-            for dst, src in zip(cells, _cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lam2)):
-                dst[rows] = src
+            group = np.flatnonzero(counts == m)
+            for rows in np.array_split(group, -(-group.size // PASS_ROWS)):
+                lam2 = lams[rows] * lams[rows]
+                for dst, src in zip(cells, _cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lam2)):
+                    dst[rows] = src
         for sign in (1, -1):
             y_f = np.exp(1j * sign * lams * (grid.x[-1] if sign > 0 else grid.x[0]))
             y_g = 1j * sign * lams * y_f
@@ -480,12 +518,14 @@ class SpectralReport:
     """T/R table and admissibility report (bound states, resonance) for one
     potential; the admissibility report is judged on its own domain, not on
     the table's. ``table_s`` and ``admissibility_s`` (the wall times of the
-    two) are telemetry, left out of :meth:`to_dict`."""
+    two) and ``table_substeps`` (the table's substeps per cell, summed over
+    lam) are telemetry, left out of :meth:`to_dict`."""
 
     coefficients: tuple[ScatteringCoefficients, ...]
     admissibility: AdmissibilityReport
     truncation_estimate: float
     table_s: float
+    table_substeps: int
     admissibility_s: float
 
     @property
@@ -543,5 +583,6 @@ def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralRepo
         admissibility=admissibility,
         truncation_estimate=float(truncation),
         table_s=table_s,
+        table_substeps=sum(_substeps(grid, c.lam, spec) for c in coeffs),
         admissibility_s=admissibility_s,
     )

@@ -307,6 +307,24 @@ class TestSpectral:
         payload = (out / "spectral_report.json").read_text()
         assert "table_s" not in payload and "admissibility_s" not in payload
 
+    def test_manifest_counts_table_substeps(self, tmp_path):
+        # the table's substeps per cell summed over lam: one per lam for V = 0,
+        # the capped rule's count otherwise; the report keeps its shape
+        flags = ["--lambda-points", "6", "--lambda-max", "40"]
+        assert main(["spectral", "--kind", "zero", *flags, "--out", str(tmp_path / "z")]) == 0
+        manifest = json.loads((tmp_path / "z" / "manifest.json").read_text())
+        assert manifest["flags"]["table_substeps"] == 6
+        out = tmp_path / "g"
+        assert main(["spectral", "--kind", "gaussian", "--q", "2", "--sigma", "1", *flags,
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        spec, grid = PotentialSpec("gaussian", q=2.0, sigma=1.0), make_grid(-60.0, 60.0, 2048)
+        lams = [float(row.split(",")[0])
+                for row in (out / "coefficients.csv").read_text().splitlines()[1:]]
+        assert manifest["flags"]["table_substeps"] == sum(
+            scattering._substeps(grid, lam, spec) for lam in lams)
+        assert "table_substeps" not in (out / "spectral_report.json").read_text()
+
     def test_zero_kind(self, tmp_path):
         out = tmp_path / "spec0"
         assert main(["spectral", "--kind", "zero", "--lambda-points", "4", "--out", str(out)]) == 0

@@ -166,6 +166,83 @@ class TestIntegratorOrder:
             assert 12.0 <= errs[i] / errs[i + 1] <= 20.0  # ~2^4 per halving
 
 
+def _uncapped_substeps(grid, lam, sup_v):
+    # the substep rule before lam was capped: sqrt(lam^2 + 2 sup|V|) h <= SUBSTEP_PHASE
+    return max(1, math.ceil(grid.dx * math.sqrt(lam * lam + 2.0 * sup_v) / scattering.SUBSTEP_PHASE))
+
+
+class TestSubstepRule:
+    """Past lam_cap = SUBSTEP_LAM_CAP / feature_length the substep count
+    stops growing with lam: the substep is exact for constant V, so its error
+    follows the variation of V over a substep."""
+
+    GRID = make_grid(-60.0, 60.0, 2048)
+    SPECS = [
+        PotentialSpec("algebraic", q=0.5, s=3.0),
+        PotentialSpec("gaussian", q=2.0, sigma=1.0),
+        PotentialSpec("sech2_scaled", beta=0.5),
+        PotentialSpec("poschl_teller", ell=2.0),
+        PotentialSpec("gaussian", q=-4.0, sigma=0.1),
+        PotentialSpec("gaussian", q=8.0, sigma=0.05),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["algebraic", "gaussian", "sech2_half",
+                                                 "poschl_teller", "narrow_well", "narrow_barrier"])
+    def test_count_is_the_uncapped_rule_up_to_the_cap_and_constant_past_it(self, spec):
+        cap = scattering.SUBSTEP_LAM_CAP / spec.feature_length
+        lams = np.concatenate([[0.0, cap], np.geomspace(1e-3, 400.0, 80)])
+        at_cap = _uncapped_substeps(self.GRID, cap, spec.sup_norm)
+        for lam in lams:
+            count = scattering._substeps(self.GRID, lam, spec)
+            if lam <= cap:
+                assert count == _uncapped_substeps(self.GRID, lam, spec.sup_norm)
+            else:
+                assert count == at_cap
+
+    def test_free_line_takes_one_substep_at_every_lam(self):
+        spec = PotentialSpec("zero")
+        assert spec.feature_length == math.inf
+        for lam in (0.0, 0.5, 40.0, 400.0, 3000.0):
+            assert scattering._substeps(self.GRID, lam, spec) == 1
+        (c,) = scattering_table(sample_potential(spec, self.GRID), [400.0])
+        assert abs(c.T - 1.0) <= 1e-12 and abs(c.R) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("algebraic", q=0.5, s=3.0),
+        PotentialSpec("gaussian", q=2.0, sigma=1.0),
+        PotentialSpec("sech2_scaled", beta=0.5),
+        PotentialSpec("gaussian", q=-4.0, sigma=0.1),
+    ], ids=["algebraic", "gaussian", "sech2_half", "narrow_well"])
+    def test_capped_table_is_as_accurate_as_the_uncapped(self, spec, monkeypatch):
+        # |dT| + |dR| of each entry against a table at SUBSTEP_PHASE / 16:
+        # at most twice the uncapped rule's, or 1e-12, plus the reference's
+        # own spread (its distance to a SUBSTEP_PHASE / 32 table). The spread
+        # is roundoff of the reference's many substeps, up to 5e-10 here;
+        # without it the gaussian at lam = 44 and the narrow well at lam = 73
+        # fail, at 2.4x and 2.0x the uncapped error, both inside the spread
+        lams = np.geomspace(0.5, 120.0, 12)
+        pot = sample_potential(spec, self.GRID)
+
+        def table(phase=scattering.SUBSTEP_PHASE, rule=None):
+            with monkeypatch.context() as m:
+                m.setattr(scattering, "SUBSTEP_PHASE", phase)
+                if rule is not None:
+                    m.setattr(scattering, "_substeps", rule)
+                coeffs = scattering_table(pot, lams)
+            return np.array([[c.T for c in coeffs], [c.R for c in coeffs]])
+
+        capped = table()
+        uncapped = table(rule=lambda grid, lam, spec: _uncapped_substeps(grid, lam, spec.sup_norm))
+        ref = table(scattering.SUBSTEP_PHASE / 16)
+        spread = np.abs(table(scattering.SUBSTEP_PHASE / 32) - ref).sum(axis=0)
+        err = np.abs(capped - ref).sum(axis=0)
+        err_uncapped = np.abs(uncapped - ref).sum(axis=0)
+        assert np.all(err <= np.maximum(2.0 * err_uncapped, 1e-12) + spread)
+        assert err.max() <= 1.1 * err_uncapped.max()
+        below = lams <= scattering.SUBSTEP_LAM_CAP / spec.feature_length
+        assert np.array_equal(capped[:, below], uncapped[:, below])
+
+
 # W(0) on each potential's admissibility domain as the cell-by-cell walk
 # with one substep count per batch computed it, with the verdicts
 # (admissible, detected, stable); algebraic q=5, s=2.5 needs the n=4096 domain
@@ -249,11 +326,16 @@ class TestTransferWalk:
         with pytest.raises(AccuracyError, match="non-finite"):
             jost(pot, 0.5, +1)
 
+    # a narrow barrier whose lam cap (about 970) lies past lam = 400
+    NARROW = PotentialSpec("gaussian", q=1.0, sigma=0.005)
+
     def test_memory_does_not_grow_with_substeps(self):
         # lam = 400 takes m = 1172 substeps per cell on this grid; sampling V
         # for all of them up front took 38 MB (a 154 MB traced peak). Sampled
-        # per substep, the peak measured 0.45 MB: (n-1)-sized arrays only.
-        pot = sample_potential(PotentialSpec("algebraic", q=0.5, s=3.0), make_grid(-60.0, 60.0, 2048))
+        # per substep, the peak measured 0.42 MB: (n-1)-sized arrays only.
+        grid = make_grid(-60.0, 60.0, 2048)
+        assert scattering._substeps(grid, 400.0, self.NARROW) == 1172
+        pot = sample_potential(self.NARROW, grid)
         jost(pot, 1.0, +1)
         tracemalloc.start()
         try:
@@ -265,7 +347,7 @@ class TestTransferWalk:
 
     def test_memory_does_not_grow_with_substeps_from_the_left(self):
         # the sign -1 twin of the test above: both signs walk the same cells
-        pot = sample_potential(PotentialSpec("algebraic", q=0.5, s=3.0), make_grid(-60.0, 60.0, 2048))
+        pot = sample_potential(self.NARROW, make_grid(-60.0, 60.0, 2048))
         jost(pot, 1.0, -1)
         tracemalloc.start()
         try:
@@ -301,7 +383,7 @@ class TestOnePass:
         grid = check_admissibility(spec).grid
         x, dx = grid.x, grid.dx
         for lam in (0.0, 1.0, 40.0):
-            m = _substeps(grid, lam, spec.sup_norm)
+            m = _substeps(grid, lam, spec)
             lam2 = np.array([lam * lam])
             c00, c01, c10, c11 = _cell_matrices(spec, x[:-1], dx / m, m, lam2)
             assert np.max(np.abs(c00 * c11 - c01 * c10 - 1.0)) <= 1e-12
@@ -342,7 +424,11 @@ class TestOnePass:
 
     # T and R from a walk with the sign +1 cells built from the right edge;
     # the one-pass walk is within 6e-14 of them, so 1e-12 absolute catches
-    # any change to the walk beyond roundoff
+    # any change to the walk beyond roundoff. lam = 40 lies past both
+    # potentials' lam cap (6.9 and 6.2), so it takes the cap's substep count:
+    # sech2_half's entry is pinned at that count (T moved by 1.0e-11, and its
+    # distance to a SUBSTEP_PHASE / 16 table went from 8.2e-12 to 2.5e-12);
+    # algebraic's moved by 3.3e-13 and keeps its pin
     PINNED_TABLE_TOL = 1e-12
 
     @pytest.mark.parametrize("spec, pinned", [
@@ -359,8 +445,8 @@ class TestOnePass:
              -0.3569942627674944 + 0.11605460970318512j),
             (5.0, 0.9803285238894875 + 0.19737270644071336j,
              -5.544550279394369e-08 + 2.7539173038813163e-07j),
-            (40.0, 0.999687581371151 + 0.024994792887241192j,
-             4.193196528782078e-15 + 8.294667369902035e-16j),
+            (40.0, 0.9996875813609996 + 0.02499479288715109j,
+             2.248358666682645e-15 - 1.2965399644570418e-15j),
         ], id="sech2_half"),
     ])
     def test_table_pinned(self, spec, pinned):
