@@ -13,6 +13,11 @@ with s > 2, where <x> = sqrt(1 + x^2). The catalog:
                            (reflectionless for integer ell; equals
                            sech2_scaled with beta = ell(ell+1)/2)
 
+Every kind is even about its center c: V(c + y) = V(c - y), as algebraic and
+gaussian read x - c only through (x - c)^2 and the sech^2 kinds through the
+even sech. ``scattering`` relies on it: on a grid symmetric about c it builds
+the transfer matrices of the left half of the cells and mirrors them.
+
 A true point (delta) potential is outside the catalog; narrow Gaussians
 (sigma <= 0.05) are the sanctioned stand-in and are labeled as such.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -104,12 +110,12 @@ class PotentialSpec:
         """The sech^2 kinds' well depth: poschl_teller is sech2_scaled at beta = ell(ell+1)/2."""
         return self.beta if self.kind == "sech2_scaled" else self.ell * (self.ell + 1.0) / 2.0
 
-    @property
+    @cached_property
     def sup_norm(self) -> float:
         """max |V| (attained at the center for every catalog kind)."""
         return float(abs(self(np.array([self.center]))[0]))
 
-    @property
+    @cached_property
     def slope_norm(self) -> float:
         """max |V'|, in closed form per kind: |q| s (s+1)^{-1/2} ((s+1)/(s+2))^{(s+2)/2}
         (algebraic, at (x-c)^2 = 1/(s+1) for s > -1), |q| e^{-1/2}/sigma
@@ -126,7 +132,7 @@ class PotentialSpec:
             return abs(self.q) * math.exp(-0.5) / self.sigma
         return self.sup_norm * 4.0 / (3.0 * math.sqrt(3.0))
 
-    @property
+    @cached_property
     def feature_length(self) -> float:
         """The length over which V changes by its own size, max|V| / max|V'|
         (inf when V' = 0)."""

@@ -32,13 +32,23 @@ One pass builds the cell matrices left to right, and both directions walk
 them: sign -1 from the left edge, sign +1 from the right edge through their
 inverses. The two-point Gauss-Magnus substep is time-symmetric (reversing a
 cell swaps its Gauss points, flipping c and h while qbar stays), so the
-reversed cell's matrix is exactly C^-1 = adj(C), as det C = 1.
+reversed cell's matrix is exactly C^-1 = adj(C), as det C = 1. Every
+catalog V is even about its center c (see potentials), so on a grid whose
+ends are symmetric about c (x_min + x_max = 2c, as every table and every
+admissibility and resonance domain is built) cell n-1-i is the mirror image
+of cell i, and the same time symmetry gives its matrix as
+S adj(C_i) S = [[c11, c01], [c10, c00]] with S = diag(1, -1). The pass then
+builds only cells 0 .. n/2-1 and fills the others by that swap, half the
+substep work; on any other grid it builds every cell. A batch of one lam
+(jost, the resonance probe) walks both directions as the two rows of one
+walk.
 
 The node values follow from the cell matrices by a blocked walk: prefix
 products inside blocks of isqrt(n) cells, taken for all blocks at once; the
 vectors at the block starts, one block after another; then every node as a
-prefix product times its block's start vector. That is about 2 sqrt(n)
-numpy passes instead of n. A node's value passes through at most
+prefix product times its block's start vector, in real arithmetic on the
+vector's real and imaginary parts. That is about 2 sqrt(n) numpy passes
+instead of n. A node's value passes through at most
 2 sqrt(n) rounded matrix products, against one per cell before it in a
 cell-by-cell walk.
 """
@@ -96,7 +106,8 @@ WRONSKIAN_REL_TOL = 1e-4
 #: may ask for: this bounds the lam and the wells a walk accepts, not what a
 #: walk costs. A deeper well is rejected rather than walked for hours
 #: (sech2_scaled beta = 1e300 would need 2.8e150 substeps per cell; one walk
-#: over 2048 nodes takes about 0.16 ms per substep per cell)
+#: over 2048 nodes of a centred grid takes about 0.07 ms per substep per
+#: cell, 2 vCPUs, numpy 2.4.6)
 MAX_SUBSTEPS = 1 << 16
 #: most lam x grid nodes in one table. A table costs about 200 bytes per
 #: lam-node at its peak: ``solitonlab spectral`` peaked at 236 MB with 2^20
@@ -273,17 +284,33 @@ def _walk(
     f = np.empty((k, cells + 1), dtype=np.complex128)
     g = np.empty_like(f)
     f[:, 0], g[:, 0] = y_f, y_g
-    s_f, s_g = s_f[..., None], s_g[..., None]
-    f[:, 1:] = (p00 * s_f + p01 * s_g).reshape(k, blocks * b)[:, :cells]
-    g[:, 1:] = (p10 * s_f + p11 * s_g).reshape(k, blocks * b)[:, :cells]
+    # the real and imaginary parts on their own, in real arithmetic: bitwise
+    # the complex products, without promoting the prefix products to complex
+    prod, term = np.empty((2, k, blocks, b))
+    for node, (a0, a1) in ((f, (p00, p01)), (g, (p10, p11))):
+        for part in ("real", "imag"):
+            start_f, start_g = getattr(s_f, part)[..., None], getattr(s_g, part)[..., None]
+            np.add(np.multiply(a0, start_f, out=prod), np.multiply(a1, start_g, out=term), out=prod)
+            getattr(node, part)[:, 1:] = prod.reshape(k, blocks * b)[:, :cells]
     return f, g
+
+
+def _direct_cells(spec: PotentialSpec, grid: Grid) -> int:
+    """How many cells, from the left, _propagate_batch builds with
+    _cell_matrices: n // 2 on a grid whose ends are symmetric about the
+    center of V (x_min + x_max = 2 c to a few ulps of the ends), as every
+    catalog V is even about its center and cell n-1-i is then the mirror
+    image of cell i; every one of the n - 1 cells otherwise."""
+    ends = max(abs(grid.x_min), abs(grid.x_max))
+    centred = abs(grid.x_min + grid.x_max - 2.0 * spec.center) <= 4.0 * math.ulp(ends)
+    return grid.n // 2 if centred else grid.n - 1
 
 
 def _propagate_batch(
     spec: PotentialSpec, grid: Grid, lams: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Integrate the frequency ODE inward from both edges for a batch of
-    lam, from one pass over the cells.
+    lam, from one pass over the cells (half of them on a centred grid).
 
     Returns (f, fprime) for sign +1, then for sign -1: for both, each array
     has shape (len(lams), n) and holds the grid nodes from left to right
@@ -295,25 +322,33 @@ def _propagate_batch(
     counts = np.array([_substeps(grid, abs(lam), spec) for lam in lams])
     # cell i propagates node i -> i+1; its adjugate (its inverse) node i+1 -> i
     cells = np.empty((4, lams.size, n - 1))
-    out = []
+    direct = _direct_cells(spec, grid)
     with np.errstate(over="ignore", invalid="ignore"):
         for m in map(int, np.unique(counts)):
             group = np.flatnonzero(counts == m)
             for rows in np.array_split(group, -(-group.size // PASS_ROWS)):
                 lam2 = lams[rows] * lams[rows]
-                for dst, src in zip(cells, _cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lam2)):
-                    dst[rows] = src
-        for sign in (1, -1):
-            y_f = np.exp(1j * sign * lams * (grid.x[-1] if sign > 0 else grid.x[0]))
-            y_g = 1j * sign * lams * y_f
-            if sign < 0:
-                out.append(_walk(cells, y_f, y_g))
-            else:
-                # adj(C) = S [[c11, c01], [c10, c00]] S with S = diag(1, -1):
-                # walk S y from the right edge through the cells in reverse
-                c00, c01, c10, c11 = cells[:, :, ::-1]
-                f, fp = _walk((c11, c01, c10, c00), y_f, -y_g)
-                out.append((f[:, ::-1], np.negative(fp, out=fp)[:, ::-1]))
+                built = _cell_matrices(spec, grid.x[:direct], grid.dx / m, m, lam2)
+                for dst, src in zip(cells, built):
+                    dst[rows, :direct] = src
+        # with S = diag(1, -1), S adj(C) S = [[c11, c01], [c10, c00]]. Cell
+        # j >= direct is the mirror image of cell n-1-j, with that matrix:
+        for dst, src in ((0, 3), (1, 1), (2, 2), (3, 0)):
+            cells[dst, :, direct:] = cells[src, :, n - 1 - direct : 0 : -1]
+        # and sign +1 walks S y from the right edge through it, in reverse
+        c00, c01, c10, c11 = cells
+        reverse = [c[:, ::-1] for c in (c11, c01, c10, c00)]
+        y_f = {sign: np.exp(1j * sign * lams * (grid.x[-1] if sign > 0 else grid.x[0]))
+               for sign in (1, -1)}
+        y_g = {sign: 1j * sign * lams * y_f[sign] for sign in (1, -1)}
+        if lams.size == 1:  # both directions as the two rows of one walk
+            f, g = _walk([np.concatenate(pair) for pair in zip(reverse, cells)],
+                         np.concatenate([y_f[1], y_f[-1]]), np.concatenate([-y_g[1], y_g[-1]]))
+            plus, minus = (f[:1], g[:1]), (f[1:], g[1:])
+        else:
+            plus, minus = _walk(reverse, y_f[1], -y_g[1]), _walk(cells, y_f[-1], y_g[-1])
+        f, g = plus
+        out = [(f[:, ::-1], np.negative(g, out=g)[:, ::-1]), minus]
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=1) for pair in out for a in pair])
     if not finite.all():
         raise AccuracyError(f"non-finite values while integrating lam={lams[~finite].tolist()}")

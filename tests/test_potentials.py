@@ -1,6 +1,7 @@
 """Potential catalog: sampling, decay fits and admissibility verdicts."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from solitonlab import scattering
 from solitonlab.errors import ConfigError
 from solitonlab.grid import make_grid
 from solitonlab.potentials import (
+    KINDS,
     PotentialSpec,
     check_admissibility,
     decay_fit,
@@ -89,6 +91,31 @@ class TestSampling:
             PotentialSpec.from_dict({"kind": "gaussian", "width": 1.0})
         with pytest.raises(ConfigError):
             PotentialSpec.from_dict({"q": 1.0})
+
+    EVEN_PARAMS = {"zero": {}, "algebraic": {"q": 0.5, "s": 3.0}, "gaussian": {"q": 2.0, "sigma": 1.0},
+                   "sech2_scaled": {"beta": 0.5}, "poschl_teller": {"ell": 2.0}}
+
+    @pytest.mark.parametrize("center", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_kind_is_even_about_its_center(self, kind, center):
+        # scattering mirrors the cells of a grid centred on V, so V(c + y)
+        # must be V(c - y): exactly at c = 0; at c = 0.3 the rounding of
+        # c +- y moves V by at most 2.7 ulps of sup|V| (measured)
+        spec = PotentialSpec(kind, center=center, **self.EVEN_PARAMS[kind])
+        y = np.linspace(0.0, 50.0, 100_001)
+        diff = np.max(np.abs(spec(center + y) - spec(center - y)))
+        assert diff <= (0.0 if center == 0.0 else 4.0 * np.finfo(float).eps * spec.sup_norm)
+
+    def test_norms_are_cached_and_a_pickled_spec_compares_equal(self):
+        # study workers receive their spec pickled, with its cached norms
+        spec = PotentialSpec("gaussian", q=2.0, sigma=0.5)
+        norms = (spec.sup_norm, spec.slope_norm, spec.feature_length)
+        assert {"sup_norm", "slope_norm", "feature_length"} <= vars(spec).keys()
+        clone = pickle.loads(pickle.dumps(spec))
+        fresh = PotentialSpec("gaussian", q=2.0, sigma=0.5)
+        assert clone == spec == fresh and hash(clone) == hash(spec) == hash(fresh)
+        assert (clone.sup_norm, clone.slope_norm, clone.feature_length) == norms
+        assert repr(clone) == repr(fresh)
 
 
 class TestDecayFit:

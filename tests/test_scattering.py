@@ -458,6 +458,113 @@ class TestOnePass:
             assert abs(c.R - r) <= self.PINNED_TABLE_TOL
 
 
+def _complex_walk(c, y_f, y_g):
+    # the blocked walk with its node products in complex arithmetic, as
+    # _walk formed them before it split the block starts into real parts
+    k, cells = c[0].shape
+    b = math.isqrt(cells)
+    blocks = -(-cells // b)
+    p = np.zeros((4, k, blocks * b))
+    for dst, src in zip(p, c):
+        dst[:, :cells] = src
+    p00, p01, p10, p11 = p.reshape(4, k, blocks, b)
+    for j in range(1, b):
+        m00, m01, m10, m11 = p00[..., j], p01[..., j], p10[..., j], p11[..., j]
+        q00, q01, q10, q11 = p00[..., j - 1], p01[..., j - 1], p10[..., j - 1], p11[..., j - 1]
+        p00[..., j], p01[..., j], p10[..., j], p11[..., j] = (
+            m00 * q00 + m01 * q10, m00 * q01 + m01 * q11,
+            m10 * q00 + m11 * q10, m10 * q01 + m11 * q11,
+        )
+    s_f = np.empty((k, blocks), dtype=np.complex128)
+    s_g = np.empty_like(s_f)
+    s_f[:, 0], s_g[:, 0] = y_f, y_g
+    for j in range(blocks - 1):
+        s_f[:, j + 1] = p00[:, j, -1] * s_f[:, j] + p01[:, j, -1] * s_g[:, j]
+        s_g[:, j + 1] = p10[:, j, -1] * s_f[:, j] + p11[:, j, -1] * s_g[:, j]
+    s_f, s_g = s_f[..., None], s_g[..., None]
+    f = np.concatenate([y_f[:, None], (p00 * s_f + p01 * s_g).reshape(k, -1)[:, :cells]], axis=1)
+    g = np.concatenate([y_g[:, None], (p10 * s_f + p11 * s_g).reshape(k, -1)[:, :cells]], axis=1)
+    return f, g
+
+
+def _all_cells(spec, grid):
+    # the split that builds every cell directly: the reference for the mirror
+    return grid.n - 1
+
+
+class TestMirrorCells:
+    """On a grid symmetric about the center of V, _propagate_batch builds
+    cells 0 .. n/2-1 and takes cell n-1-i as the mirror image of cell i:
+    S adj(C) S = [[c11, c01], [c10, c00]] with S = diag(1, -1)."""
+
+    @pytest.mark.parametrize("spec, grid", [
+        *(pytest.param(param.values[0], None, id=param.id) for param in PINNED_W0),
+        pytest.param(PotentialSpec("gaussian", q=-8.0, sigma=0.05), make_grid(-60.0, 60.0, 2048),
+                     id="narrow_well"),
+        pytest.param(PotentialSpec("sech2_scaled", beta=0.5, center=0.3),
+                     make_grid(-59.7, 60.3, 2048), id="sech2_off_zero"),
+    ])
+    def test_mirrored_cells_match_the_cells_built_directly(self, spec, grid):
+        grid = grid or check_admissibility(spec).grid
+        n = grid.n
+        assert scattering._direct_cells(spec, grid) == n // 2
+        built, mirror = slice(n // 2, n - 1), slice(n // 2 - 1, 0, -1)
+        for lam in (0.0, 1.0, 40.0):
+            m = scattering._substeps(grid, lam, spec)
+            c00, c01, c10, c11 = (c[0] for c in scattering._cell_matrices(
+                spec, grid.x[:-1], grid.dx / m, m, np.array([lam * lam])))
+            scale = max(np.max(np.abs(c)) for c in (c00, c01, c10, c11))
+            for got, mirrored in ((c00, c11), (c01, c01), (c10, c10), (c11, c00)):
+                assert np.max(np.abs(got[built] - mirrored[mirror])) <= 1e-13 * scale
+
+    def test_split_follows_the_grid(self):
+        for center in (0.0, 0.3, -489.4119198253881, 1e6):
+            spec = PotentialSpec("sech2_scaled", beta=0.5, center=center)
+            grid = make_grid(center - 60.0, center + 60.0, 2048)
+            doubled = make_grid(grid.x_min - grid.length / 2.0, grid.x_max + grid.length / 2.0, 4096)
+            assert scattering._direct_cells(spec, grid) == 1024
+            assert scattering._direct_cells(spec, doubled) == 2048
+            assert scattering._direct_cells(spec, grid.shifted(grid.dx)) == 2047
+            assert scattering._direct_cells(spec, make_grid(center - 60.0, center + 50.0, 2048)) == 2047
+
+    def test_off_centre_grid_is_the_all_cells_table(self, monkeypatch):
+        spec = PotentialSpec("algebraic", q=0.5, s=3.0)
+        pot = sample_potential(spec, make_grid(-60.0, 50.0, 2048))
+        lams = np.geomspace(0.5, 40.0, 16)
+        table = scattering_table(pot, lams)
+        monkeypatch.setattr(scattering, "_direct_cells", _all_cells)
+        assert table == scattering_table(pot, lams)
+
+    @pytest.mark.parametrize("spec", [
+        PotentialSpec("algebraic", q=0.5, s=3.0),
+        PotentialSpec("gaussian", q=2.0, sigma=1.0),
+        PotentialSpec("sech2_scaled", beta=0.5),
+        PotentialSpec("poschl_teller", ell=2.0),
+        PotentialSpec("sech2_scaled", beta=0.5, center=0.3),
+    ], ids=["algebraic", "gaussian", "sech2_half", "poschl_teller", "sech2_off_zero"])
+    def test_centred_table_matches_the_all_cells_table(self, spec, monkeypatch):
+        pot = sample_potential(spec, make_grid(spec.center - 60.0, spec.center + 60.0, 2048))
+        lams = np.geomspace(0.5, 40.0, 48)
+        table = scattering_table(pot, lams)
+        monkeypatch.setattr(scattering, "_direct_cells", _all_cells)
+        reference = scattering_table(pot, lams)
+        for c, ref in zip(table, reference):
+            assert abs(c.T - ref.T) <= 1e-13 and abs(c.R - ref.R) <= 1e-13
+            assert abs(c.unitarity_defect - ref.unitarity_defect) <= 1e-13
+
+    def test_real_node_products_are_the_complex_ones(self):
+        # every node of a 48-lam walk, bitwise
+        spec = PotentialSpec("gaussian", q=2.0, sigma=1.0)
+        grid = make_grid(-60.0, 60.0, 2048)
+        lams = np.geomspace(0.5, 40.0, 48)
+        m = scattering._substeps(grid, 4.0, spec)
+        cells = scattering._cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lams * lams)
+        y_f = np.exp(-1j * lams * grid.x[0])
+        y_g = -1j * lams * y_f
+        for got, ref in zip(scattering._walk(cells, y_f, y_g), _complex_walk(cells, y_f, y_g)):
+            assert np.array_equal(got, ref)
+
+
 class TestBoundStates:
     def test_free_line_empty(self, free):
         assert bound_states(free) == []
