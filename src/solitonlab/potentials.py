@@ -15,8 +15,8 @@ with s > 2, where <x> = sqrt(1 + x^2). The catalog:
 
 Every kind is even about its center c: V(c + y) = V(c - y), as algebraic and
 gaussian read x - c only through (x - c)^2 and the sech^2 kinds through the
-even sech. ``scattering`` relies on it: on a grid symmetric about c it builds
-the transfer matrices of the left half of the cells and mirrors them.
+even sech. ``scattering`` relies on it: it takes only grids symmetric about c,
+builds the transfer matrices of the left half of the cells and mirrors them.
 
 A true point (delta) potential is outside the catalog; narrow Gaussians
 (sigma <= 0.05) are the sanctioned stand-in and are labeled as such.

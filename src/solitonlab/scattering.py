@@ -28,29 +28,31 @@ the cells, so a table entry does not depend on which other lam share its
 batch. V is sampled one substep at a time, so memory does not grow with the
 substep count either.
 
-One pass builds the cell matrices left to right, and both directions walk
-them: sign -1 from the left edge, sign +1 from the right edge through their
-inverses. The two-point Gauss-Magnus substep is time-symmetric (reversing a
-cell swaps its Gauss points, flipping c and h while qbar stays), so the
-reversed cell's matrix is exactly C^-1 = adj(C), as det C = 1. Every
-catalog V is even about its center c (see potentials), so on a grid whose
-ends are symmetric about c (x_min + x_max = 2c, as every table and every
-admissibility and resonance domain is built) cell n-1-i is the mirror image
-of cell i, and the same time symmetry gives its matrix as
-S adj(C_i) S = [[c11, c01], [c10, c00]] with S = diag(1, -1). The pass then
-builds only cells 0 .. n/2-1 and fills the others by that swap, half the
-substep work; on any other grid it builds every cell. A batch of one lam
-(jost, the resonance probe) walks both directions as the two rows of one
-walk.
+The grid's ends must be symmetric about the center c of V (x_min + x_max
+= 2c to a few ulps of the ends, as every table and every admissibility and
+resonance domain is built); any other grid is a ConfigError. Every catalog
+V is even about c (see potentials), so cell n-1-i, from node n-1-i to node
+n-i (cell n-1 ends past the right edge), is the mirror image of cell i. The
+two-point Gauss-Magnus substep is time-symmetric (reversing a cell swaps its
+Gauss points, flipping c and h while qbar stays), so with S = diag(1, -1)
+the mirrored cell's matrix is S adj(C_i) S = [[c11, c01], [c10, c00]]. One
+pass builds cells 0 .. n/2-1 and fills the others by that swap.
+
+Both directions then come from one walk over the n cells, from two starts.
+Sign -1 starts from its plane wave at node 0. Sign +1, walked from the
+right edge in the variables S y, steps node n-1-i -> n-2-i through
+S adj(C_{n-2-i}) S, which is cell i+1 again: it is the same walk shifted by
+one cell. So it starts at node 0 from S y_+(x_{n-1}) taken back through
+cell 0, adj(C_0) S y_+ (C_0 adj(C_0) = det C_0 = 1), and the walk's node
+n-i holds S f_+ at grid node i.
 
 The node values follow from the cell matrices by a blocked walk: prefix
 products inside blocks of isqrt(n) cells, taken for all blocks at once; the
 vectors at the block starts, one block after another; then every node as a
-prefix product times its block's start vector, in real arithmetic on the
-vector's real and imaginary parts. That is about 2 sqrt(n) numpy passes
-instead of n. A node's value passes through at most
-2 sqrt(n) rounded matrix products, against one per cell before it in a
-cell-by-cell walk.
+prefix product times its block's start vector, for each start. That is
+about 2 sqrt(n) numpy passes instead of n, and both starts share the prefix
+products. A node's value passes through at most 2 sqrt(n) rounded matrix
+products, against one per cell before it in a cell-by-cell walk.
 """
 
 from __future__ import annotations
@@ -106,13 +108,14 @@ WRONSKIAN_REL_TOL = 1e-4
 #: may ask for: this bounds the lam and the wells a walk accepts, not what a
 #: walk costs. A deeper well is rejected rather than walked for hours
 #: (sech2_scaled beta = 1e300 would need 2.8e150 substeps per cell; one walk
-#: over 2048 nodes of a centred grid takes about 0.07 ms per substep per
-#: cell, 2 vCPUs, numpy 2.4.6)
+#: over 2048 nodes of a centred grid takes about 0.08 ms per substep per
+#: cell, gaussian q=1 sigma=0.005 at lam = 100 and 400, 2 vCPUs, numpy 2.4.6)
 MAX_SUBSTEPS = 1 << 16
-#: most lam x grid nodes in one table. A table costs about 200 bytes per
-#: lam-node at its peak: ``solitonlab spectral`` peaked at 236 MB with 2^20
-#: lam-nodes and 437 MB with 2^21 (n = 2048; 420 MB at n = 16 with 2^17 lam;
-#: 2 vCPUs, numpy 2.4.6), so a table at this cap peaks near 840 MB
+#: most lam x grid nodes in one table. A table costs at most about 200 bytes
+#: per lam-node at its peak: ``solitonlab spectral`` peaked at 169 MB with
+#: 2^20 lam-nodes and 302 MB with 2^21 (n = 2048, algebraic q=0.5 s=3; 410 MB
+#: at n = 16 with 2^17 lam, V = 0; 2 vCPUs, numpy 2.4.6), so a table at this
+#: cap peaks near 840 MB
 MAX_TABLE_NODES = 1 << 22
 #: largest spacing of the bound-state solve, the admissibility domain's: a
 #: second-order finite-difference eigenvector at a run's dx would set a_abs's
@@ -251,20 +254,25 @@ def _cell_matrices(
 def _walk(
     c: Sequence[np.ndarray], y_f: np.ndarray, y_g: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All nodes of y_{i+1} = C_i y_i from y_0 = (y_f, y_g), for every row,
-    by the blocked walk (see the module docstring).
+    """All nodes of y_{i+1} = C_i y_i from each of S starts y_0 = (y_f, y_g),
+    for every row, by the blocked walk (see the module docstring).
 
     ``c`` holds the entries (c00, c01, c10, c11) of the C_i, four (K, N)
-    arrays (views will do); the result is (f, f'), each (K, N+1), in walk
-    order.
+    arrays (views will do), and ``y_f`` and ``y_g`` the starts, (K, S) each.
+    The result is (f, f'), each (K, S, N+1), in walk order; each start's
+    nodes are bitwise what that start alone gives.
     """
     k, cells = c[0].shape
-    b = math.isqrt(cells)
-    blocks = -(-cells // b)
+    starts = y_f.shape[1]
+    # an identity cell in front: node i is slot i's prefix product times its block's start
+    slots = cells + 1
+    b = math.isqrt(slots)
+    blocks = -(-slots // b)
     # the last block is padded past the last node; no result reads the padding
     p = np.zeros((4, k, blocks * b))
+    p[0, :, 0] = p[3, :, 0] = 1.0
     for dst, src in zip(p, c):
-        dst[:, :cells] = src
+        dst[:, 1:slots] = src
     p00, p01, p10, p11 = p.reshape(4, k, blocks, b)
     for j in range(1, b):
         m00, m01, m10, m11 = p00[..., j], p01[..., j], p10[..., j], p11[..., j]
@@ -275,80 +283,71 @@ def _walk(
             m10 * q00 + m11 * q10,
             m10 * q01 + m11 * q11,
         )
-    s_f = np.empty((k, blocks), dtype=np.complex128)
-    s_g = np.empty_like(s_f)
-    s_f[:, 0], s_g[:, 0] = y_f, y_g
+    # start-major rows from here, so that each start's nodes are one contiguous block
+    e00, e01, e10, e11 = np.tile(p[..., b - 1 :: b], (1, starts, 1))
+    s_fg = np.empty((2, starts * k, blocks), dtype=np.complex128)
+    s_f, s_g = s_fg
+    s_f[:, 0], s_g[:, 0] = y_f.T.ravel(), y_g.T.ravel()
     for j in range(blocks - 1):
-        s_f[:, j + 1] = p00[:, j, -1] * s_f[:, j] + p01[:, j, -1] * s_g[:, j]
-        s_g[:, j + 1] = p10[:, j, -1] * s_f[:, j] + p11[:, j, -1] * s_g[:, j]
-    f = np.empty((k, cells + 1), dtype=np.complex128)
-    g = np.empty_like(f)
-    f[:, 0], g[:, 0] = y_f, y_g
-    # the real and imaginary parts on their own, in real arithmetic: bitwise
-    # the complex products, without promoting the prefix products to complex
-    prod, term = np.empty((2, k, blocks, b))
-    for node, (a0, a1) in ((f, (p00, p01)), (g, (p10, p11))):
-        for part in ("real", "imag"):
-            start_f, start_g = getattr(s_f, part)[..., None], getattr(s_g, part)[..., None]
-            np.add(np.multiply(a0, start_f, out=prod), np.multiply(a1, start_g, out=term), out=prod)
-            getattr(node, part)[:, 1:] = prod.reshape(k, blocks * b)[:, :cells]
-    return f, g
+        s_f[:, j + 1] = e00[:, j] * s_f[:, j] + e01[:, j] * s_g[:, j]
+        s_g[:, j + 1] = e10[:, j] * s_f[:, j] + e11[:, j] * s_g[:, j]
+    f, g = np.empty((2, starts, k, blocks, b), dtype=np.complex128)
+    for node, pair in zip((f, g), p.reshape(2, 2, k, blocks, b)):
+        # node = pair[0] s_f + pair[1] s_g, summed into node without a temporary
+        np.einsum("tkjb,tskj->skjb", pair, s_fg.reshape(2, starts, k, blocks), out=node)
+    return tuple(node.reshape(starts, k, -1)[..., :slots].transpose(1, 0, 2) for node in (f, g))
 
 
-def _direct_cells(spec: PotentialSpec, grid: Grid) -> int:
-    """How many cells, from the left, _propagate_batch builds with
-    _cell_matrices: n // 2 on a grid whose ends are symmetric about the
-    center of V (x_min + x_max = 2 c to a few ulps of the ends), as every
-    catalog V is even about its center and cell n-1-i is then the mirror
-    image of cell i; every one of the n - 1 cells otherwise."""
+def _require_centred(spec: PotentialSpec, grid: Grid) -> None:
+    """Raise ConfigError unless the grid's ends are symmetric about the
+    center of V (x_min + x_max = 2 c to a few ulps of the ends), which
+    _propagate_batch's mirrored cells need."""
     ends = max(abs(grid.x_min), abs(grid.x_max))
-    centred = abs(grid.x_min + grid.x_max - 2.0 * spec.center) <= 4.0 * math.ulp(ends)
-    return grid.n // 2 if centred else grid.n - 1
+    if not abs(grid.x_min + grid.x_max - 2.0 * spec.center) <= 4.0 * math.ulp(ends):
+        raise ConfigError(f"the grid [{grid.x_min:.17g}, {grid.x_max:.17g}] is not symmetric "
+                          f"about the potential's center {spec.center:.17g}")
 
 
 def _propagate_batch(
     spec: PotentialSpec, grid: Grid, lams: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Integrate the frequency ODE inward from both edges for a batch of
-    lam, from one pass over the cells (half of them on a centred grid).
+    lam: one walk from two starts over cells built for half of the grid,
+    which must be centred on V (see the module docstring).
 
     Returns (f, fprime) for sign +1, then for sign -1: for both, each array
     has shape (len(lams), n) and holds the grid nodes from left to right
-    (for sign +1 a reversed view of the walk). Each row is bitwise what its
-    lam alone gives; an overflow raises AccuracyError.
+    (views of the walk). Each row is bitwise what its lam alone gives; an
+    overflow raises AccuracyError.
     """
-    n = grid.n
+    _require_centred(spec, grid)
+    n, half = grid.n, grid.n // 2
     lams = np.asarray(lams, dtype=np.float64)
     counts = np.array([_substeps(grid, abs(lam), spec) for lam in lams])
-    # cell i propagates node i -> i+1; its adjugate (its inverse) node i+1 -> i
-    cells = np.empty((4, lams.size, n - 1))
-    direct = _direct_cells(spec, grid)
+    # cell i propagates node i -> i+1, and cell n-1 node n-1 -> the right edge
+    cells = np.empty((4, lams.size, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for m in map(int, np.unique(counts)):
             group = np.flatnonzero(counts == m)
             for rows in np.array_split(group, -(-group.size // PASS_ROWS)):
                 lam2 = lams[rows] * lams[rows]
-                built = _cell_matrices(spec, grid.x[:direct], grid.dx / m, m, lam2)
+                built = _cell_matrices(spec, grid.x[:half], grid.dx / m, m, lam2)
                 for dst, src in zip(cells, built):
-                    dst[rows, :direct] = src
-        # with S = diag(1, -1), S adj(C) S = [[c11, c01], [c10, c00]]. Cell
-        # j >= direct is the mirror image of cell n-1-j, with that matrix:
+                    dst[rows, :half] = src
+        # cell n-1-i is the mirror image of cell i, with the matrix
+        # S adj(C) S = [[c11, c01], [c10, c00]], S = diag(1, -1)
         for dst, src in ((0, 3), (1, 1), (2, 2), (3, 0)):
-            cells[dst, :, direct:] = cells[src, :, n - 1 - direct : 0 : -1]
-        # and sign +1 walks S y from the right edge through it, in reverse
-        c00, c01, c10, c11 = cells
-        reverse = [c[:, ::-1] for c in (c11, c01, c10, c00)]
-        y_f = {sign: np.exp(1j * sign * lams * (grid.x[-1] if sign > 0 else grid.x[0]))
-               for sign in (1, -1)}
-        y_g = {sign: 1j * sign * lams * y_f[sign] for sign in (1, -1)}
-        if lams.size == 1:  # both directions as the two rows of one walk
-            f, g = _walk([np.concatenate(pair) for pair in zip(reverse, cells)],
-                         np.concatenate([y_f[1], y_f[-1]]), np.concatenate([-y_g[1], y_g[-1]]))
-            plus, minus = (f[:1], g[:1]), (f[1:], g[1:])
-        else:
-            plus, minus = _walk(reverse, y_f[1], -y_g[1]), _walk(cells, y_f[-1], y_g[-1])
-        f, g = plus
-        out = [(f[:, ::-1], np.negative(g, out=g)[:, ::-1]), minus]
+            cells[dst, :, half:] = cells[src, :, half - 1 :: -1]
+        # both start at node 0: sign -1's plane wave, and S y_+ taken back through cell 0
+        c00, c01, c10, c11 = cells[:, :, 0]
+        minus = np.exp(-1j * lams * grid.x[0])
+        plus = np.exp(1j * lams * grid.x[-1])
+        plus_g = 1j * lams * plus
+        f, g = _walk(cells,
+                     np.stack([minus, c11 * plus + c01 * plus_g], axis=1),
+                     np.stack([-1j * lams * minus, -(c10 * plus + c00 * plus_g)], axis=1))
+        np.negative(g[:, 1], out=g[:, 1])
+    out = [(f[:, 1, n:0:-1], g[:, 1, n:0:-1]), (f[:, 0, :n], g[:, 0, :n])]
     finite = np.logical_and.reduce([np.isfinite(a).all(axis=1) for pair in out for a in pair])
     if not finite.all():
         raise AccuracyError(f"non-finite values while integrating lam={lams[~finite].tolist()}")

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from solitonlab import propagation
+from solitonlab import propagation, scattering
 from solitonlab.cli import _potential_from_args, build_parser
 from solitonlab.experiments import ExperimentConfig
 from solitonlab.grid import Field, make_grid
-from solitonlab.potentials import PotentialSpec
+from solitonlab.potentials import PotentialSpec, SampledPotential
 from solitonlab.propagation import ObserverSeries, StepperConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -61,6 +61,16 @@ def test_evolve_takes_the_stepper_config_fourth(tracer):
     assert param.name == "config" and param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
     config_type = typing.get_type_hints(propagation.evolve)[param.name]
     assert {"dt", "obs_cadence"} <= {f.name for f in dataclasses.fields(config_type)}
+
+
+def test_scattering_table_takes_the_sampled_potential_first():
+    # the tracer's scattering_table wrapper reads args[0].grid (or the
+    # "potential" keyword) to count lambda-nodes
+    param = next(iter(inspect.signature(scattering.scattering_table).parameters.values()))
+    assert param.name == "potential" and param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    potential_type = typing.get_type_hints(scattering.scattering_table)[param.name]
+    assert potential_type is SampledPotential
+    assert "grid" in {f.name for f in dataclasses.fields(SampledPotential)}
 
 
 def test_evolve_steps_match_the_run(tracer):

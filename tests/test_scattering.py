@@ -307,7 +307,7 @@ class TestTransferWalk:
         cos, sin = np.cos(theta), np.sin(theta)
         y_f = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 3))
         y_g = 1j * y_f
-        f, g = _walk(np.stack([cos, sin, -sin, cos]), y_f, y_g)
+        f, g = (a[:, 0] for a in _walk(np.stack([cos, sin, -sin, cos]), y_f[:, None], y_g[:, None]))
         ref_f, ref_g = [y_f], [y_g]
         for i in range(cells):
             a, b = ref_f[-1], ref_g[-1]
@@ -387,11 +387,11 @@ class TestOnePass:
             lam2 = np.array([lam * lam])
             c00, c01, c10, c11 = _cell_matrices(spec, x[:-1], dx / m, m, lam2)
             assert np.max(np.abs(c00 * c11 - c01 * c10 - 1.0)) <= 1e-12
-            y_f = np.exp(1j * lam * x[-1:])
+            y_f = np.exp(1j * lam * x[-1:])[:, None]
             ref_f, ref_g = _walk(_cell_matrices(spec, x[n - 1 : 0 : -1], -dx / m, m, lam2),
                                  y_f, 1j * lam * y_f)
             (f, g), _ = _propagate_batch(spec, grid, np.array([lam]))
-            for got, ref in ((f, ref_f[:, ::-1]), (g, ref_g[:, ::-1])):
+            for got, ref in ((f, ref_f[:, 0, ::-1]), (g, ref_g[:, 0, ::-1])):
                 assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -458,44 +458,30 @@ class TestOnePass:
             assert abs(c.R - r) <= self.PINNED_TABLE_TOL
 
 
-def _complex_walk(c, y_f, y_g):
-    # the blocked walk with its node products in complex arithmetic, as
-    # _walk formed them before it split the block starts into real parts
-    k, cells = c[0].shape
-    b = math.isqrt(cells)
-    blocks = -(-cells // b)
-    p = np.zeros((4, k, blocks * b))
-    for dst, src in zip(p, c):
-        dst[:, :cells] = src
-    p00, p01, p10, p11 = p.reshape(4, k, blocks, b)
-    for j in range(1, b):
-        m00, m01, m10, m11 = p00[..., j], p01[..., j], p10[..., j], p11[..., j]
-        q00, q01, q10, q11 = p00[..., j - 1], p01[..., j - 1], p10[..., j - 1], p11[..., j - 1]
-        p00[..., j], p01[..., j], p10[..., j], p11[..., j] = (
-            m00 * q00 + m01 * q10, m00 * q01 + m01 * q11,
-            m10 * q00 + m11 * q10, m10 * q01 + m11 * q11,
-        )
-    s_f = np.empty((k, blocks), dtype=np.complex128)
-    s_g = np.empty_like(s_f)
-    s_f[:, 0], s_g[:, 0] = y_f, y_g
-    for j in range(blocks - 1):
-        s_f[:, j + 1] = p00[:, j, -1] * s_f[:, j] + p01[:, j, -1] * s_g[:, j]
-        s_g[:, j + 1] = p10[:, j, -1] * s_f[:, j] + p11[:, j, -1] * s_g[:, j]
-    s_f, s_g = s_f[..., None], s_g[..., None]
-    f = np.concatenate([y_f[:, None], (p00 * s_f + p01 * s_g).reshape(k, -1)[:, :cells]], axis=1)
-    g = np.concatenate([y_g[:, None], (p10 * s_f + p11 * s_g).reshape(k, -1)[:, :cells]], axis=1)
-    return f, g
-
-
-def _all_cells(spec, grid):
-    # the split that builds every cell directly: the reference for the mirror
-    return grid.n - 1
+def _all_cells_table(spec, grid, lams):
+    # every cell built by _cell_matrices; sign -1 walks them as built, sign +1
+    # walks S adj(C) S = [[c11, c01], [c10, c00]] of each in reverse from S f_+
+    cells = np.empty((4, lams.size, grid.n - 1))
+    for i, lam in enumerate(lams):
+        m = scattering._substeps(grid, lam, spec)
+        built = scattering._cell_matrices(spec, grid.x[:-1], grid.dx / m, m, np.array([lam * lam]))
+        for dst, src in zip(cells, built):
+            dst[i] = src[0]
+    c00, c01, c10, c11 = cells
+    minus = np.exp(-1j * lams * grid.x[0])
+    plus = np.exp(1j * lams * grid.x[-1])
+    fm, gm = scattering._walk(cells, minus[:, None], -1j * lams[:, None] * minus[:, None])
+    fp, gp = scattering._walk([c[:, ::-1] for c in (c11, c01, c10, c00)],
+                              plus[:, None], -1j * lams[:, None] * plus[:, None])
+    return scattering._coeffs_from_batch(grid, lams, fp[:, 0, ::-1], -gp[:, 0, ::-1],
+                                         fm[:, 0], gm[:, 0])
 
 
 class TestMirrorCells:
     """On a grid symmetric about the center of V, _propagate_batch builds
     cells 0 .. n/2-1 and takes cell n-1-i as the mirror image of cell i:
-    S adj(C) S = [[c11, c01], [c10, c00]] with S = diag(1, -1)."""
+    S adj(C) S = [[c11, c01], [c10, c00]] with S = diag(1, -1). One walk
+    over the cells gives both Jost directions; any other grid is rejected."""
 
     @pytest.mark.parametrize("spec, grid", [
         *(pytest.param(param.values[0], None, id=param.id) for param in PINNED_W0),
@@ -507,7 +493,7 @@ class TestMirrorCells:
     def test_mirrored_cells_match_the_cells_built_directly(self, spec, grid):
         grid = grid or check_admissibility(spec).grid
         n = grid.n
-        assert scattering._direct_cells(spec, grid) == n // 2
+        assert scattering._require_centred(spec, grid) is None
         built, mirror = slice(n // 2, n - 1), slice(n // 2 - 1, 0, -1)
         for lam in (0.0, 1.0, 40.0):
             m = scattering._substeps(grid, lam, spec)
@@ -517,23 +503,49 @@ class TestMirrorCells:
             for got, mirrored in ((c00, c11), (c01, c01), (c10, c10), (c11, c00)):
                 assert np.max(np.abs(got[built] - mirrored[mirror])) <= 1e-13 * scale
 
-    def test_split_follows_the_grid(self):
-        for center in (0.0, 0.3, -489.4119198253881, 1e6):
-            spec = PotentialSpec("sech2_scaled", beta=0.5, center=center)
-            grid = make_grid(center - 60.0, center + 60.0, 2048)
-            doubled = make_grid(grid.x_min - grid.length / 2.0, grid.x_max + grid.length / 2.0, 4096)
-            assert scattering._direct_cells(spec, grid) == 1024
-            assert scattering._direct_cells(spec, doubled) == 2048
-            assert scattering._direct_cells(spec, grid.shifted(grid.dx)) == 2047
-            assert scattering._direct_cells(spec, make_grid(center - 60.0, center + 50.0, 2048)) == 2047
+    def test_every_grid_the_program_builds_is_centred(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
 
-    def test_off_centre_grid_is_the_all_cells_table(self, monkeypatch):
-        spec = PotentialSpec("algebraic", q=0.5, s=3.0)
-        pot = sample_potential(spec, make_grid(-60.0, 50.0, 2048))
-        lams = np.geomspace(0.5, 40.0, 16)
-        table = scattering_table(pot, lams)
-        monkeypatch.setattr(scattering, "_direct_cells", _all_cells)
-        assert table == scattering_table(pot, lams)
+        @settings(max_examples=400, deadline=None, derandomize=True)
+        @given(center=st.floats(-1e9, 1e9), half=st.floats(1e-3, 1e4),
+               log_n=st.integers(4, 14))
+        def check(center, half, log_n):
+            spec = PotentialSpec("sech2_scaled", beta=0.5, center=center)
+            grids = []
+            try:
+                # cmd_spectral's table, check_admissibility's domain and its
+                # doublings, and detect_resonance's doubled domain of each
+                for k in range(4):
+                    grid = make_grid(center - half * 2**k, center + half * 2**k, 2**(log_n + k))
+                    grids += [grid, make_grid(grid.x_min - grid.length / 2.0,
+                                              grid.x_max + grid.length / 2.0, 2 * grid.n)]
+            except ConfigError:  # too far from 0 to resolve its spacing
+                hypothesis.assume(grids)
+            for grid in grids:
+                scattering._require_centred(spec, grid)
+
+        check()
+
+    @pytest.mark.parametrize("center", [0.0, 0.3, -489.4119198253881, 1e6])
+    def test_off_centre_grid_is_rejected(self, center):
+        spec = PotentialSpec("sech2_scaled", beta=0.5, center=center)
+        grid = make_grid(center - 60.0, center + 60.0, 2048)
+        for off in (grid.shifted(grid.dx), make_grid(center - 60.0, center + 50.0, 2048)):
+            pot = sample_potential(spec, off)
+            with pytest.raises(ConfigError, match="not symmetric"):
+                scattering_table(pot, [1.0, 2.0])
+            with pytest.raises(ConfigError, match="not symmetric"):
+                jost(pot, 1.0, -1)
+            with pytest.raises(ConfigError, match="not symmetric"):
+                detect_resonance(spec, off)
+
+    @pytest.mark.parametrize("center", ["0.3", "1e6"])
+    def test_spectral_off_zero_center_runs(self, tmp_path, center):
+        from solitonlab.cli import main
+
+        assert main(["spectral", "--kind", "sech2_scaled", "--beta", "0.5", "--center", center,
+                     "--lambda-points", "4", "--out", str(tmp_path / "spec")]) == 0
 
     @pytest.mark.parametrize("spec", [
         PotentialSpec("algebraic", q=0.5, s=3.0),
@@ -542,27 +554,26 @@ class TestMirrorCells:
         PotentialSpec("poschl_teller", ell=2.0),
         PotentialSpec("sech2_scaled", beta=0.5, center=0.3),
     ], ids=["algebraic", "gaussian", "sech2_half", "poschl_teller", "sech2_off_zero"])
-    def test_centred_table_matches_the_all_cells_table(self, spec, monkeypatch):
-        pot = sample_potential(spec, make_grid(spec.center - 60.0, spec.center + 60.0, 2048))
+    def test_centred_table_matches_the_all_cells_table(self, spec):
+        grid = make_grid(spec.center - 60.0, spec.center + 60.0, 2048)
         lams = np.geomspace(0.5, 40.0, 48)
-        table = scattering_table(pot, lams)
-        monkeypatch.setattr(scattering, "_direct_cells", _all_cells)
-        reference = scattering_table(pot, lams)
+        table = scattering_table(sample_potential(spec, grid), lams)
+        reference = _all_cells_table(spec, grid, lams)
         for c, ref in zip(table, reference):
             assert abs(c.T - ref.T) <= 1e-13 and abs(c.R - ref.R) <= 1e-13
             assert abs(c.unitarity_defect - ref.unitarity_defect) <= 1e-13
 
-    def test_real_node_products_are_the_complex_ones(self):
-        # every node of a 48-lam walk, bitwise
-        spec = PotentialSpec("gaussian", q=2.0, sigma=1.0)
-        grid = make_grid(-60.0, 60.0, 2048)
-        lams = np.geomspace(0.5, 40.0, 48)
-        m = scattering._substeps(grid, 4.0, spec)
-        cells = scattering._cell_matrices(spec, grid.x[:-1], grid.dx / m, m, lams * lams)
-        y_f = np.exp(-1j * lams * grid.x[0])
-        y_g = -1j * lams * y_f
-        for got, ref in zip(scattering._walk(cells, y_f, y_g), _complex_walk(cells, y_f, y_g)):
-            assert np.array_equal(got, ref)
+    @pytest.mark.parametrize("cells", [1, 2, 63, 2048])
+    def test_two_starts_are_two_walks_bitwise(self, cells):
+        x, dx = np.linspace(-30.0, 30.0, cells, endpoint=False, retstep=True)
+        c = scattering._cell_matrices(PotentialSpec("gaussian", q=2.0, sigma=1.0), x, dx / 4, 4,
+                                      np.array([0.0, 1.0, 25.0]))
+        rng = np.random.default_rng(cells)
+        y_f, y_g = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+        f, g = scattering._walk(c, y_f, y_g)
+        for s in range(2):
+            one_f, one_g = scattering._walk(c, y_f[:, s : s + 1], y_g[:, s : s + 1])
+            assert np.array_equal(f[:, s], one_f[:, 0]) and np.array_equal(g[:, s], one_g[:, 0])
 
 
 class TestBoundStates:
