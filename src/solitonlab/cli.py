@@ -108,16 +108,17 @@ def _manifest(out: Path, config: dict):
 
 
 def _write_run_outputs(report: RunReport, out: Path, manifest: RunManifest) -> None:
-    report.series.to_csv(out / "series.csv")
+    series = report.evolution.series
+    series.to_csv(out / "series.csv")
     write_json(out / "report.json", report.to_dict())
-    save_field(report.final, out / "final_field.bin")
+    save_field(report.evolution.final, out / "final_field.bin")
     svg_line_plot(
         out / "summary.svg",
-        [(report.series.times, report.series.err_l2, "||u - u1||_L2")],
+        [(series.times, series.err_l2, "||u - u1||_L2")],
         title=f"transmission error, v={report.plan.v:g}",
         xlabel="t",
         ylabel="L2 error",
-        logy=bool(np.any(report.series.err_l2 > 0)),
+        logy=bool(np.any(series.err_l2 > 0)),
     )
     for name in ("series.csv", "report.json", "final_field.bin", "summary.svg"):
         manifest.add_output(out / name)
@@ -133,11 +134,12 @@ def cmd_simulate(args) -> int:
     with _manifest(out, raw) as manifest:
         report = transmission_run(config, v)
         _write_run_outputs(report, out, manifest)
-        manifest.status = "complete" if report.valid else "invalid"
-        manifest.flags.update(valid=report.valid, sup_error=report.sup_error,
-                              invalid_reason=report.invalid_reason, wall_s=report.wall_s)
-    if not report.valid:
-        print(f"invalid run: {report.invalid_reason}", file=sys.stderr)
+        ev = report.evolution
+        manifest.status = "complete" if ev.valid else "invalid"
+        manifest.flags.update(valid=ev.valid, sup_error=report.sup_error,
+                              invalid_reason=ev.invalid_reason, wall_s=report.wall_s)
+    if not ev.valid:
+        print(f"invalid run: {ev.invalid_reason}", file=sys.stderr)
         return EXIT_INVALID_RUN
     print(f"v={v:g}: sup ||u-u1|| = {report.sup_error:.6e} over [0, {report.plan.t_end:.4g}] -> {out}")
     return EXIT_OK
@@ -212,10 +214,11 @@ def cmd_study(args) -> int:
                 _write_run_outputs(replace(run, admissibility_s=result.admissibility_s),
                                    run_dir, sub)
                 floor_path = run_dir / "floor_series.csv"
-                floor.series.to_csv(floor_path)
+                floor.evolution.series.to_csv(floor_path)
                 sub.add_output(floor_path)
-                sub.status = "complete" if run.valid else "invalid"
-                sub.flags.update(valid=run.valid, wall_s=run.wall_s, floor_wall_s=floor.wall_s)
+                sub.status = "complete" if run.evolution.valid else "invalid"
+                sub.flags.update(valid=run.evolution.valid, wall_s=run.wall_s,
+                                 floor_wall_s=floor.wall_s)
             manifest.add_output(run_dir / "manifest.json")
         study_path = out / "study.json"
         write_json(study_path, result.to_dict())

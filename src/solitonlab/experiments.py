@@ -31,14 +31,14 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ConfigError
-from .grid import EDGE_WINDOW, MAX_N, Field, Grid, make_grid, require_resolved
+from .grid import EDGE_WINDOW, MAX_N, Grid, make_grid, require_resolved
 from .potentials import (
     ADMISSIBILITY_HALF_WIDTH, AdmissibilityReport, PotentialSpec, _sech, check_admissibility,
     json_number, sample_potential,
 )
 from .propagation import (
     EDGE_MASS_TOL,
-    ObserverSeries,
+    EvolveResult,
     SolitonParams,
     StepperConfig,
     evolve,
@@ -288,37 +288,29 @@ def plan_run(config: ExperimentConfig, v: float) -> RunPlan:
 
 @dataclass(frozen=True)
 class RunReport:
-    """One transmission run of ``plan``: error series against the exact
-    soliton and validity flags; the sup error and per-phase peak errors are
-    read from the series. ``final`` holds the lab samples at t_end, on the
-    plan's grid shifted by v t_end. The run took ``steps`` steps of
-    t_end/steps, at most ``plan.dt``, in ``transforms`` FFTs. ``wall_s``
-    (the run's wall time, in the manifest), ``loop_s`` and ``observe_s``
-    (its step loop's, and the part of it spent in the chunked observer, in
-    :attr:`timing`) and ``admissibility_s`` (the wall time of the gate in
-    :func:`transmission_run`; None in a study's runs, whose reports from
-    ``solitonlab study`` hold the study's one shared gate) are telemetry."""
+    """One transmission run of ``plan``: ``evolution`` holds its error
+    series against the exact soliton, the final lab samples (on the plan's
+    grid shifted by v t_end), the validity flags, the steps taken (each of
+    t_end/steps, at most ``plan.dt``) and the step loop's telemetry; the sup
+    error and per-phase peak errors are read from the series. ``wall_s``
+    (the run's wall time, in the manifest) and ``admissibility_s`` (the wall
+    time of the gate in :func:`transmission_run`; None in a study's runs,
+    whose reports from ``solitonlab study`` hold the study's one shared
+    gate) are telemetry."""
 
     plan: RunPlan
-    series: ObserverSeries
-    final: Field
-    valid: bool
-    invalid_reason: str | None
-    steps: int
+    evolution: EvolveResult
     wall_s: float
-    loop_s: float
-    observe_s: float
-    transforms: int
     admissibility_s: float | None = None
 
     @property
     def sup_error(self) -> float:
-        return float(self.series.err_l2.max())
+        return float(self.evolution.series.err_l2.max())
 
     def _peak(self, lo: float, hi: float) -> float | None:
-        t = self.series.times
+        t, err = self.evolution.series.times, self.evolution.series.err_l2
         mask = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-        return float(self.series.err_l2[mask].max()) if mask.any() else None
+        return float(err[mask].max()) if mask.any() else None
 
     @property
     def peak_phase1(self) -> float | None:
@@ -339,19 +331,21 @@ class RunReport:
     @property
     def dt(self) -> float:
         """The step taken."""
-        return self.plan.t_end / self.steps
+        return self.plan.t_end / self.evolution.steps
 
     @property
     def timing(self) -> dict:
         """Step-loop telemetry: wall time, of which the observer's, steps
         per second, grid points, step taken and FFT count; and the
         admissibility gate's wall time."""
-        return {"loop_s": self.loop_s, "observe_s": self.observe_s,
-                "steps_per_s": self.steps / self.loop_s if self.loop_s > 0 else math.inf,
-                "n": self.plan.grid.n, "dt": self.dt, "transforms": self.transforms,
+        ev = self.evolution
+        return {"loop_s": ev.loop_s, "observe_s": ev.observe_s,
+                "steps_per_s": ev.steps / ev.loop_s if ev.loop_s > 0 else math.inf,
+                "n": self.plan.grid.n, "dt": self.dt, "transforms": ev.transforms,
                 "admissibility_s": self.admissibility_s}
 
     def to_dict(self) -> dict:
+        ev, grid = self.evolution, self.evolution.final.grid
         return {
             "v": self.plan.v,
             "x0": self.plan.x0,
@@ -363,19 +357,18 @@ class RunReport:
                 "t2": self.plan.phases.t2,
                 "t3": self.plan.phases.t3,
             },
-            "grid": {"x_min": self.final.grid.x_min, "x_max": self.final.grid.x_max,
-                     "n": self.final.grid.n},
+            "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n},
             "predicted_reflected_mass": self.plan.reflected_mass,
             "reflected_band": self.plan.reflected_band,
             "dt": self.dt,
-            "steps": self.steps,
+            "steps": ev.steps,
             "potential": self.plan.config.potential.to_dict(),
             "sup_error": self.sup_error,
             "peak_phase1": self.peak_phase1,
             "peak_phase2": self.peak_phase2,
             "peak_phase3": self.peak_phase3,
-            "valid": self.valid,
-            "invalid_reason": self.invalid_reason,
+            "valid": ev.valid,
+            "invalid_reason": ev.invalid_reason,
             "admissibility_overridden": self.admissibility_overridden,
             "timing": self.timing,
         }
@@ -411,10 +404,7 @@ def _run_plan(plan: RunPlan) -> RunReport:
     result = evolve(soliton(params, 0.0, grid), pot, plan.t_end,
                     StepperConfig(dt=plan.dt, obs_cadence=plan.cadence), reference=params,
                     bound_state=states[0] if states else None, frame_velocity=plan.v)
-    return RunReport(plan=plan, series=result.series, final=result.final, valid=result.valid,
-                     invalid_reason=result.invalid_reason, steps=result.steps,
-                     wall_s=perf_counter() - start, loop_s=result.loop_s,
-                     observe_s=result.observe_s, transforms=result.transforms)
+    return RunReport(plan=plan, evolution=result, wall_s=perf_counter() - start)
 
 
 def transmission_run(config: ExperimentConfig, v: float) -> RunReport:
@@ -485,7 +475,7 @@ class ScalingResult:
 
     @property
     def runs_valid(self) -> bool:
-        return all(r.valid for r in self.runs + self.floor_runs)
+        return all(r.evolution.valid for r in self.runs + self.floor_runs)
 
     @property
     def passed(self) -> bool:

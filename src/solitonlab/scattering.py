@@ -23,10 +23,11 @@ feature length ell_V = max|V| / max|V'|: since the step error follows V, a
 table past lam_cap is as accurate as one whose substeps keep shrinking with
 lam (measured, see SUBSTEP_LAM_CAP), so a table's cost stops growing with
 lam there, and V = 0 (lam_cap = 0) takes one exact substep per cell. lam
-values with equal substep counts share passes of at most PASS_ROWS rows over
-the cells, so a table entry does not depend on which other lam share its
-batch. V is sampled one substep at a time, so memory does not grow with the
-substep count either.
+values with equal substep counts share passes over the cells of at most
+PASS_ELEMENTS lam x cells (at least one lam), so a pass's memory is bounded
+on any grid and a small grid takes many lam per pass; a table entry does not
+depend on which other lam share its batch. V is sampled one substep at a
+time, so memory does not grow with the substep count either.
 
 The grid's ends must be symmetric about the center c of V (x_min + x_max
 = 2c to a few ulps of the ends, as every table and every admissibility and
@@ -94,9 +95,11 @@ SUBSTEP_PHASE = 0.02
 #: algebraic entry does, at 5.3x. The algebraic table's substeps, summed
 #: over lam, fall from 1354 to 648 at 8 (422 at 4)
 SUBSTEP_LAM_CAP = 8.0
-#: most lam per pass over the cells; a pass holds about a dozen (rows, n-1)
-#: arrays, so memory does not grow with the lam that share a substep count
-PASS_ROWS = 8
+#: most lam x cells per pass over the cells, so a pass takes
+#: max(1, PASS_ELEMENTS // (n/2)) lam (8 at n = 2048); a pass holds about a
+#: dozen (rows, n/2) arrays, so memory does not grow with the lam that share
+#: a substep count, and a small grid still fills a pass
+PASS_ELEMENTS = 8 * 1024
 #: |W(0)| below this counts as a zero-energy resonance (codimension-one
 #: condition; exact zeros are unattainable numerically)
 RESONANCE_EPS = 1e-4
@@ -313,15 +316,18 @@ def _propagate_batch(
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Integrate the frequency ODE inward from both edges for a batch of
     lam: one walk from two starts over cells built for half of the grid,
-    which must be centred on V (see the module docstring).
+    which must be centred on V (see the module docstring), with |V| below
+    EDGE_TOL at its ends.
 
     Returns (f, fprime) for sign +1, then for sign -1: for both, each array
     has shape (len(lams), n) and holds the grid nodes from left to right
     (views of the walk). Each row is bitwise what its lam alone gives; an
     overflow raises AccuracyError.
     """
+    _require_small_edges(spec, grid)
     _require_centred(spec, grid)
     n, half = grid.n, grid.n // 2
+    pass_rows = max(1, PASS_ELEMENTS // half)
     lams = np.asarray(lams, dtype=np.float64)
     counts = np.array([_substeps(grid, abs(lam), spec) for lam in lams])
     # cell i propagates node i -> i+1, and cell n-1 node n-1 -> the right edge
@@ -329,7 +335,7 @@ def _propagate_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         for m in map(int, np.unique(counts)):
             group = np.flatnonzero(counts == m)
-            for rows in np.array_split(group, -(-group.size // PASS_ROWS)):
+            for rows in np.array_split(group, -(-group.size // pass_rows)):
                 lam2 = lams[rows] * lams[rows]
                 built = _cell_matrices(spec, grid.x[:half], grid.dx / m, m, lam2)
                 for dst, src in zip(cells, built):
@@ -354,7 +360,8 @@ def _propagate_batch(
     return out
 
 
-# No command calls jost or wronskian; they stay as perfbench/tracer.py wraps them by name
+# No package code calls jost, wronskian, JostSolution or WronskianResult; they
+# stay only because perfbench/tracer.py wraps jost and wronskian by name
 def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
     """Solution asymptotic to e^{i*sign*lam*x} at the sign-side edge.
 
@@ -365,7 +372,6 @@ def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
         raise ConfigError("sign must be +1 or -1")
     if not math.isfinite(lam):
         raise ConfigError("lam must be finite")
-    _require_small_edges(potential.spec, potential.grid)
     grid = potential.grid
     f, fp = _propagate_batch(potential.spec, grid, np.array([lam]))[0 if sign > 0 else 1]
     return JostSolution(float(lam), grid, f[0], fp[0])
@@ -386,26 +392,18 @@ def _interior_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[np.ndarray, np.ndar
     return value, np.sqrt(np.mean(np.abs(w - value[:, None]) ** 2, axis=1))
 
 
-def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
-    """Spatial median of  f_+ f_-' - f_- f_+'  over the interior.
-
-    The pointwise values agree up to integration error; a spatial standard
-    deviation beyond ``WRONSKIAN_REL_TOL`` (relative to the value, with a
-    floor on the natural scale of the product) raises AccuracyError.
-    """
-    if f_plus.grid != f_minus.grid:
-        raise ConfigError("Jost solutions live on different grids")
-    if f_plus.lam != f_minus.lam:
-        raise ConfigError("Jost solutions have different frequencies")
-    values, stds = _interior_wronskian(
-        f_plus.f[None], f_plus.fprime[None], f_minus.f[None], f_minus.fprime[None]
-    )
+def _checked_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[complex, float]:
+    """Median and RMS spread of  f_+ f_-' - f_- f_+'  over the interior, for
+    one lam's (n,) arrays. The pointwise values agree up to integration
+    error; a spread beyond ``WRONSKIAN_REL_TOL`` (relative to the value,
+    with a floor on the natural scale of the product) raises AccuracyError."""
+    values, stds = _interior_wronskian(fp[None], fp_prime[None], fm[None], fm_prime[None])
     value, std = complex(values[0]), float(stds[0])
-    sl = _interior(f_plus.grid.n)
+    sl = _interior(fp.size)
     scale = float(
         np.median(
-            np.abs(f_plus.f[sl]) * np.abs(f_minus.fprime[sl])
-            + np.abs(f_minus.f[sl]) * np.abs(f_plus.fprime[sl])
+            np.abs(fp[sl]) * np.abs(fm_prime[sl])
+            + np.abs(fm[sl]) * np.abs(fp_prime[sl])
         )
     )
     if std > WRONSKIAN_REL_TOL * (abs(value) + 1e-3 * scale):
@@ -413,7 +411,19 @@ def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
             f"Wronskian varies across the domain (std {std:.3g} vs |W| {abs(value):.3g}); "
             "integration accuracy insufficient"
         )
-    return WronskianResult(value, std)
+    return value, std
+
+
+def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
+    """Spatial median of  f_+ f_-' - f_- f_+'  over the interior and its
+    spread, which beyond ``WRONSKIAN_REL_TOL`` raises AccuracyError (see
+    _checked_wronskian)."""
+    if f_plus.grid != f_minus.grid:
+        raise ConfigError("Jost solutions live on different grids")
+    if f_plus.lam != f_minus.lam:
+        raise ConfigError("Jost solutions have different frequencies")
+    return WronskianResult(*_checked_wronskian(f_plus.f, f_plus.fprime,
+                                               f_minus.f, f_minus.fprime))
 
 
 def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
@@ -422,10 +432,8 @@ def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
     unstable (inconclusive)."""
 
     def w0_abs(g: Grid) -> float:
-        _require_small_edges(spec, g)
         (fp, fp_prime), (fm, fm_prime) = _propagate_batch(spec, g, np.zeros(1))
-        return abs(wronskian(JostSolution(0.0, g, fp[0], fp_prime[0]),
-                             JostSolution(0.0, g, fm[0], fm_prime[0])).value)
+        return abs(_checked_wronskian(fp[0], fp_prime[0], fm[0], fm_prime[0])[0])
 
     w0 = w0_abs(grid)
     doubled = make_grid(
@@ -482,7 +490,6 @@ def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoeffi
         raise ConfigError("scattering table needs at least one lam")
     if np.any(lams <= 0.0) or not np.all(np.isfinite(lams)):
         raise ConfigError("scattering coefficients need lam > 0")
-    _require_small_edges(potential.spec, potential.grid)
     grid = potential.grid
     (fp_f, fp_g), (fm_f, fm_g) = _propagate_batch(potential.spec, grid, lams)
     return _coeffs_from_batch(grid, lams, fp_f, fp_g, fm_f, fm_g)

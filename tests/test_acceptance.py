@@ -405,8 +405,8 @@ def test_runs_take_the_steps_their_plans_schedule(velocity_study):
     result, _ = velocity_study
     for run in result.runs + result.floor_runs:
         k_obs, n_seg, _ = schedule(run.plan.t_end, run.plan.dt, run.plan.cadence)
-        assert run.steps == k_obs * n_seg
-    assert [run.steps for run in result.runs] == [146, 372, 909, 2156]
+        assert run.evolution.steps == k_obs * n_seg
+    assert [run.evolution.steps for run in result.runs] == [146, 372, 909, 2156]
 
 
 @pytest.mark.slow
@@ -439,14 +439,15 @@ def test_frame_keeps_the_narrow_gaussians_reflected_band(narrow_gaussian):
     plan, run = narrow_gaussian
     assert 18.0 / resolution_length(plan.config.potential) > 2.0 * plan.v
     lab = _lab_run(plan)
-    assert run.valid and lab.valid
+    assert run.evolution.valid and lab.valid
     # measured 7.8e-12 relative
     assert abs(run.sup_error - lab.series.err_l2.max()) <= 1e-9 * run.sup_error
     # the reflected packet leaves the potential's center 0 at -v after the
     # crossing and sits near -9.7 at t_end; a cut at -5 keeps out the near
     # field at the potential, where the rectangle sum would depend on where
     # each grid puts its points (measured 1.2e-9 of mass, shifted 2e-5)
-    frame_left, lab_left = _mass_left_of(run.final, -5.0), _mass_left_of(lab.final, -5.0)
+    frame_left = _mass_left_of(run.evolution.final, -5.0)
+    lab_left = _mass_left_of(lab.final, -5.0)
     assert lab_left > 1e-10
     assert abs(frame_left - lab_left) <= 1e-3 * lab_left
 
@@ -463,13 +464,13 @@ def test_edge_gate_catches_a_grid_without_the_predicted_band():
     plan = plan_run(config, 16.0)
     assert plan.reflected_band
     run = _run_plan(plan)
-    assert run.valid
-    assert run.series.edge_mass.max() <= 1e-10  # measured 3.1e-11
+    assert run.evolution.valid
+    assert run.evolution.series.edge_mass.max() <= 1e-10  # measured 3.1e-11
     dx_max = math.pi / required_kmax(config.potential)
     bare = _run_plan(replace(plan, grid=_domain_grid(plan.x0, 0.0, dx_max)))
     assert bare.plan.grid.n == plan.grid.n
-    assert not bare.valid
-    assert "edge mass" in bare.invalid_reason
+    assert not bare.evolution.valid
+    assert "edge mass" in bare.evolution.invalid_reason
 
 
 def _bound_state_plan(v):
@@ -490,7 +491,7 @@ def test_frame_bound_mode_amplitude_matches_lab():
     # solved at a spacing <= BOUND_STATE_DX (4x the frame grid's points, 2x
     # the lab's); what is left is the finite-difference error of the two
     # ground states (measured 1.5e-4 of the peak)
-    frame = _run_plan(plan).series.a_abs
+    frame = _run_plan(plan).evolution.series.a_abs
     assert np.max(np.abs(frame - lab)) <= 3e-3 * peak
 
 
@@ -502,7 +503,7 @@ def test_frame_bound_mode_amplitude_does_not_alias():
     plan = _bound_state_plan(32.0)
     assert plan.grid.k_max < plan.v
     lab = _lab_run(plan).series.a_abs
-    frame = _run_plan(plan).series.a_abs
+    frame = _run_plan(plan).evolution.series.a_abs
     assert lab.max() <= 1e-12
     assert frame.max() <= 1e-12
 
@@ -530,5 +531,5 @@ def test_v256_run_meets_born():
                               delta=DELTA, velocities=(256.0,), x0_factor=2.0)
     born = math.sqrt(2.0) / 256.0
     report = transmission_run(config, 256.0)
-    assert report.valid
+    assert report.evolution.valid
     assert abs(report.sup_error - born) <= 0.01 * born

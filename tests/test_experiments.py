@@ -285,7 +285,7 @@ class TestTransmissionRun:
             override_admissibility=True,
         )
         rep = transmission_run(cfg, 8.0)
-        assert rep.valid
+        assert rep.evolution.valid
         assert rep.sup_error <= 1e-5  # pure discretization floor
 
     def test_inadmissible_gate(self):
@@ -304,7 +304,7 @@ class TestTransmissionRun:
         )
         rep = transmission_run(forced, 8.0)
         assert rep.admissibility_overridden
-        assert rep.valid
+        assert rep.evolution.valid
 
     def test_sign_flip_same_scaling_class(self):
         reps = {}
@@ -363,10 +363,10 @@ class TestTransmissionRun:
     def test_frame_run_pinned(self, spec, v, pinned):
         cfg = ExperimentConfig(potential=spec, delta=0.6, velocities=(v,), x0_factor=1.0)
         rep = experiments._run_plan(plan_run(cfg, v))
-        s = rep.series
+        s = rep.evolution.series
         got = (rep.sup_error, float(s.a_abs.max()), float(s.energy[0]), float(s.mass[-1]))
         assert got == pytest.approx(pinned[:4], rel=1e-12, abs=0.0)
-        assert (rep.steps, rep.plan.grid.n) == pinned[4:]
+        assert (rep.evolution.steps, rep.plan.grid.n) == pinned[4:]
 
 
 class TestAdmissibilityDomain:
@@ -395,7 +395,7 @@ class TestAdmissibilityDomain:
         verdict = experiments.check_admissibility(cfg.potential)
         assert verdict.admissible and verdict.conclusive
         assert not rep.admissibility_overridden
-        assert rep.valid
+        assert rep.evolution.valid
 
     def test_inconclusive_past_the_cap(self):
         # |V| still exceeds the edge tolerance at the widest domain
@@ -449,8 +449,8 @@ class TestStudyGate:
 
         def fake_run(plan):
             runs.append((plan.v, plan.config.potential))
-            return SimpleNamespace(plan=plan, valid=True, sup_error=1e-9 if _is_floor(plan)
-                                   else plan.v ** -0.5)
+            return SimpleNamespace(plan=plan, evolution=SimpleNamespace(valid=True),
+                                   sup_error=1e-9 if _is_floor(plan) else plan.v ** -0.5)
 
         monkeypatch.setattr(experiments, "_run_plan", fake_run)
         result = scaling_study(self._config(potential=PotentialSpec("algebraic", q=0.5, s=3.0)))
@@ -499,9 +499,9 @@ class TestStudyGate:
                 return map(fn, task_lists[-1])
 
         def fake_run(plan):
-            return SimpleNamespace(plan=plan, valid=True, sup_error=1e-9 if _is_floor(plan)
-                                   else plan.v ** -0.5, peak_phase1=None, peak_phase2=None,
-                                   peak_phase3=None)
+            return SimpleNamespace(plan=plan, evolution=SimpleNamespace(valid=True),
+                                   sup_error=1e-9 if _is_floor(plan) else plan.v ** -0.5,
+                                   peak_phase1=None, peak_phase2=None, peak_phase3=None)
 
         monkeypatch.setattr(experiments, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(experiments, "_run_plan", fake_run)

@@ -93,6 +93,18 @@ class TestWronskian:
         with pytest.raises(ConfigError):
             wronskian(jost(free, 1.0, +1), jost(free, 2.0, -1))
 
+    def test_spread_beyond_tolerance_raises(self, monkeypatch):
+        # W's interior spread is roundoff here (std 1.7e-13), so a zero
+        # tolerance trips the check, through both callers of it
+        spec = PotentialSpec("gaussian", q=2.0, sigma=1.0)
+        grid = make_grid(-30.0, 30.0, 1024)
+        pot = sample_potential(spec, grid)
+        monkeypatch.setattr(scattering, "WRONSKIAN_REL_TOL", 0.0)
+        with pytest.raises(AccuracyError, match="varies across the domain"):
+            wronskian(jost(pot, 0.0, +1), jost(pot, 0.0, -1))
+        with pytest.raises(AccuracyError, match="varies across the domain"):
+            detect_resonance(spec, grid)
+
 
 class TestResonance:
     def test_free_line(self):
@@ -267,13 +279,23 @@ class TestTransferWalk:
         PotentialSpec("algebraic", q=0.5, s=3.0),
         PotentialSpec("sech2_scaled", beta=0.5),
     ], ids=lambda spec: spec.kind)
-    def test_entry_independent_of_batch(self, spec):
+    def test_entry_independent_of_batch(self, spec, monkeypatch):
         # each lam takes its own substep count, so a table entry is bitwise
-        # what that lam alone gives
-        pot = sample_potential(spec, make_grid(-60.0, 60.0, 2048))
+        # what that lam alone gives; at n = 64 a pass takes up to
+        # PASS_ELEMENTS // 32 lam, at n = 2048 up to 8
+        rows = []
+        cell_matrices = scattering._cell_matrices
+        monkeypatch.setattr(scattering, "_cell_matrices",
+                            lambda *args: rows.append(args[-1].size) or cell_matrices(*args))
         lams = np.geomspace(0.5, 40.0, 48)
-        table = scattering_table(pot, lams)
-        assert table == [scattering_table(pot, [lam])[0] for lam in lams]
+        most_rows = {}
+        for n in (2048, 64):
+            pot = sample_potential(spec, make_grid(-60.0, 60.0, n))
+            rows.clear()
+            table = scattering_table(pot, lams)
+            most_rows[n] = max(rows)
+            assert table == [scattering_table(pot, [lam])[0] for lam in lams]
+        assert most_rows[2048] <= 8 < most_rows[64]
 
     @pytest.mark.parametrize("spec, n, w0, verdicts", PINNED_W0)
     def test_zero_frequency_wronskian_pinned(self, spec, n, w0, verdicts):
