@@ -24,14 +24,11 @@ from .potentials import AdmissibilityReport, PotentialSpec, check_admissibility,
 from .propagation import SolitonParams, StepperConfig, energy, evolve, soliton
 from .scattering import (
     BoundState,
-    JostSolution,
     ScatteringCoefficients,
     bound_states,
     detect_resonance,
-    jost,
     project,
     scattering_table,
-    wronskian,
 )
 from .experiments import (
     ExperimentConfig,
@@ -50,9 +47,8 @@ __all__ = [
     "NumericalBreakdownError",
     "Grid", "Field", "make_grid", "l2_norm", "lp_norm", "inner_product",
     "PotentialSpec", "AdmissibilityReport", "sample_potential", "check_admissibility",
-    "JostSolution", "ScatteringCoefficients", "BoundState", "jost", "wronskian",
-    "detect_resonance", "scattering_table", "bound_states",
-    "project",
+    "ScatteringCoefficients", "BoundState", "detect_resonance", "scattering_table",
+    "bound_states", "project",
     "SolitonParams", "StepperConfig", "soliton", "evolve", "energy",
     "ExperimentConfig", "PhaseTimes", "RunReport", "ScalingResult", "phase_times",
     "lemma_error_check", "transmission_run", "scaling_study",

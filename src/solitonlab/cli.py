@@ -33,7 +33,7 @@ from .experiments import ExperimentConfig, RunReport, scaling_study, transmissio
 from .grid import make_grid, save_field
 from .potentials import KINDS, PARAMS, PotentialSpec, check_admissibility
 from .reporting import RunManifest, svg_line_plot, write_csv, write_json
-from .scattering import MAX_TABLE_NODES, build_spectral_report
+from .scattering import build_spectral_report, require_table_budget
 from . import checks
 
 EXIT_OK = 0
@@ -154,9 +154,7 @@ def cmd_spectral(args) -> int:
             raise ConfigError(f"{flag} must be finite, got {value}")
     if args.lambda_points < 1:
         raise ConfigError(f"--lambda-points must be at least 1, got {args.lambda_points}")
-    if args.lambda_points * args.n > MAX_TABLE_NODES:
-        raise ConfigError(f"--lambda-points x --n = {args.lambda_points * args.n} exceeds the "
-                          f"table budget of {MAX_TABLE_NODES} lambda-nodes")
+    require_table_budget(args.lambda_points, args.n)
     if not args.linear and not (args.lambda_min > 0 and args.lambda_max > 0):
         raise ConfigError("log lambda spacing needs --lambda-min and --lambda-max > 0 "
                           "(or use --linear)")
@@ -181,7 +179,7 @@ def cmd_spectral(args) -> int:
         adm = report.admissibility
         manifest.flags.update(admissible=adm.admissible, table_s=report.table_s,
                               table_substeps=report.table_substeps,
-                              admissibility_s=report.admissibility_s)
+                              admissibility_s=adm.wall_s)
     print(
         f"{spec.kind}: {adm.bound_state_count} bound state(s) "
         f"{list(adm.bound_state_energies)}, resonance={adm.resonance_detected}, "

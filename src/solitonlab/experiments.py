@@ -294,9 +294,9 @@ class RunReport:
     t_end/steps, at most ``plan.dt``) and the step loop's telemetry; the sup
     error and per-phase peak errors are read from the series. ``wall_s``
     (the run's wall time, in the manifest) and ``admissibility_s`` (the wall
-    time of the gate in :func:`transmission_run`; None in a study's runs,
-    whose reports from ``solitonlab study`` hold the study's one shared
-    gate) are telemetry."""
+    time of the gate in :func:`transmission_run`; None when the override
+    skips the gate, and in a study's runs, whose reports from ``solitonlab
+    study`` hold the study's one shared gate) are telemetry."""
 
     plan: RunPlan
     evolution: EvolveResult
@@ -415,10 +415,8 @@ def transmission_run(config: ExperimentConfig, v: float) -> RunReport:
     set; the override is recorded in the report. As in a study, the
     potential is judged before the run is planned.
     """
-    start = perf_counter()
-    _admissibility_gate(config)
-    admissibility_s = perf_counter() - start
-    return replace(_run_plan(plan_run(config, v)), admissibility_s=admissibility_s)
+    gate = _admissibility_gate(config)
+    return replace(_run_plan(plan_run(config, v)), admissibility_s=gate.wall_s if gate else None)
 
 
 @dataclass(frozen=True)
@@ -428,11 +426,11 @@ class ScalingResult:
     read from them. :meth:`to_dict` also reports each velocity's headroom,
     error / floor (the floor gate asks for at least ``FLOOR_FACTOR``).
     ``admissibility_s``, the wall time of the study's one admissibility
-    gate, is telemetry for the manifest."""
+    gate (None when the override skips it), is telemetry for the manifest."""
 
     runs: tuple[RunReport, ...]
     floor_runs: tuple[RunReport, ...]
-    admissibility_s: float
+    admissibility_s: float | None
 
     @property
     def velocities(self) -> tuple[float, ...]:
@@ -546,9 +544,7 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
         raise ConfigError("velocities must span at least a factor of 8")
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    start = perf_counter()
-    _admissibility_gate(config)
-    admissibility_s = perf_counter() - start
+    gate = _admissibility_gate(config)
     floor_config = replace(config, potential=PotentialSpec("zero"), override_admissibility=True)
     plans = []
     for plan in (plan_run(config, v) for v in vs):
@@ -564,7 +560,7 @@ def scaling_study(config: ExperimentConfig, jobs: int = 1) -> ScalingResult:
         done = [_run_plan(plans[i]) for i in order]
     reports = [report for _, report in sorted(zip(order, done), key=lambda pair: pair[0])]
     return ScalingResult(runs=tuple(reports[0::2]), floor_runs=tuple(reports[1::2]),
-                         admissibility_s=admissibility_s)
+                         admissibility_s=gate.wall_s if gate else None)
 
 
 # --- exponential-window tail bound -------------------------------------------

@@ -28,6 +28,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from time import perf_counter
 
 import numpy as np
 
@@ -250,7 +251,9 @@ class ResonanceProbe:
 class AdmissibilityReport:
     """Verdict of the three admissibility conditions plus the measured inputs,
     on the domain ``grid`` they were judged on. ``resonance`` is None when
-    the edge check stopped the report early."""
+    the edge check stopped the report early. ``wall_s``, the wall time of
+    :func:`check_admissibility`, is telemetry, left out of :meth:`to_dict`
+    and of comparisons."""
 
     spec: PotentialSpec
     grid: Grid
@@ -260,6 +263,7 @@ class AdmissibilityReport:
     admissible: bool
     conclusive: bool
     notes: tuple[str, ...] = ()
+    wall_s: float = field(default=math.nan, compare=False)
 
     @property
     def bound_state_count(self) -> int:
@@ -299,6 +303,7 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
     verdict from the zero-frequency Wronskian with a domain-doubling
     stability check; an unstable verdict yields ``conclusive=False``.
     """
+    start = perf_counter()
     from . import scattering  # deferred: scattering imports this module
 
     half, n = ADMISSIBILITY_HALF_WIDTH, ADMISSIBILITY_N
@@ -318,6 +323,7 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
         return AdmissibilityReport(
             spec, grid, decay_est, (), None, False, False,
             tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}"]),
+            wall_s=perf_counter() - start,
         )
 
     energies = tuple(scattering.bound_states(sample_potential(spec, grid), energies_only=True))
@@ -342,4 +348,5 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
         bool(admissible),
         bool(probe.stable),
         tuple(notes),
+        wall_s=perf_counter() - start,
     )

@@ -9,7 +9,9 @@ e^{-i lam x} at the left edge (sign -1) are integrated inward across the
 grid. Because the initial data asserts exact plane waves at the starting
 node, every quantity computed here is *exactly* the scattering data of the
 edge-truncated potential; the difference to the infinite-line potential is
-the reported truncation estimate.
+the reported truncation estimate. The solutions stay plain arrays: jost
+returns one direction's (f, f') at one lam, and wronskian reduces four such
+arrays to W and its interior spread, which it gates.
 
 Integrator: one real 2x2 transfer matrix per substep, built from the
 fourth-order two-point Gauss-Magnus exponential for the linear system
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from time import perf_counter
 
 import numpy as np
@@ -127,28 +129,6 @@ MAX_TABLE_NODES = 1 << 22
 BOUND_STATE_DX = 2.0 * ADMISSIBILITY_HALF_WIDTH / ADMISSIBILITY_N
 
 _GAUSS_OFFSETS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
-
-
-@dataclass(frozen=True)
-class JostSolution:
-    """Frequency-lam solution with plane-wave data at one edge."""
-
-    lam: float
-    grid: Grid
-    f: np.ndarray = field(repr=False)
-    fprime: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        for name in ("f", "fprime"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.complex128)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-
-@dataclass(frozen=True)
-class WronskianResult:
-    value: complex
-    std: float
 
 
 @dataclass(frozen=True)
@@ -360,10 +340,10 @@ def _propagate_batch(
     return out
 
 
-# No package code calls jost, wronskian, JostSolution or WronskianResult; they
-# stay only because perfbench/tracer.py wraps jost and wronskian by name
-def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
-    """Solution asymptotic to e^{i*sign*lam*x} at the sign-side edge.
+# No package code calls jost; it stays only because perfbench/tracer.py wraps it
+def jost(potential: SampledPotential, lam: float, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f') of the solution asymptotic to e^{i*sign*lam*x} at the
+    sign-side edge, on the potential's grid: its row of _propagate_batch.
 
     lam = 0 is allowed (plane-wave data degenerates to (1, 0)) and is what
     resonance detection uses; scattering coefficients need lam > 0.
@@ -372,9 +352,8 @@ def jost(potential: SampledPotential, lam: float, sign: int) -> JostSolution:
         raise ConfigError("sign must be +1 or -1")
     if not math.isfinite(lam):
         raise ConfigError("lam must be finite")
-    grid = potential.grid
-    f, fp = _propagate_batch(potential.spec, grid, np.array([lam]))[0 if sign > 0 else 1]
-    return JostSolution(float(lam), grid, f[0], fp[0])
+    f, fp = _propagate_batch(potential.spec, potential.grid, np.array([lam]))[0 if sign > 0 else 1]
+    return f[0], fp[0]
 
 
 def _interior(n: int) -> slice:
@@ -392,38 +371,27 @@ def _interior_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[np.ndarray, np.ndar
     return value, np.sqrt(np.mean(np.abs(w - value[:, None]) ** 2, axis=1))
 
 
-def _checked_wronskian(fp, fp_prime, fm, fm_prime) -> tuple[complex, float]:
+def wronskian(f_plus, fprime_plus, f_minus, fprime_minus) -> tuple[complex, float]:
     """Median and RMS spread of  f_+ f_-' - f_- f_+'  over the interior, for
-    one lam's (n,) arrays. The pointwise values agree up to integration
-    error; a spread beyond ``WRONSKIAN_REL_TOL`` (relative to the value,
+    one lam's (n,) arrays of one shape (else ConfigError). Every cell matrix
+    has det 1, so the walk conserves W and the pointwise values agree up to
+    roundoff; a spread beyond ``WRONSKIAN_REL_TOL`` (relative to the value,
     with a floor on the natural scale of the product) raises AccuracyError."""
-    values, stds = _interior_wronskian(fp[None], fp_prime[None], fm[None], fm_prime[None])
+    shapes = [np.shape(a) for a in (f_plus, fprime_plus, f_minus, fprime_minus)]
+    if len(set(shapes)) != 1:
+        raise ConfigError(f"a Wronskian needs four arrays of one shape, got {shapes}")
+    values, stds = _interior_wronskian(f_plus[None], fprime_plus[None],
+                                       f_minus[None], fprime_minus[None])
     value, std = complex(values[0]), float(stds[0])
-    sl = _interior(fp.size)
-    scale = float(
-        np.median(
-            np.abs(fp[sl]) * np.abs(fm_prime[sl])
-            + np.abs(fm[sl]) * np.abs(fp_prime[sl])
-        )
-    )
+    sl = _interior(f_plus.size)
+    scale = float(np.median(np.abs(f_plus[sl]) * np.abs(fprime_minus[sl])
+                            + np.abs(f_minus[sl]) * np.abs(fprime_plus[sl])))
     if std > WRONSKIAN_REL_TOL * (abs(value) + 1e-3 * scale):
         raise AccuracyError(
             f"Wronskian varies across the domain (std {std:.3g} vs |W| {abs(value):.3g}); "
-            "integration accuracy insufficient"
+            "roundoff or cancellation in the walk exceeds the tolerance"
         )
     return value, std
-
-
-def wronskian(f_plus: JostSolution, f_minus: JostSolution) -> WronskianResult:
-    """Spatial median of  f_+ f_-' - f_- f_+'  over the interior and its
-    spread, which beyond ``WRONSKIAN_REL_TOL`` raises AccuracyError (see
-    _checked_wronskian)."""
-    if f_plus.grid != f_minus.grid:
-        raise ConfigError("Jost solutions live on different grids")
-    if f_plus.lam != f_minus.lam:
-        raise ConfigError("Jost solutions have different frequencies")
-    return WronskianResult(*_checked_wronskian(f_plus.f, f_plus.fprime,
-                                               f_minus.f, f_minus.fprime))
 
 
 def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
@@ -433,7 +401,7 @@ def detect_resonance(spec: PotentialSpec, grid: Grid) -> ResonanceProbe:
 
     def w0_abs(g: Grid) -> float:
         (fp, fp_prime), (fm, fm_prime) = _propagate_batch(spec, g, np.zeros(1))
-        return abs(_checked_wronskian(fp[0], fp_prime[0], fm[0], fm_prime[0])[0])
+        return abs(wronskian(fp[0], fp_prime[0], fm[0], fm_prime[0])[0])
 
     w0 = w0_abs(grid)
     doubled = make_grid(
@@ -479,11 +447,23 @@ def _coeffs_from_batch(
     ]
 
 
-def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoefficients]:
-    """Transmission/reflection coefficients for a batch of lam > 0.
+def require_table_budget(lam_points: int, n: int) -> None:
+    """Raise ConfigError if a table of ``lam_points`` lam on ``n`` nodes
+    exceeds MAX_TABLE_NODES, before anything of its size is allocated."""
+    if lam_points * n > MAX_TABLE_NODES:
+        raise ConfigError(f"{lam_points} lambda x {n} nodes = {lam_points * n} exceeds the "
+                          f"table budget of {MAX_TABLE_NODES} lambda-nodes")
 
-    T comes from the Wronskian (-2 i lam / W); R and the cross-check T come
-    from plane-wave matching of f_+ at the far edge.
+
+def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoefficients]:
+    """Transmission/reflection coefficients for a batch of lam > 0 within
+    the table budget.
+
+    T comes from the Wronskian (-2 i lam / W); R and 1/a come from
+    plane-wave matching f_+ = a e^{i lam x} + b e^{-i lam x} at the far
+    edge. The walk conserves W to roundoff, so T equals 1/a to roundoff:
+    ``t_agreement``, ``unitarity_defect`` and ``wronskian_std`` bound roundoff
+    and cancellation, not the integrator's truncation error.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
     if lams.size == 0:
@@ -491,6 +471,7 @@ def scattering_table(potential: SampledPotential, lams) -> list[ScatteringCoeffi
     if np.any(lams <= 0.0) or not np.all(np.isfinite(lams)):
         raise ConfigError("scattering coefficients need lam > 0")
     grid = potential.grid
+    require_table_budget(lams.size, grid.n)
     (fp_f, fp_g), (fm_f, fm_g) = _propagate_batch(potential.spec, grid, lams)
     return _coeffs_from_batch(grid, lams, fp_f, fp_g, fm_f, fm_g)
 
@@ -558,16 +539,15 @@ def project(f: Field, bound_state: BoundState | None) -> tuple[complex, Field]:
 class SpectralReport:
     """T/R table and admissibility report (bound states, resonance) for one
     potential; the admissibility report is judged on its own domain, not on
-    the table's. ``table_s`` and ``admissibility_s`` (the wall times of the
-    two) and ``table_substeps`` (the table's substeps per cell, summed over
-    lam) are telemetry, left out of :meth:`to_dict`."""
+    the table's. ``table_s`` (the table's wall time; the report's is
+    ``admissibility.wall_s``) and ``table_substeps`` (the table's substeps
+    per cell, summed over lam) are telemetry, left out of :meth:`to_dict`."""
 
     coefficients: tuple[ScatteringCoefficients, ...]
     admissibility: AdmissibilityReport
     truncation_estimate: float
     table_s: float
     table_substeps: int
-    admissibility_s: float
 
     @property
     def max_unitarity_defect(self) -> float:
@@ -613,9 +593,7 @@ def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralRepo
     start = perf_counter()
     coeffs = scattering_table(sample_potential(spec, grid), lams)
     table_s = perf_counter() - start
-    start = perf_counter()
     admissibility = check_admissibility(spec)
-    admissibility_s = perf_counter() - start
     half = min(abs(grid.x_min - spec.center), abs(grid.x[-1] - spec.center))
     lam_min = min(c.lam for c in coeffs)
     truncation = spec.tail_integral(half) / max(lam_min, 1.0)
@@ -625,5 +603,4 @@ def build_spectral_report(spec: PotentialSpec, grid: Grid, lams) -> SpectralRepo
         truncation_estimate=float(truncation),
         table_s=table_s,
         table_substeps=sum(_substeps(grid, c.lam, spec) for c in coeffs),
-        admissibility_s=admissibility_s,
     )

@@ -287,6 +287,7 @@ class TestTransmissionRun:
         rep = transmission_run(cfg, 8.0)
         assert rep.evolution.valid
         assert rep.sup_error <= 1e-5  # pure discretization floor
+        assert rep.timing["admissibility_s"] is None  # the override runs no gate
 
     def test_inadmissible_gate(self):
         cfg = ExperimentConfig(
