@@ -55,13 +55,11 @@ def _failure(exc: BaseException) -> tuple[str, int, str] | None:
     return next((v for cls, v in _FAILURES.items() if isinstance(exc, cls)), None)
 
 
-def _out_dir(args, config: dict | None, default: str) -> Path:
+def _output_dir(args, default: str) -> Path:
     if args.out:
         path = Path(args.out)
     elif os.environ.get("SOLITONLAB_OUT_DIR"):
         path = Path(os.environ["SOLITONLAB_OUT_DIR"])
-    elif config and config.get("out_dir"):
-        path = Path(config["out_dir"])
     else:
         path = Path(default)
     try:
@@ -130,7 +128,7 @@ def cmd_simulate(args) -> int:
     if len(config.velocities) != 1:
         raise ConfigError("simulate needs a single 'v' (or a one-entry 'velocities' list)")
     v = config.velocities[0]
-    out = _out_dir(args, raw, "runs/simulate")
+    out = _output_dir(args, "runs/simulate")
     with _manifest(out, raw) as manifest:
         report = transmission_run(config, v)
         _write_run_outputs(report, out, manifest)
@@ -162,7 +160,7 @@ def cmd_spectral(args) -> int:
         lams = np.linspace(args.lambda_min, args.lambda_max, args.lambda_points)
     else:
         lams = np.geomspace(args.lambda_min, args.lambda_max, args.lambda_points)
-    out = _out_dir(args, None, "runs/spectral")
+    out = _output_dir(args, "runs/spectral")
     config = {"potential": spec.to_dict(), "lambda_min": args.lambda_min,
               "lambda_max": args.lambda_max, "lambda_points": args.lambda_points,
               "linear": args.linear, "half_width": half, "n": args.n}
@@ -191,7 +189,7 @@ def cmd_spectral(args) -> int:
 
 def cmd_potential_report(args) -> int:
     report = check_admissibility(_potential_from_args(args))
-    out = _out_dir(args, None, "runs/potential")
+    out = _output_dir(args, "runs/potential")
     path = out / "admissibility.json"
     write_json(path, report.to_dict())
     sys.stdout.write(path.read_text())
@@ -201,7 +199,7 @@ def cmd_potential_report(args) -> int:
 def cmd_study(args) -> int:
     raw = _load_config(args.config)
     config = ExperimentConfig.from_dict(raw)
-    out = _out_dir(args, raw, "runs/study")
+    out = _output_dir(args, "runs/study")
     single = {key: value for key, value in raw.items() if key != "velocities"}
     with _manifest(out, raw) as manifest:
         result = scaling_study(config, jobs=args.jobs)
@@ -267,7 +265,7 @@ def cmd_check(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        out = _out_dir(args, None, "runs/check")
+        out = _output_dir(args, "runs/check")
         (out / "check_report.txt").write_text(text)
         write_json(
             out / "check_report.json",

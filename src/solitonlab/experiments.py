@@ -151,11 +151,10 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Read a JSON config; every value of the wrong type is a ConfigError.
-        ``out_dir`` is accepted here and read by the command line."""
+        Where outputs go is not part of a config; the command line decides it."""
         if not isinstance(d, dict):
             raise ConfigError("experiment config must be a JSON object")
-        known = {"potential", "velocities", "v", "override_admissibility", "out_dir",
-                 *_NUMBER_KEYS}
+        known = {"potential", "velocities", "v", "override_admissibility", *_NUMBER_KEYS}
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -166,14 +165,13 @@ class ExperimentConfig:
         velocities = [d["v"]] if "v" in d else d["velocities"]
         if not isinstance(velocities, list):
             raise ConfigError(f"'velocities' must be a list, got {velocities!r}")
-        for key, kind in (("override_admissibility", bool), ("out_dir", str)):
-            if key in d and type(d[key]) is not kind:
-                raise ConfigError(f"{key!r} must be of JSON type {kind.__name__}, got {d[key]!r}")
+        override = d.get("override_admissibility", False)
+        if type(override) is not bool:
+            raise ConfigError(f"'override_admissibility' must be of JSON type bool, got {override!r}")
         kwargs = {k: json_number(d[k], k) for k in _NUMBER_KEYS if k in d}
-        if "override_admissibility" in d:
-            kwargs["override_admissibility"] = d["override_admissibility"]
         return cls(potential=PotentialSpec.from_dict(d["potential"]),
-                   velocities=tuple(json_number(v, "velocities") for v in velocities), **kwargs)
+                   velocities=tuple(json_number(v, "velocities") for v in velocities),
+                   override_admissibility=override, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -320,33 +320,20 @@ def check_admissibility(spec: PotentialSpec) -> AdmissibilityReport:
         notes.append("potential vanishes on the decay-fit window")
 
     if edge_v >= EDGE_TOL:
-        return AdmissibilityReport(
-            spec, grid, decay_est, (), None, False, False,
-            tuple(notes + [f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}"]),
-            wall_s=perf_counter() - start,
-        )
+        energies, probe = (), None
+        notes.append(f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}")
+    else:
+        energies = tuple(scattering.bound_states(sample_potential(spec, grid), energies_only=True))
+        probe = scattering.detect_resonance(spec, grid)
+        if not probe.stable:
+            notes.append("inconclusive: resonance verdict flipped under domain doubling")
+        if spec.is_delta_approximation:
+            notes.append("narrow gaussian: delta-potential approximation")
 
-    energies = tuple(scattering.bound_states(sample_potential(spec, grid), energies_only=True))
-
-    probe = scattering.detect_resonance(spec, grid)
-    if not probe.stable:
-        notes.append("inconclusive: resonance verdict flipped under domain doubling")
-
-    if spec.is_delta_approximation:
-        notes.append("narrow gaussian: delta-potential approximation")
-
+    conclusive = probe is not None and bool(probe.stable)
     decays_fast = math.isfinite(decay_est) and decay_est > 2.0 or math.isinf(decay_est)
-    admissible = (
-        len(energies) <= 1 and not probe.detected and decays_fast and probe.stable
-    )
+    admissible = conclusive and len(energies) <= 1 and not probe.detected and decays_fast
     return AdmissibilityReport(
-        spec,
-        grid,
-        decay_est,
-        energies,
-        probe,
-        bool(admissible),
-        bool(probe.stable),
-        tuple(notes),
+        spec, grid, decay_est, energies, probe, bool(admissible), conclusive, tuple(notes),
         wall_s=perf_counter() - start,
     )

@@ -254,7 +254,9 @@ class EvolveResult:
     """The run's outcome; it took ``steps`` steps of t_end/steps each,
     in ``loop_s`` seconds of step loop (observations included, of which
     ``observe_s`` in the chunked observer) and ``transforms`` FFTs, a
-    batched transform of r rows counting r."""
+    batched transform of r rows counting r. ``valid`` is judged once, on the
+    whole edge-mass column: False when some observation's edge mass fraction
+    exceeds EDGE_MASS_TOL, with ``invalid_reason`` naming the first."""
 
     final: Field
     series: ObserverSeries
@@ -432,14 +434,12 @@ def evolve(
     samples = np.empty_like(uhats)
     snap_times: list[float] = []
     snaps: list[Field] = []
-    valid = True
-    reason = None
     observe_s = 0.0
 
     def observe(first: int, m: int) -> None:
         """Observations first..first+m-1 from rows 0..m-1 of ``uhats``;
         observation 0's samples are in ``samples`` already."""
-        nonlocal valid, reason, observe_s
+        nonlocal observe_s
         start = perf_counter()
         lo = 1 if first == 0 else 0
         if m > lo:
@@ -461,12 +461,6 @@ def evolve(
             shift = np.exp(-1j * (lab_k * (f * t)[:, None]))
             a_abs[obs] = np.abs(dx / grid.n * np.sum(uhat * conj_phihat * shift, axis=-1))
         edge[obs] = edge_mass_fraction(absu2)
-        over = np.flatnonzero(edge[obs] > EDGE_MASS_TOL)
-        if valid and over.size:
-            i = first + over[0]
-            valid = False
-            reason = (f"edge mass fraction {edge[i]:.3g} exceeded {EDGE_MASS_TOL:g} "
-                      f"at t={times[i]:g}")
         if config.snapshot_every is not None:
             for i in range(-first % config.snapshot_every, m, config.snapshot_every):
                 snap_times.append(float(t[i]))
@@ -488,13 +482,19 @@ def evolve(
         filled += 1
     observe(first, filled)
     loop_s = perf_counter() - start
+    over = np.flatnonzero(edge > EDGE_MASS_TOL)
+    reason = None
+    if over.size:
+        i = over[0]
+        reason = (f"edge mass fraction {edge[i]:.3g} exceeded {EDGE_MASS_TOL:g} "
+                  f"at t={times[i]:g}")
 
     series = ObserverSeries(times, err, mass, en, a_abs, edge)
     return EvolveResult(
         final=_lab_field(grid, samples[filled - 1].copy(), f, times[-1]),
         series=series,
         steps=n_seg * k_obs,
-        valid=valid,
+        valid=reason is None,
         loop_s=loop_s,
         observe_s=observe_s,
         transforms=1 + n_seg * (2 * k_obs + 1),

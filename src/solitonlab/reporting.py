@@ -145,17 +145,21 @@ def svg_line_plot(
     logy: bool = False,
 ) -> None:
     """Write a minimal self-contained SVG line chart (one polyline per series)."""
-    xs_all = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
-    ys_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
-    keep = np.isfinite(xs_all) & np.isfinite(ys_all)
-    if logx:
-        keep &= xs_all > 0
-    if logy:
-        keep &= ys_all > 0
-    if not keep.any():
+    kept = []  # each series' finite points (positive on a log axis)
+    for xs, ys, label in series:
+        xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+        ok = np.isfinite(xs) & np.isfinite(ys)
+        if logx:
+            ok &= xs > 0
+        if logy:
+            ok &= ys > 0
+        kept.append((xs[ok], ys[ok], label))
+    xs_all = np.concatenate([xs for xs, _, _ in kept])
+    ys_all = np.concatenate([ys for _, ys, _ in kept])
+    if not xs_all.size:
         raise ValueError("nothing plottable")
-    x_lo, x_hi = float(xs_all[keep].min()), float(xs_all[keep].max())
-    y_lo, y_hi = float(ys_all[keep].min()), float(ys_all[keep].max())
+    x_lo, x_hi = float(xs_all.min()), float(xs_all.max())
+    y_lo, y_hi = float(ys_all.min()), float(ys_all.max())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -198,15 +202,8 @@ def svg_line_plot(
         f'<text x="20" y="{(_MT+_H-_MB)/2:.0f}" text-anchor="middle" font-size="13" '
         f'transform="rotate(-90 20 {(_MT+_H-_MB)/2:.0f})">{ylabel}</text>'
     )
-    for i, (xs, ys, label) in enumerate(series):
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        ok = np.isfinite(xs) & np.isfinite(ys)
-        if logx:
-            ok &= xs > 0
-        if logy:
-            ok &= ys > 0
-        pts = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in zip(xs[ok], ys[ok]))
+    for i, (xs, ys, label) in enumerate(kept):
+        pts = " ".join(f"{tx(x):.2f},{ty(y):.2f}" for x, y in zip(xs, ys))
         color = _COLORS[i % len(_COLORS)]
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>'

@@ -157,7 +157,7 @@ def _substeps(grid: Grid, lam: float, spec: PotentialSpec) -> int:
     SUBSTEP_PHASE, with cap = SUBSTEP_LAM_CAP / spec.feature_length. A lam
     whose uncapped wave number sqrt(lam^2 + 2 sup|V|) would ask for more
     than MAX_SUBSTEPS is a ConfigError."""
-    sup_v = spec.sup_norm
+    lam, sup_v = float(lam), spec.sup_norm  # a float's lam*lam overflows to inf with no warning
     count = grid.dx * math.sqrt(lam * lam + 2.0 * sup_v) / SUBSTEP_PHASE
     if not count <= MAX_SUBSTEPS:  # inf, too
         raise ConfigError(

@@ -360,6 +360,15 @@ class TestSpectral:
         assert main(["spectral", "--kind", "zero", *flags, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_overflowing_lambda_exits_1_without_a_warning(self, tmp_path, capsys):
+        # lam = 1e200 is finite, but lam * lam overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectral", "--kind", "algebraic", "--q", "0.5", "--s", "3",
+                         "--lambda-min", "1e200", "--lambda-max", "1e201", "--lambda-points", "3",
+                         "--out", str(tmp_path / "spec")]) == 1
+        assert "substeps per cell" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags, named", [
         (["--lambda-max", "inf"], "--lambda-max"),
         (["--lambda-min", "nan"], "--lambda-min"),

@@ -47,16 +47,16 @@ class TestExperimentConfigTypes:
         with_(margin=40.0),
         with_(obs_points=800),
         with_(mu=1.0),
+        with_(out_dir="o"),  # the command line, not the config, decides where outputs go
     ])
     def test_rejected(self, raw):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
 
     def test_accepted_keys(self):
-        # the whole config surface: what the experiment varies, and out_dir
-        full = with_(x0_factor=1.5, override_admissibility=True, out_dir="o")
-        assert set(full) == {"potential", "delta", "v", "x0_factor", "override_admissibility",
-                             "out_dir"}
+        # the whole config surface: what the experiment varies
+        full = with_(x0_factor=1.5, override_admissibility=True)
+        assert set(full) == {"potential", "delta", "v", "x0_factor", "override_admissibility"}
         cfg = ExperimentConfig.from_dict(full)
         assert {f.name for f in dataclasses.fields(cfg)} == {
             "potential", "delta", "velocities", "x0_factor", "override_admissibility"}
@@ -134,12 +134,11 @@ _valid_configs = st.fixed_dictionaries(
      "v": _speeds},
     optional={
         "x0_factor": st.floats(1, 4), "override_admissibility": st.booleans(),
-        "out_dir": st.text(max_size=4),
     },
 )
 _NUMERIC_KEYS = ("delta", "v", "x0_factor")
 _configs = _mutated(_valid_configs, (
-    "potential", "delta", "velocities", "v", "x0_factor", "override_admissibility", "out_dir",
+    "potential", "delta", "velocities", "v", "x0_factor", "override_admissibility",
 )) | st.fixed_dictionaries(
     {"potential": _potentials, "delta": st.floats(0.51, 0.6),
      "velocities": st.lists(_speeds, min_size=1, max_size=5) | _json})

@@ -10,10 +10,12 @@ from solitonlab import scattering
 from solitonlab.errors import ConfigError
 from solitonlab.grid import make_grid
 from solitonlab.potentials import (
+    EDGE_TOL,
     KINDS,
     PotentialSpec,
     check_admissibility,
     decay_fit,
+    edge_magnitude,
     sample_potential,
 )
 
@@ -189,10 +191,16 @@ class TestAdmissibility:
 
     def test_edge_tolerance_inconclusive(self):
         # |V| still exceeds the edge tolerance on the widest domain
-        rep = check_admissibility(PotentialSpec("algebraic", q=2.0, s=1.2))
+        spec = PotentialSpec("algebraic", q=2.0, s=1.2)
+        rep = check_admissibility(spec)
         assert rep.grid.n == 1 << 16
         assert not rep.conclusive
         assert not rep.admissible
+        # the edge check stops the report before the bound-state and resonance probes
+        assert rep.bound_state_energies == ()
+        assert rep.resonance is None
+        edge_v = edge_magnitude(spec, rep.grid)
+        assert rep.notes == (f"inconclusive: |V|={edge_v:.3g} at domain edge exceeds {EDGE_TOL:g}",)
 
     def test_resonance_flag_monotone_in_threshold(self, monkeypatch):
         # a looser resonance threshold can only add resonance verdicts:

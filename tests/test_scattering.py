@@ -8,6 +8,7 @@ with kappa = (sqrt(5)-1)/2), and the Born limit |T-1|*lam -> integral V.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -419,6 +420,11 @@ class TestTransferWalk:
         free = sample_potential(PotentialSpec("zero"), make_grid(-40.0, 40.0, 2048))
         with pytest.raises(ConfigError, match="substeps per cell"):
             scattering_table(free, [1.0, 1e6])
+        # lam * lam overflows past about 1.34e154: still a ConfigError, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="substeps per cell"):
+                scattering_table(free, [1e160])
 
 
 class TestOnePass:
